@@ -1,0 +1,156 @@
+"""Characters of F_q: the multiplicative group dual and the canonical
+additive character psi(y) = exp(2*pi*i*trace(y)/p).
+
+A multiplicative character chi_m sends g^t to exp(2*pi*i*m*t/(q-1)) and 0
+to 0 (every character, including the trivial one).  All values are read
+from one shared table of (q-1)-st roots of unity, so products of characters
+reduce to index addition and never accumulate phase error.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .gf import FieldError, FieldTable
+
+
+class NotFourthPower(FieldError):
+    pass
+
+
+def unit_roots(field: FieldTable) -> np.ndarray:
+    """The shared table exp(2*pi*i*t/(q-1)), t = 0..q-2."""
+    tab = field._cache.get("unit_roots")
+    if tab is None:
+        tab = np.exp(2j * np.pi * np.arange(field.q - 1) / (field.q - 1))
+        field._cache["unit_roots"] = tab
+    return tab
+
+
+def psi_table(field: FieldTable) -> np.ndarray:
+    """Additive character values per element index."""
+    tab = field._cache.get("psi")
+    if tab is None:
+        tab = np.exp(2j * np.pi * field.trace_table / field.p)
+        field._cache["psi"] = tab
+    return tab
+
+
+def eval_add(field: FieldTable, y) -> complex:
+    """psi(y), elementwise on indices."""
+    return psi_table(field)[y]
+
+
+class MultChar:
+    """Multiplicative character chi_m on F_q*, extended by chi(0) = 0."""
+
+    __slots__ = ("field", "m")
+
+    def __init__(self, field: FieldTable, m: int):
+        self.field = field
+        self.m = int(m) % (field.q - 1)
+
+    def __call__(self, x):
+        """Character value at element index x (scalar or array)."""
+        x = np.asarray(x)
+        vals = unit_roots(self.field)[(self.m * self.field.log_table[x]) % (self.field.q - 1)]
+        return np.where(x == 0, 0.0 + 0.0j, vals)[()]
+
+    def values(self) -> np.ndarray:
+        """Value vector over all q element indices (cached)."""
+        cache = self.field._cache.setdefault("char_values", {})
+        v = cache.get(self.m)
+        if v is None:
+            v = self(np.arange(self.field.q))
+            v.flags.writeable = False
+            cache[self.m] = v
+        return v
+
+    def __mul__(self, other: "MultChar") -> "MultChar":
+        return MultChar(self.field, self.m + other.m)
+
+    def __pow__(self, e: int) -> "MultChar":
+        return MultChar(self.field, self.m * e)
+
+    def conj(self) -> "MultChar":
+        return MultChar(self.field, -self.m)
+
+    def is_trivial(self) -> bool:
+        return self.m == 0
+
+    def __eq__(self, other):
+        return isinstance(other, MultChar) and self.field is other.field and self.m == other.m
+
+    def __hash__(self):
+        return hash((id(self.field), self.m))
+
+    def __repr__(self):
+        return f"chi_{self.m}"
+
+
+def all_chars(field: FieldTable) -> list[MultChar]:
+    return [MultChar(field, m) for m in range(field.q - 1)]
+
+
+def trivial_char(field: FieldTable) -> MultChar:
+    return MultChar(field, 0)
+
+
+def quadratic_char(field: FieldTable) -> MultChar:
+    return MultChar(field, (field.q - 1) // 2)
+
+
+def quartic_char(field: FieldTable) -> MultChar:
+    return MultChar(field, (field.q - 1) // 4)
+
+
+def octic_char(field: FieldTable) -> MultChar | None:
+    """The fixed octic character with square equal to the quartic one,
+    or None when 8 does not divide q-1."""
+    if (field.q - 1) % 8 != 0:
+        return None
+    return MultChar(field, (field.q - 1) // 8)
+
+
+def special_chars(field: FieldTable):
+    """(trivial, quadratic, quartic, octic-or-None)."""
+    return trivial_char(field), quadratic_char(field), quartic_char(field), octic_char(field)
+
+
+def delta_char(chi: MultChar) -> int:
+    """1 if chi is trivial, else 0."""
+    return 1 if chi.m == 0 else 0
+
+
+def delta_kron(j, k) -> int:
+    """Kronecker delta on element indices."""
+    return 1 if int(j) == int(k) else 0
+
+
+def is_fourth_power(chi: MultChar) -> bool:
+    # 4 | q-1 here, so chi = nu^4 for some nu iff 4 | m iff chi(i) = 1.
+    return chi.m % 4 == 0
+
+
+def fourth_root(chi: MultChar) -> MultChar:
+    """The canonical nu with nu^4 = chi (the other roots are nu times a
+    power of the quartic character)."""
+    if not is_fourth_power(chi):
+        raise NotFourthPower(f"{chi!r} is not a fourth power")
+    return MultChar(chi.field, chi.m // 4)
+
+
+def char_matrix(field: FieldTable) -> np.ndarray:
+    """Matrix C[m, t] = chi_m(g^t), shape (q-1, q-1); cached per field.
+
+    Multiplying by C evaluates all q-1 Mellin transforms of a function on
+    F_q* (indexed in generator-power order) at once.
+    """
+    C = field._cache.get("char_matrix")
+    if C is None:
+        qm1 = field.q - 1
+        t = np.arange(qm1)
+        C = unit_roots(field)[(t[:, None] * t[None, :]) % qm1]
+        C.flags.writeable = False
+        field._cache["char_matrix"] = C
+    return C
