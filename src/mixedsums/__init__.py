@@ -39,7 +39,15 @@ from .sums import (
     jacobi,
     quad_transform_residual,
 )
-from .mixed import MixedSumContext, make_context, mixed_sum, mixed_table, state_value, state_vector
+from .mixed import (
+    MixedSumContext,
+    ParameterOutOfRange,
+    make_context,
+    mixed_sum,
+    mixed_table,
+    state_value,
+    state_vector,
+)
 from .harness import CheckReport, ConfigError, SuiteConfig, emit_report, run
 from . import mellin
 
@@ -51,7 +59,7 @@ __all__ = [
     "quadratic_char", "quartic_char", "special_chars", "trivial_char",
     "DEFAULT_TOL", "BadArgument", "agree", "gauss",
     "hasse_davenport_residual", "hyp2f1", "jacobi", "quad_transform_residual",
-    "MixedSumContext", "make_context", "mixed_sum", "mixed_table",
+    "MixedSumContext", "ParameterOutOfRange", "make_context", "mixed_sum", "mixed_table",
     "state_value", "state_vector",
     "CheckReport", "ConfigError", "SuiteConfig", "emit_report", "run",
     "mellin",

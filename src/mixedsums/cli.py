@@ -91,13 +91,14 @@ def cmd_table(args) -> int:
         if args.object == "V":
             writer.writerow(["j", "re", "im"])
             for j, v in enumerate(state_vector(ctx)):
-                writer.writerow([j, repr(v.real), repr(v.imag)])
+                writer.writerow([j, repr(float(v.real)), repr(float(v.imag))])
         else:
             writer.writerow(["j", "k", "re", "im"])
             P = mixed_table(ctx)
             for j in range(field.q):
                 for k in range(field.q):
-                    writer.writerow([j, k, repr(P[j, k].real), repr(P[j, k].imag)])
+                    z = P[j, k]
+                    writer.writerow([j, k, repr(float(z.real)), repr(float(z.imag))])
     finally:
         if args.out:
             out.close()

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field as dc_field, asdict
@@ -54,8 +55,8 @@ class SuiteConfig:
     format: str = "json"
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
+        if not (0 < self.tol < math.inf):
+            raise ConfigError("tol must be positive and finite")
         if "all" in self.suites:
             self.suites = SUITES
         for s in self.suites:
@@ -88,13 +89,17 @@ class Checker:
         self.max_abs_err = 0.0
         self.passed = True
 
+    def _note(self, err: float, ok: bool):
+        """Fold one error into the report. A NaN error is kept once seen,
+        and a non-finite error always fails."""
+        if err > self.max_abs_err or math.isnan(err):
+            self.max_abs_err = err
+        if not (ok and math.isfinite(err)):
+            self.passed = False
+
     def compare(self, lhs, rhs):
         self.instances += 1
-        err = abs(lhs - rhs)
-        if err > self.max_abs_err:
-            self.max_abs_err = float(err)
-        if not agree(lhs, rhs, self.tol):
-            self.passed = False
+        self._note(float(abs(lhs - rhs)), agree(lhs, rhs, self.tol))
 
     def compare_arrays(self, lhs: np.ndarray, rhs: np.ndarray):
         lhs = np.asarray(lhs, dtype=complex).ravel()
@@ -103,9 +108,8 @@ class Checker:
         scale = 1.0 + np.maximum(np.abs(lhs), np.abs(rhs))
         self.instances += lhs.size
         if lhs.size:
-            self.max_abs_err = max(self.max_abs_err, float(err.max()))
-            if np.any(err > self.tol * scale):
-                self.passed = False
+            # max propagates NaN, so a finite max means every error is finite
+            self._note(float(err.max()), bool(np.all(err <= self.tol * scale)))
 
     def report(self) -> CheckReport:
         return CheckReport(self.check_id, self.q, self.a, self.instances,
@@ -416,6 +420,15 @@ def _field_header(p: int, n: int) -> dict:
     }
 
 
+def _json_row(r: CheckReport) -> dict:
+    """asdict(r), with a non-finite max_abs_err written as the string
+    "nan", "inf" or "-inf": strict JSON has no such numbers."""
+    row = asdict(r)
+    if not math.isfinite(r.max_abs_err):
+        row["max_abs_err"] = repr(float(r.max_abs_err))
+    return row
+
+
 def emit_report(reports: list[CheckReport], format: str, path: str,
                 fields: list[tuple[int, int]] | None = None) -> None:
     """Write the report atomically (temp file + rename).
@@ -435,9 +448,9 @@ def emit_report(reports: list[CheckReport], format: str, path: str,
             q = p**n
             groups.append({
                 "field": _field_header(p, n),
-                "runs": [asdict(r) for r in reports if r.q == q],
+                "runs": [_json_row(r) for r in reports if r.q == q],
             })
-        payload = json.dumps(groups, indent=2)
+        payload = json.dumps(groups, indent=2, allow_nan=False)
     else:
         import io
 

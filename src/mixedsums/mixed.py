@@ -14,9 +14,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .gf import FieldTable, ZeroArgument
+from .gf import FieldError, FieldTable, ZeroArgument
 from .chars import MultChar, psi_table, quadratic_char, quartic_char
 from .sums import gauss
+
+
+class ParameterOutOfRange(FieldError):
+    """The parameter a is not an element index in 1..q-1."""
 
 
 @dataclass
@@ -44,6 +48,8 @@ def make_context(field: FieldTable, a: int, conjugate_quartic: bool = False,
     a = int(a)
     if a == 0:
         raise ZeroArgument("the parameter a must be nonzero")
+    if not 1 <= a < field.q:
+        raise ParameterOutOfRange(f"a = {a} is not an element index in 1..{field.q - 1}")
     A4 = quartic_char(field)
     if conjugate_quartic:
         A4 = A4.conj()
@@ -60,19 +66,23 @@ def state_vector(ctx: MixedSumContext) -> np.ndarray:
 
     V(j) = tau^{-1} * sum_{x != 0} A4(x) psi(x + a j^4 / x) for j != 0,
     and V(0) = G(A4)/tau + tau/G(A4).
+
+    psi is additive, so psi(x + c/x) = psi(x) psi(c/x) and the x-sum is one
+    matrix-vector product: tau V(j) = psi[c x^{-1}] @ (A4(x) psi(x)) with
+    c = a j^4.  It depends on j only through j^4 = g^(4t), t = log(j) mod
+    (q-1)/4, so the product runs over the (q-1)/4 fourth powers and is then
+    gathered back to j by t.
     """
     v = ctx._cache.get("state")
     if v is None:
         f = ctx.field
         x = f.units()
-        a_over_x = f.mul(ctx.a, f.inv_table[x])
-        A4x = ctx.A4.values()[x]
         psi = psi_table(f)
-        j = f.units()
-        coef = f.mul(ctx.a, f.pow(j, 4))
-        args = f.add(x[None, :], f.mul(coef[:, None], f.inv_table[x][None, :]))
+        coef = f.mul(ctx.a, f.exp_table[::4])  # a g^(4t)
+        kernel = psi[f.mul(coef[:, None], f.inv_table[x][None, :])]  # psi(c/x)
+        sums = kernel @ (ctx.A4.values()[x] * psi[x])
         v = np.empty(f.q, dtype=complex)
-        v[1:] = (A4x[None, :] * psi[args]).sum(axis=1) / ctx.tau
+        v[1:] = sums[f.log_table[x] % ((f.q - 1) // 4)] / ctx.tau
         g4 = gauss(ctx.A4)
         v[0] = g4 / ctx.tau + ctx.tau / g4
         v.flags.writeable = False
@@ -88,33 +98,34 @@ def mixed_table(ctx: MixedSumContext) -> np.ndarray:
     """The full q x q table of P(j,k), cached.
 
     P(j,k) = delta(j,k) + phi(-1) delta(j,-k)
-             + G(phi)^{-1} sum_{x != 0} phi(a/x - x)
-                                        psi(x (j+k)^2 + (a/x)(j-k)^2).
-    The x-sum depends only on (u, v) = ((j+k)^2, (j-k)^2), so it is built
-    once as a q x q table over (u, v) and then gathered.
+             + G(phi)^{-1} F((j+k)^2, (j-k)^2),
+    F(u, v) = sum_{x != 0} phi(a/x - x) psi(x u + (a/x) v).
+    psi is additive, so psi(x u + (a/x) v) = psi(x u) psi((a/x) v) and F is
+    one matrix product over x:
+        F = (w[:, None] * psi[x u])^T @ psi[(a/x) v],   w(x) = phi(a/x - x).
+    P reads F only at pairs of squares, so u and v run over the (q+1)/2
+    squares of F_q: column 0 is 0 and column 1 + t is g^(2t).  The column
+    of j^2 is slot[j] = 1 + (log(j) mod (q-1)/2), and slot[0] = 0.
     """
     P = ctx._cache.get("mixed")
     if P is None:
         f = ctx.field
-        q = f.q
         x = f.units()
         ax = f.mul(ctx.a, f.inv_table[x])
         w = ctx.phi.values()[f.sub(ax, x)]
         psi = psi_table(f)
-        u = np.arange(q)
-        xu = f.mul(x[:, None], u[None, :])    # (q-1, q)
-        axv = f.mul(ax[:, None], u[None, :])
-        F = np.zeros((q, q), dtype=complex)
-        for t in range(q - 1):
-            F += w[t] * psi[f.add(xu[t][:, None], axv[t][None, :])]
-        g_phi = gauss(ctx.phi)
-        jj = np.arange(q)
-        s = f.add(jj[:, None], jj[None, :])
-        d = f.sub(jj[:, None], jj[None, :])
-        P = F[f.mul(s, s), f.mul(d, d)] / g_phi
-        phi_m1 = ctx.phi(f.neg_table[1])
+        jj = np.arange(f.q)
+        squares = np.concatenate(([0], f.exp_table[::2]))
+        slot = np.where(jj == 0, 0, 1 + f.log_table[jj] % ((f.q - 1) // 2))
+        left = w[:, None] * psi[f.mul(x[:, None], squares[None, :])]
+        right = psi[f.mul(ax[:, None], squares[None, :])]
+        F = left.T @ right
+        del left, right  # free before the q x q gather, which sets the peak memory
+        F /= gauss(ctx.phi)
+        u = slot[f.add(jj[:, None], jj[None, :])]  # column of (j+k)^2
+        P = F[u, u[:, f.neg_table]]                # (j-k)^2 = (j+(-k))^2
         P[jj, jj] += 1.0
-        P[jj, f.neg_table[jj]] += phi_m1
+        P[jj, f.neg_table[jj]] += ctx.phi(f.neg_table[1])
         P.flags.writeable = False
         ctx._cache["mixed"] = P
     return P

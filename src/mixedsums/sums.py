@@ -9,6 +9,8 @@ and cached; every closed-form evaluation reads the cache.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .gf import FieldError, FieldTable
@@ -26,8 +28,10 @@ def residual(lhs: complex, rhs: complex) -> float:
 
 
 def agree(lhs: complex, rhs: complex, tol: float = DEFAULT_TOL) -> bool:
-    """Mixed relative/absolute comparison: values range from O(1) to O(q^2)."""
-    return abs(lhs - rhs) <= tol * (1.0 + max(abs(lhs), abs(rhs)))
+    """Mixed relative/absolute comparison: values range from O(1) to O(q^2).
+    A NaN or infinite difference never agrees."""
+    err = abs(lhs - rhs)
+    return math.isfinite(err) and err <= tol * (1.0 + max(abs(lhs), abs(rhs)))
 
 
 def gauss_table(field: FieldTable) -> np.ndarray:

@@ -7,6 +7,7 @@ from mixedsums import (
     MultChar,
     NotFourthPower,
     all_chars,
+    build_field,
     delta_char,
     delta_kron,
     eval_add,
@@ -17,6 +18,7 @@ from mixedsums import (
     special_chars,
     trivial_char,
 )
+from mixedsums.chars import psi_table
 
 
 def test_zero_maps_to_zero(f13):
@@ -44,6 +46,17 @@ def test_additive_char(f5):
     assert abs(eval_add(f5, 1) - cmath.exp(2j * cmath.pi / 5)) < 1e-12
     total = sum(eval_add(f5, y) for y in range(5))
     assert abs(total) < 1e-12
+
+
+@pytest.mark.parametrize("pn", [(3, 2), (5, 2), (7, 2)])
+def test_additive_char_is_additive(pn):
+    # psi(x + y) = psi(x) psi(y) is the only fact the matrix-product forms
+    # of state_vector and mixed_table rely on.
+    f = build_field(*pn)
+    psi = psi_table(f)
+    x = np.arange(f.q)
+    lhs = psi[f.add(x[:, None], x[None, :])]
+    assert np.abs(lhs - psi[:, None] * psi[None, :]).max() < 1e-12
 
 
 def test_special_chars_q13(f13):

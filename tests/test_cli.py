@@ -49,9 +49,11 @@ def test_verify_writes_json_report(tmp_path, capsys):
 def test_table_v(capsys):
     code = main(["table", "--q", "5", "--a", "1", "--object", "V"])
     assert code == 0
-    rows = capsys.readouterr().out.strip().splitlines()
-    assert rows[0] == "j,re,im"
+    rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()))
+    assert rows[0] == ["j", "re", "im"]
     assert len(rows) == 1 + 5
+    for row in rows[1:]:
+        float(row[1]), float(row[2])
 
 
 def test_table_p(tmp_path):
@@ -61,7 +63,22 @@ def test_table_p(tmp_path):
     rows = list(csv.reader(out.open()))
     assert rows[0] == ["j", "k", "re", "im"]
     assert len(rows) == 1 + 25
+    for row in rows[1:]:
+        float(row[2]), float(row[3])
 
 
 def test_usage_error_exit_code(capsys):
     assert main(["table", "--q", "5", "--object", "Q"]) == 2
+
+
+@pytest.mark.parametrize("a", ["-1", "0", "13", "99"])
+@pytest.mark.parametrize("command", [
+    ["table", "--q", "13", "--object", "V"],
+    ["table", "--q", "13", "--object", "P"],
+    ["verify", "--q", "13", "--suite", "main"],
+], ids=["table-V", "table-P", "verify"])
+def test_bad_a_exit_code(capsys, command, a):
+    assert main(command + ["--a", a]) == 2
+    captured = capsys.readouterr()
+    assert "error" in captured.err
+    assert captured.out == ""

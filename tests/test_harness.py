@@ -1,10 +1,12 @@
 import csv
 import json
+import math
 
+import numpy as np
 import pytest
 
 from mixedsums import CheckReport, ConfigError, SuiteConfig, build_field, emit_report, run
-from mixedsums.harness import _factor_prime_power, resolve_a_values
+from mixedsums.harness import Checker, _factor_prime_power, resolve_a_values
 
 
 def test_config_validation():
@@ -14,6 +16,9 @@ def test_config_validation():
         SuiteConfig(fields=[(5, 1)], suites=("bogus",))
     with pytest.raises(ConfigError):
         SuiteConfig(fields=[(5, 1)], format="xml")
+    for bad_tol in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            SuiteConfig(fields=[(5, 1)], tol=bad_tol)
     cfg = SuiteConfig(fields=[(5, 1)], suites=("all",))
     assert set(cfg.suites) == {"classical", "transforms", "main", "mellin"}
 
@@ -95,3 +100,34 @@ def test_emit_empty_report(tmp_path):
     emit_report([], "csv", str(path))
     rows = list(csv.reader(path.open()))
     assert rows == [["check_id", "q", "a", "instances", "max_abs_err", "tol", "pass"]]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("lhs, rhs, shown", [
+    (np.full(4, np.nan), np.zeros(4), "nan"),
+    (np.array([1.0, np.nan]), np.array([1.0, 2.0]), "nan"),
+    (np.array([np.inf, 1.0]), np.array([1.0, 1.0]), "inf"),
+    (np.array([np.inf]), np.array([np.inf]), "nan"),
+], ids=["all-nan", "one-nan", "inf", "inf-minus-inf"])
+def test_non_finite_error_fails_and_is_reported(tmp_path, f5, lhs, rhs, shown):
+    path = tmp_path / "report.json"
+    for how in ("arrays", "scalars"):
+        c = Checker("nan_demo", f5, 1, 1e-8)
+        c.compare_arrays(np.zeros(3), np.zeros(3))
+        if how == "arrays":
+            c.compare_arrays(lhs, rhs)
+        else:
+            for x, y in zip(lhs, rhs):
+                c.compare(complex(x), complex(y))
+        c.compare_arrays(np.ones(2), np.ones(2))  # a later finite error keeps the NaN
+        r = c.report()
+        assert not r.passed
+        assert repr(r.max_abs_err) == shown
+        emit_report([r], "json", str(path))
+        row = json.loads(path.read_text(), parse_constant=_reject_constant)[0]["runs"][0]
+        assert row["max_abs_err"] == shown
+        assert row["passed"] is False

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from mixedsums import (
+    ParameterOutOfRange,
     ZeroArgument,
+    build_field,
     gauss,
     make_context,
     mixed_sum,
@@ -48,17 +50,34 @@ def test_context_rejects_zero(f13):
         make_context(f13, 0)
 
 
-def test_mixed_table_matches_oracle_q5(f5):
-    ctx = make_context(f5, 1)
-    for j in range(5):
-        for k in range(5):
-            assert abs(mixed_sum(ctx, j, k) - naive_mixed_sum(f5, 1, j, k)) < 1e-10
+@pytest.mark.parametrize("a", [-1, 13, 99])
+def test_context_rejects_out_of_range(f13, a):
+    with pytest.raises(ParameterOutOfRange):
+        make_context(f13, a)
 
 
-def test_state_vector_matches_oracle_q5(f5):
-    ctx = make_context(f5, 1)
-    for j in range(1, 5):
-        assert abs(state_value(ctx, j) - naive_state_value(f5, 1, ctx.tau, j)) < 1e-10
+ORACLE_CASES = [
+    pytest.param(pn, a, id=f"q{pn[0] ** pn[1]}-a{a}")
+    for pn in [(5, 1), (3, 2), (13, 1), (5, 2)]
+    for a in (1, 2, pn[0] ** pn[1] - 1)
+]
+
+
+@pytest.mark.parametrize("pn, a", ORACLE_CASES)
+def test_mixed_table_matches_oracle(pn, a):
+    f = build_field(*pn)
+    ctx = make_context(f, a)
+    for j in range(f.q):
+        for k in range(f.q):
+            assert abs(mixed_sum(ctx, j, k) - naive_mixed_sum(f, a, j, k)) < 1e-10
+
+
+@pytest.mark.parametrize("pn, a", ORACLE_CASES)
+def test_state_vector_matches_oracle(pn, a):
+    f = build_field(*pn)
+    ctx = make_context(f, a)
+    for j in range(1, f.q):
+        assert abs(state_value(ctx, j) - naive_state_value(f, a, ctx.tau, j)) < 1e-10
 
 
 def test_corner_value(f13):
@@ -97,8 +116,6 @@ def test_quarter_turn_invariance(f13, f9):
 
 @pytest.mark.parametrize("pn", [(5, 1), (13, 1), (3, 2)])
 def test_main_identity_all_a(pn):
-    from mixedsums import build_field
-
     f = build_field(*pn)
     for a in range(1, f.q):
         ctx = make_context(f, a)

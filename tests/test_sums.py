@@ -142,3 +142,6 @@ def test_tolerance_policy():
     assert agree(1e6, 1e6 + 1e-3, 1e-8)  # relative slack at large magnitude
     assert not agree(0.0, 1e-6, 1e-8)
     assert agree(0.0, 1e-9, 1e-8)
+    for bad in (float("nan"), float("inf")):
+        assert not agree(bad, 1.0)
+        assert not agree(bad, bad)
