@@ -13,13 +13,7 @@ import sys
 
 from .gf import FieldError, build_field
 from .mixed import make_context, mixed_table, state_vector
-from .harness import (
-    ConfigError,
-    SuiteConfig,
-    _factor_prime_power,
-    emit_report,
-    run,
-)
+from .harness import ConfigError, SuiteConfig, _factor_prime_power, run
 
 
 def parse_q(text: str) -> tuple[int, int]:

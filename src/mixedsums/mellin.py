@@ -10,22 +10,14 @@ independent of each other.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .gf import FieldError, ZeroArgument
-from .chars import (
-    MultChar,
-    char_matrix,
-    delta_kron,
-    fourth_root,
-    is_fourth_power,
-    quadratic_char,
-    unit_roots,
-)
+from .chars import MultChar, char_matrix, fourth_root, is_fourth_power, unit_roots
 from .mixed import MixedSumContext, mixed_table, state_vector
-from .sums import gauss, hyp2f1, hyp2f1_many, jacobi
+from .sums import gauss, hyp2f1_many, jacobi
 
 
 class FourthPowerTrivial(FieldError):
@@ -35,13 +27,9 @@ class FourthPowerTrivial(FieldError):
 # --- Mellin transform of V ---
 
 
-def mellin_v_direct(ctx: MixedSumContext, chi: MultChar) -> complex:
-    """S(chi) = sum over j != 0 of chi(j) V(j)."""
-    return complex(np.sum(chi.values()[1:] * state_vector(ctx)[1:]))
-
-
 def mellin_v_all(ctx: MixedSumContext) -> np.ndarray:
-    """S(chi_m) for all m at once, through the character matrix."""
+    """S(chi_m) = sum over j != 0 of chi_m(j) V(j), for all m at once,
+    through the character matrix."""
     f = ctx.field
     return char_matrix(f) @ state_vector(ctx)[f.exp_table]
 
@@ -93,12 +81,8 @@ def v_moment_sum(ctx: MixedSumContext, lam: MultChar) -> complex:
 # --- Mellin transform of P(j, 0) ---
 
 
-def mellin_p0_direct(ctx: MixedSumContext, chi: MultChar) -> complex:
-    """T(chi) = sum over j != 0 of chi(j) P(j, 0)."""
-    return complex(np.sum(chi.values()[1:] * mixed_table(ctx)[1:, 0]))
-
-
 def mellin_p0_all(ctx: MixedSumContext) -> np.ndarray:
+    """T(chi_m) = sum over j != 0 of chi_m(j) P(j, 0), for all m at once."""
     f = ctx.field
     return char_matrix(f) @ mixed_table(ctx)[f.exp_table, 0]
 
@@ -249,14 +233,9 @@ def cross_form_sum(ctx: MixedSumContext, lam1: MultChar, lam2: MultChar) -> comp
     return complex(np.sum(w * vals))
 
 
-def double_mellin_direct(ctx: MixedSumContext, chi1: MultChar, chi2: MultChar) -> complex:
-    """T(chi1, chi2) = sum over j, k != 0 of chi1(j) chi2(k) P(j, k)."""
-    P = mixed_table(ctx)
-    return complex(chi1.values()[1:] @ P[1:, 1:] @ chi2.values()[1:])
-
-
 def double_mellin_matrix(ctx: MixedSumContext) -> np.ndarray:
-    """T(chi_m1, chi_m2) for all pairs, via two character-matrix products."""
+    """T(chi_m1, chi_m2) = sum over j, k != 0 of chi_m1(j) chi_m2(k) P(j, k),
+    for all pairs, via two character-matrix products."""
     f = ctx.field
     C = char_matrix(f)
     Pg = mixed_table(ctx)[np.ix_(f.exp_table, f.exp_table)]

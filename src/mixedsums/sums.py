@@ -87,17 +87,25 @@ def hasse_davenport_residual(A: MultChar) -> float:
     return residual(lhs, rhs)
 
 
-def quad_transform_residual(D: MultChar, z) -> float:
-    """Residual of the quadratic 2F1 transformation relating the argument
-    z^4 to -((z+1)/(z-1))^2; defined for z outside {0, 1, -1}."""
+def quad_transform(D: MultChar, z) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the quadratic 2F1 transformation relating the argument
+    z^4 to -((z+1)/(z-1))^2, at every z in an array of element indices
+    outside {0, 1, -1}."""
     f = D.field
-    z = int(z)
-    if z in (0, 1, f.neg_table[1]):
-        raise BadArgument(f"z = {z} is excluded")
+    z = np.asarray(z)
+    bad = (z == 0) | (z == 1) | (z == f.neg_table[1])
+    if np.any(bad):
+        raise BadArgument(f"z = {int(z[bad].flat[0])} is excluded")
     A4 = quartic_char(f)
     phi = quadratic_char(f)
-    lhs = hyp2f1(D, D * A4, A4, f.pow(z, 4))
-    ratio = f.mul(f.add(z, 1), f.inv(f.sub(z, 1)))
-    arg = f.neg(f.mul(ratio, ratio))
-    rhs = (D.conj() ** 4)(f.sub(z, 1)) * hyp2f1(D, (D**2) * phi, D * phi, arg)
-    return residual(lhs, rhs)
+    lhs = hyp2f1_many(D, D * A4, A4, f.pow(z, 4))
+    zm1 = f.sub(z, 1)
+    ratio = f.mul(f.add(z, 1), f.inv_table[zm1])
+    rhs = (D.conj() ** 4)(zm1) * hyp2f1_many(D, (D**2) * phi, D * phi, f.neg(f.mul(ratio, ratio)))
+    return lhs, rhs
+
+
+def quad_transform_residual(D: MultChar, z) -> float:
+    """|lhs - rhs| of quad_transform at one z."""
+    lhs, rhs = quad_transform(D, [int(z)])
+    return residual(lhs[0], rhs[0])

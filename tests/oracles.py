@@ -63,3 +63,22 @@ def naive_state_value(f, a, tau, j):
     for x in range(1, f.q):
         total += chi_val(f, quarter, x) * psi_val(f, int(f.add(x, f.mul(aj4, f.inv(x)))))
     return total / tau
+
+
+def naive_mellin_v(f, V, m):
+    """S(chi_m) = sum over j != 0 of chi_m(j) V(j)."""
+    return sum(chi_val(f, m, j) * complex(V[j]) for j in range(1, f.q))
+
+
+def naive_mellin_p0(f, P, m):
+    """T(chi_m) = sum over j != 0 of chi_m(j) P(j, 0)."""
+    return sum(chi_val(f, m, j) * complex(P[j][0]) for j in range(1, f.q))
+
+
+def naive_double_mellin(f, P, m1, m2):
+    """T(chi_m1, chi_m2) = sum over j, k != 0 of chi_m1(j) chi_m2(k) P(j, k)."""
+    return sum(
+        chi_val(f, m1, j) * chi_val(f, m2, k) * complex(P[j][k])
+        for j in range(1, f.q)
+        for k in range(1, f.q)
+    )

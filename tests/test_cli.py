@@ -82,3 +82,17 @@ def test_bad_a_exit_code(capsys, command, a):
     captured = capsys.readouterr()
     assert "error" in captured.err
     assert captured.out == ""
+
+
+def test_repeated_q_and_a_run_once(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(["verify", "--q", "5", "--q", "5^1", "--a", "1,1", "--suite", "main",
+                 "--out", str(out)])
+    assert code == 0
+    printed = capsys.readouterr().out
+    assert "8/8 checks passed" in printed
+    groups = json.loads(out.read_text())
+    assert [g["field"]["q"] for g in groups] == [5]
+    assert [r["check_id"] for r in groups[0]["runs"]] == [
+        "main_identity", "corner_value", "zero_row_factorization", "mixed_symmetry",
+        "negation_symmetry", "quarter_turn", "imaginary_drift", "tau_branch"]

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,27 @@ def test_config_validation():
             SuiteConfig(fields=[(5, 1)], tol=bad_tol)
     cfg = SuiteConfig(fields=[(5, 1)], suites=("all",))
     assert set(cfg.suites) == {"classical", "transforms", "main", "mellin"}
+    assert SuiteConfig(fields=[(13, 1), (5, 1), (13, 1), (3, 2), (5, 1)]).fields == [
+        (13, 1), (5, 1), (3, 2)]
+
+
+def test_report_layout_matches_manifest():
+    # The benchmark's frozen manifest fixes each row's check id, q, a,
+    # instance count and tol, in run order.
+    manifest = Path(__file__).resolve().parents[1] / "perfbench/manifests/acceptance_sweep.json"
+    qs = (5, 9, 13)
+    expected = [tuple(row) for row in json.loads(manifest.read_text()) if row[1] in qs]
+    reports = run(SuiteConfig(fields=[(5, 1), (3, 2), (13, 1)], a_policy="sample"))
+    assert [(r.check_id, r.q, r.a, r.instances, r.tol) for r in reports] == expected
+
+
+def test_instances_are_counted_after_broadcasting(f5):
+    c = Checker("demo", f5, None, 1e-8)
+    c.compare_arrays(np.zeros((3, 4)), 0.0)
+    c.compare_arrays(1.0, [1.0, 1.0])
+    c.compare_arrays([], [])
+    assert c.report().instances == 14
+    assert Checker.compare is Checker.compare_arrays
 
 
 def test_factor_prime_power():
@@ -38,6 +60,7 @@ def test_resolve_a_values():
     sample = resolve_a_values(f, "sample")
     assert set(sample) == {1, f.g, int(f.mul(f.g, f.g)), int(f.neg(1))}
     assert resolve_a_values(f, [3, 7]) == [3, 7]
+    assert resolve_a_values(f, [7, 3, 7, 3]) == [7, 3]
     with pytest.raises(ConfigError):
         resolve_a_values(f, [0])
     with pytest.raises(ConfigError):

@@ -14,30 +14,29 @@ from mixedsums import (
 )
 from mixedsums import mellin as ml
 from mixedsums.mellin import FourthPowerTrivial
-from oracles import chi_val
+from oracles import chi_val, naive_double_mellin, naive_mellin_p0, naive_mellin_v
 
 
 def test_mellin_v_vanishes_off_fourth_powers(f13):
     for a in (1, 2):
-        ctx = make_context(f13, a)
+        S = ml.mellin_v_all(make_context(f13, a))
         for chi in all_chars(f13):
             if chi.m % 4 != 0:
-                assert abs(ml.mellin_v_direct(ctx, chi)) < 1e-10
+                assert abs(S[chi.m]) < 1e-10
 
 
 def test_mellin_v_direct_equals_closed(f13, f9):
     for f in (f13, f9):
         for a in (1, f.g):
             ctx = make_context(f, a)
+            S = ml.mellin_v_all(ctx)
             for chi in all_chars(f):
-                direct = ml.mellin_v_direct(ctx, chi)
-                assert abs(direct - ml.mellin_v_closed(ctx, chi)) < 1e-9
+                assert abs(S[chi.m] - ml.mellin_v_closed(ctx, chi)) < 1e-9
 
 
 def test_mellin_v_trivial_char_is_plain_sum(f13):
     ctx = make_context(f13, 3)
-    eps = MultChar(f13, 0)
-    assert abs(ml.mellin_v_direct(ctx, eps) - state_vector(ctx)[1:].sum()) < 1e-10
+    assert abs(ml.mellin_v_all(ctx)[0] - state_vector(ctx)[1:].sum()) < 1e-10
 
 
 def test_mellin_v_octic_form(f17):
@@ -46,7 +45,24 @@ def test_mellin_v_octic_form(f17):
         phi = ctx.phi
         octic = ml.mellin_v_octic(ctx)
         assert abs(octic - ml.mellin_v_closed(ctx, phi)) < 1e-9
-        assert abs(octic - ml.mellin_v_direct(ctx, phi)) < 1e-9
+        assert abs(octic - ml.mellin_v_all(ctx)[phi.m]) < 1e-9
+
+
+@pytest.mark.parametrize("p, n", [(5, 1), (3, 2), (13, 1)])
+def test_mellin_transforms_match_oracles(p, n):
+    # the vectorized transforms against the literal character sums, for
+    # every character (and every pair of characters)
+    f = build_field(p, n)
+    q = f.q
+    for a in (1, f.g, q - 1):
+        ctx = make_context(f, a)
+        V, P = state_vector(ctx), mixed_table(ctx)
+        S, T0, T = ml.mellin_v_all(ctx), ml.mellin_p0_all(ctx), ml.double_mellin_matrix(ctx)
+        for m1 in range(q - 1):
+            assert abs(S[m1] - naive_mellin_v(f, V, m1)) < 1e-10
+            assert abs(T0[m1] - naive_mellin_p0(f, P, m1)) < 1e-10
+            for m2 in range(q - 1):
+                assert abs(T[m1, m2] - naive_double_mellin(f, P, m1, m2)) < 1e-9
 
 
 def test_mellin_v_closed_root_shift(f13):
@@ -88,9 +104,9 @@ def test_mellin_p0_direct_equals_closed(f13):
     for f, a_list in ((f13, (1, 2, 6)), (f17, (3,))):
         for a in a_list:
             ctx = make_context(f, a)
+            T = ml.mellin_p0_all(ctx)
             for chi in all_chars(f):
-                direct = ml.mellin_p0_direct(ctx, chi)
-                assert abs(direct - ml.mellin_p0_closed(ctx, chi)) < 1e-9
+                assert abs(T[chi.m] - ml.mellin_p0_closed(ctx, chi)) < 1e-9
 
 
 def test_mellin_p0_trivial_case(f13):
@@ -232,12 +248,13 @@ def test_double_mellin_assembly_from_parts(f13):
     ctx = make_context(f13, 2)
     phi = ctx.phi
     g_phi = gauss(phi)
+    T_all = ml.double_mellin_matrix(ctx)
     for m1, m2 in [(0, 0), (1, 1), (2, 3), (5, 1), (3, 9)]:
         lam1, lam2 = MultChar(f13, m1), MultChar(f13, m2)
         chi1 = (lam1**2) * phi
         chi2 = (lam2**2) * phi
         d = 1 if ((lam1 * lam2) ** 2).is_trivial() else 0
-        T = ml.double_mellin_direct(ctx, chi1, chi2)
+        T = T_all[chi1.m, chi2.m]
         lhs = g_phi * (T - (2 * 13 - 2) * d)
         rhs = (
             d * 12 * ml.null_locus_sum(ctx, lam1)
@@ -264,14 +281,14 @@ def test_double_mellin_vanishes(f13):
 
 def test_double_mellin_direct_equals_closed(f13):
     ctx = make_context(f13, 1)
-    direct = ml.double_mellin_direct(ctx, MultChar(f13, 4), MultChar(f13, 8))
+    direct = ml.double_mellin_matrix(ctx)[4, 8]
     closed = ml.double_mellin_closed(ctx, MultChar(f13, 1), MultChar(f13, 2))
     assert abs(direct - closed) < 1e-9
 
 
 def test_double_mellin_q17_example(f17):
     ctx = make_context(f17, 5)
-    direct = ml.double_mellin_direct(ctx, MultChar(f17, 4), MultChar(f17, 12))
+    direct = ml.double_mellin_matrix(ctx)[4, 12]
     closed = ml.double_mellin_closed(ctx, MultChar(f17, 1), MultChar(f17, 3))
     assert abs(direct - closed) < 1e-9
 
@@ -314,7 +331,8 @@ def test_pair_coeffs(f13):
 def test_inverse_mellin(f13):
     ctx = make_context(f13, 2)
     V = state_vector(ctx)
-    spectrum = {chi: ml.mellin_v_direct(ctx, chi) for chi in all_chars(f13)}
+    S = ml.mellin_v_all(ctx)
+    spectrum = {chi: S[chi.m] for chi in all_chars(f13)}
     closed = {chi: ml.mellin_v_closed(ctx, chi) for chi in all_chars(f13)}
     for j in range(1, 13):
         assert abs(ml.inverse_mellin(spectrum, j) - V[j]) < 1e-9

@@ -1,4 +1,5 @@
 
+import numpy as np
 import pytest
 
 from mixedsums import (
@@ -16,6 +17,7 @@ from mixedsums import (
     special_chars,
     trivial_char,
 )
+from mixedsums.sums import quad_transform
 from oracles import naive_gauss, naive_hyp2f1, naive_jacobi
 
 
@@ -115,6 +117,10 @@ def test_quad_transform(f13, f9):
                 if z in excluded:
                     continue
                 assert quad_transform_residual(D, z) < 1e-10
+            zs = np.array(sorted(set(range(f.q)) - excluded))
+            lhs, rhs = quad_transform(D, zs)
+            assert lhs.shape == rhs.shape == zs.shape
+            assert np.abs(lhs - rhs).max() < 1e-10
 
 
 def test_quad_transform_bad_argument(f13):
@@ -122,6 +128,8 @@ def test_quad_transform_bad_argument(f13):
     for z in (0, 1, int(f13.neg(1))):
         with pytest.raises(BadArgument):
             quad_transform_residual(D, z)
+        with pytest.raises(BadArgument):
+            quad_transform(D, np.array([2, z, 3]))
 
 
 def test_gauss_summation_value_at_one(f13):
