@@ -38,7 +38,7 @@ for chi in (phi, A4):
     print(f"|G({chi})| = {abs(g):.6f}  (sqrt(13) = {np.sqrt(13):.6f})")
 
 # Jacobi sums factor through Gauss sums when chi1*chi2 is nontrivial.
-j = jacobi(phi, A4)
+j = jacobi(f, phi.m, A4.m)  # characters enter as their exponents
 g_ratio = gauss(phi) * gauss(A4) / gauss(phi * A4)
 print(f"J(phi, A4) = {j:.6f}, Gauss-sum ratio = {g_ratio:.6f}, "
       f"difference = {abs(j - g_ratio):.2e}")

@@ -16,13 +16,10 @@ from .gf import (
 )
 from .chars import (
     MultChar,
-    NotFourthPower,
     all_chars,
     delta_char,
     delta_kron,
     eval_add,
-    fourth_root,
-    is_fourth_power,
     octic_char,
     quadratic_char,
     quartic_char,
@@ -54,8 +51,8 @@ from . import mellin
 __all__ = [
     "FieldParams", "FieldTable", "FieldError", "NotPrime", "TooLarge",
     "WrongResidue", "ZeroArgument", "build_field",
-    "MultChar", "NotFourthPower", "all_chars", "delta_char", "delta_kron",
-    "eval_add", "fourth_root", "is_fourth_power", "octic_char",
+    "MultChar", "all_chars", "delta_char", "delta_kron",
+    "eval_add", "octic_char",
     "quadratic_char", "quartic_char", "special_chars", "trivial_char",
     "DEFAULT_TOL", "BadArgument", "agree", "gauss",
     "hasse_davenport_residual", "hyp2f1", "jacobi", "quad_transform_residual",

@@ -11,11 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import FieldError, FieldTable
-
-
-class NotFourthPower(FieldError):
-    pass
+from .gf import FieldTable
 
 
 def unit_roots(field: FieldTable) -> np.ndarray:
@@ -57,14 +53,8 @@ class MultChar:
         return np.where(x == 0, 0.0 + 0.0j, vals)[()]
 
     def values(self) -> np.ndarray:
-        """Value vector over all q element indices (cached)."""
-        cache = self.field._cache.setdefault("char_values", {})
-        v = cache.get(self.m)
-        if v is None:
-            v = self(np.arange(self.field.q))
-            v.flags.writeable = False
-            cache[self.m] = v
-        return v
+        """Value vector over all q element indices."""
+        return self(np.arange(self.field.q))
 
     def __mul__(self, other: "MultChar") -> "MultChar":
         return MultChar(self.field, self.m + other.m)
@@ -125,19 +115,6 @@ def delta_char(chi: MultChar) -> int:
 def delta_kron(j, k) -> int:
     """Kronecker delta on element indices."""
     return 1 if int(j) == int(k) else 0
-
-
-def is_fourth_power(chi: MultChar) -> bool:
-    # 4 | q-1 here, so chi = nu^4 for some nu iff 4 | m iff chi(i) = 1.
-    return chi.m % 4 == 0
-
-
-def fourth_root(chi: MultChar) -> MultChar:
-    """The canonical nu with nu^4 = chi (the other roots are nu times a
-    power of the quartic character)."""
-    if not is_fourth_power(chi):
-        raise NotFourthPower(f"{chi!r} is not a fourth power")
-    return MultChar(chi.field, chi.m // 4)
 
 
 def char_matrix(field: FieldTable) -> np.ndarray:

@@ -13,18 +13,23 @@ import sys
 
 from .gf import FieldError, build_field
 from .mixed import make_context, mixed_table, state_vector
-from .harness import ConfigError, SuiteConfig, _factor_prime_power, run
+from .harness import SUITES, ConfigError, SuiteConfig, _factor_prime_power, run
+from .sums import DEFAULT_TOL
 
 
 def parse_q(text: str) -> tuple[int, int]:
     """Accept either 'p^n' or a plain prime-power integer."""
-    if "^" in text:
-        p_str, n_str = text.split("^", 1)
-        p, n = int(p_str), int(n_str)
-        if n < 1:
-            raise ConfigError(f"bad exponent in {text!r}")
-        return p, n
-    return _factor_prime_power(int(text))
+    base, caret, exp = text.partition("^")
+    try:
+        p = int(base)
+        n = int(exp) if caret else None
+    except ValueError:
+        raise ConfigError(f"bad --q value {text!r}: expected p^n or an integer") from None
+    if n is None:
+        return _factor_prime_power(p)
+    if n < 1:
+        raise ConfigError(f"bad exponent in {text!r}")
+    return p, n
 
 
 def _parse_a(text: str):
@@ -46,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--a", default="all",
                    help="'all', 'sample', or comma-separated element indices")
     v.add_argument("--suite", action="append", default=None,
-                   choices=["main", "mellin", "transforms", "classical", "all"])
-    v.add_argument("--tol", type=float, default=1e-8)
+                   choices=SUITES + ("all",))
+    v.add_argument("--tol", type=float, default=DEFAULT_TOL)
     v.add_argument("--out", default=None)
     v.add_argument("--format", default="json", choices=["json", "csv"])
 
@@ -109,7 +114,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_table(args)
-    except (ConfigError, FieldError, ValueError) as exc:
+    except (ConfigError, FieldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

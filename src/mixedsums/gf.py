@@ -240,11 +240,12 @@ def build_field(p: int, n: int) -> FieldTable:
     """Construct F_{p^n} deterministically for p^n == 1 (mod 4), p^n <= 2^16."""
     if n < 1:
         raise FieldError("extension degree must be positive")
+    # size first (p >= 2, so n bounds q before p**n is formed): a huge p stalls is_prime
+    if n >= MAX_Q.bit_length() or p**n > MAX_Q:
+        raise TooLarge(f"q = {p}^{n} exceeds the table cap {MAX_Q}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     q = p**n
-    if q > MAX_Q:
-        raise TooLarge(f"q = {q} exceeds the table cap {MAX_Q}")
     if q % 4 != 1:
         raise WrongResidue(f"q = {q} is not congruent to 1 mod 4")
 

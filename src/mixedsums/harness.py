@@ -16,16 +16,7 @@ import numpy as np
 
 from . import gf
 from .gf import FieldTable, build_field
-from .chars import (
-    MultChar,
-    all_chars,
-    char_matrix,
-    fourth_root,
-    is_fourth_power,
-    quadratic_char,
-    quartic_char,
-    trivial_char,
-)
+from .chars import all_chars, char_matrix, quadratic_char, quartic_char, trivial_char, unit_roots
 from .sums import (
     DEFAULT_TOL,
     gauss,
@@ -141,29 +132,27 @@ class Checks(dict):
 def run_classical(field: FieldTable, tol: float = DEFAULT_TOL) -> list[CheckReport]:
     """Unit layer: textbook Gauss/Jacobi sum facts and character
     orthogonality, exhaustive over the character group."""
-    eps = trivial_char(field)
     q = field.q
-    chars = all_chars(field)
+    m = np.arange(q - 1)
     C = char_matrix(field)
     G = gauss_table(field)
-    ms = np.arange(1, q - 1)
+    ms = m[1:]
     A_neg_one = C[ms, field.log_table[field.neg_table[1]]]  # A(-1) for A = chi_m
     checks = Checks(field, None, tol)
 
-    checks["gauss_trivial"].compare_arrays(gauss(eps), -1.0)
-    checks["jacobi_trivial"].compare_arrays(jacobi(eps, eps), q - 2.0)
+    checks["gauss_trivial"].compare_arrays(gauss(trivial_char(field)), -1.0)
+    checks["jacobi_trivial"].compare_arrays(jacobi(field, 0, 0), q - 2.0)
     checks["gauss_norm"].compare_arrays(G[ms] * G[-ms], A_neg_one * q)
-    checks["jacobi_conjugate"].compare_arrays(
-        [jacobi(A, A.conj()) for A in chars[1:]], -A_neg_one)
-    checks["jacobi_with_trivial"].compare_arrays([jacobi(eps, A) for A in chars[1:]], -1.0)
-    for A in chars:
-        Bs = [B for B in chars if not (A * B).is_trivial()]
-        mb = np.array([B.m for B in Bs])
+    checks["jacobi_conjugate"].compare_arrays(jacobi(field, ms, -ms), -A_neg_one)
+    checks["jacobi_with_trivial"].compare_arrays(jacobi(field, 0, ms), -1.0)
+    for ma in m:
+        mb = m[(ma + m) % (q - 1) != 0]
         checks["jacobi_gauss_ratio"].compare_arrays(
-            [jacobi(A, B) for B in Bs], G[A.m] * G[mb] / G[(A.m + mb) % (q - 1)])
-    expect = np.where(np.arange(q - 1) == 0, q - 1.0, 0.0)
-    checks["char_orthogonality"].compare_arrays(
-        [[np.sum(chi.values()[1:]) for chi in chars], C.sum(axis=0)], expect)
+            jacobi(field, ma, mb), G[ma] * G[mb] / G[(ma + mb) % (q - 1)])
+    # row sums over x != 0 of chi_m(x), read through the log table
+    char_sums = unit_roots(field)[np.outer(m, field.log_table[1:]) % (q - 1)].sum(axis=1)
+    expect = np.where(m == 0, q - 1.0, 0.0)
+    checks["char_orthogonality"].compare_arrays([char_sums, C.sum(axis=0)], expect)
     return checks.reports()
 
 
@@ -229,7 +218,7 @@ def run_mellin_field(field: FieldTable, tol: float = DEFAULT_TOL) -> list[CheckR
 
     checks["kummer_value"].compare_arrays(
         [hyp2f1(nu**2, nu * A4, nu * A4.conj(), field.neg_table[1]) for nu in nus],
-        [ml.kummer_closed(ctx, nu) for nu in nus])
+        ml.kummer_closed(ctx, np.array([nu.m for nu in nus], dtype=int)))
     for D in all_chars(field):
         checks["hyper_kernel"].compare_arrays(ml.hyper_kernel_row(ctx, D, js),
                                               ml.hyper_kernel_closed_row(ctx, D, js))
@@ -242,46 +231,42 @@ def run_mellin(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckRepo
     assembly, and inverse-transform reconstruction."""
     f = ctx.field
     qm1 = f.q - 1
-    chars = all_chars(f)
-    A4 = ctx.A4
+    m = np.arange(qm1)
+    e = ctx.A4.m
+    phi_m = ctx.phi.m
     checks = Checks(f, ctx.a, tol)
 
     s_direct = ml.mellin_v_all(ctx)
-    s_closed = np.array([ml.mellin_v_closed(ctx, chi) for chi in chars])
+    s_closed = ml.mellin_v_closed(ctx, m)
     checks["mellin_v"].compare_arrays(s_direct, s_closed)
     if qm1 % 8 == 0:
         checks["mellin_v_octic"].compare_arrays(
-            [ml.mellin_v_closed(ctx, ctx.phi), s_direct[ctx.phi.m]], ml.mellin_v_octic(ctx))
-    checks["mellin_p0"].compare_arrays(ml.mellin_p0_all(ctx),
-                                       [ml.mellin_p0_closed(ctx, chi) for chi in chars])
-    chi1s = [(lam1**2) * ctx.phi for lam1 in chars]
+            [s_closed[phi_m], s_direct[phi_m]], ml.mellin_v_octic(ctx))
+    checks["mellin_p0"].compare_arrays(ml.mellin_p0_all(ctx), ml.mellin_p0_closed(ctx, m))
+    chi1 = (2 * m + phi_m) % qm1  # lam1^2 phi for lam1 = chi_m
     checks["null_locus"].compare_arrays(
-        [ml.null_locus_sum(ctx, lam1) for lam1 in chars],
-        [ml.null_locus_closed(ctx, fourth_root(chi1)) if is_fourth_power(chi1) else 0.0
-         for chi1 in chi1s])
+        ml.null_locus_sum(ctx, m),
+        np.where(chi1 % 4 == 0, ml.null_locus_closed(ctx, chi1 // 4), 0.0))
     T = ml.double_mellin_matrix(ctx)
-    for m1 in range(qm1):
-        closed = np.zeros(qm1, dtype=complex)  # T vanishes off fourth-power pairs
-        if m1 % 4 == 0:
-            closed[::4] = [ml.double_mellin_closed(ctx, MultChar(f, m1 // 4), MultChar(f, m2))
-                           for m2 in range(qm1 // 4)]
-        checks["double_mellin"].compare_arrays(T[m1], closed)
-    rj = np.array([ml.pair_coeffs(ctx, nu1) for nu1 in chars])
-    m4 = 4 * np.arange(qm1)
-    checks["pair_coeffs"].compare_arrays(rj, [ml.pair_coeffs_gauss(ctx, nu1) for nu1 in chars])
+    closed = np.zeros((qm1, qm1), dtype=complex)  # T vanishes off fourth-power pairs
+    roots = np.arange(qm1 // 4)
+    closed[::4, ::4] = ml.double_mellin_closed(ctx, roots[:, None], roots)
+    checks["double_mellin"].compare_arrays(T, closed)
+    rj = ml.pair_coeffs(ctx, m)
+    m4 = 4 * m
+    checks["pair_coeffs"].compare_arrays(rj, ml.pair_coeffs_gauss(ctx, m))
     checks["pair_coeffs"].compare_arrays((rj * ctx.A4(ctx.a) ** np.arange(4)).sum(axis=1),
                                          T[m4 % qm1, -m4 % qm1])
     checks["product_assembly"].compare_arrays(np.outer(s_direct, s_direct), T)
-    checks["inverse_mellin"].compare_arrays(
-        [ml.inverse_mellin(s_closed, j, field=f) for j in f.units()], state_vector(ctx)[1:])
+    checks["inverse_mellin"].compare_arrays(ml.inverse_mellin(f, s_closed, f.units()),
+                                            state_vector(ctx)[1:])
     checks["root_shift_invariance"].compare_arrays(
-        [(ml.mellin_v_closed_root(ctx, nu), ml.mellin_p0_closed_root(ctx, nu)) for nu in chars],
-        [(ml.mellin_v_closed_root(ctx, nu * A4), ml.mellin_p0_closed_root(ctx, nu * A4))
-         for nu in chars])
-    few = chars[:8]
+        [ml.mellin_v_closed_root(ctx, m), ml.mellin_p0_closed_root(ctx, m)],
+        [ml.mellin_v_closed_root(ctx, m + e), ml.mellin_p0_closed_root(ctx, m + e)])
+    few = m[:8]
     checks["root_shift_invariance"].compare_arrays(
-        [ml.double_mellin_closed(ctx, nu1, nu2) for nu1 in few for nu2 in few],
-        [ml.double_mellin_closed(ctx, nu1 * A4, nu2 * A4.conj()) for nu1 in few for nu2 in few])
+        ml.double_mellin_closed(ctx, few[:, None], few),
+        ml.double_mellin_closed(ctx, few[:, None] + e, few - e))
     return checks.reports()
 
 

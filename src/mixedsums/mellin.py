@@ -6,22 +6,48 @@ Every "direct" function is a literal character sum; every "closed"
 function evaluates Gauss-sum expressions from the per-field cache.  The
 verification suites compare the two routes, so the pairs are kept strictly
 independent of each other.
+
+The closed forms take characters as integer exponent arrays (m stands for
+chi_m, reduced mod q-1 at every index) and work elementwise over them.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
-from .gf import FieldError, ZeroArgument
-from .chars import MultChar, char_matrix, fourth_root, is_fourth_power, unit_roots
+from .gf import FieldError, FieldTable, ZeroArgument
+from .chars import MultChar, char_matrix, unit_roots
 from .mixed import MixedSumContext, mixed_table, state_vector
-from .sums import gauss, hyp2f1_many, jacobi
+from .sums import gauss, gauss_table, hyp2f1_many, jacobi
 
 
 class FourthPowerTrivial(FieldError):
     pass
+
+
+def _gauss(f: FieldTable, m) -> np.ndarray:
+    """G(chi_m), elementwise over the exponent array m."""
+    return gauss_table(f)[np.mod(m, f.q - 1)]
+
+
+def _char_at(f: FieldTable, m, x) -> np.ndarray:
+    """chi_m(x) for nonzero element indices x, elementwise over the
+    broadcast arrays m and x."""
+    return unit_roots(f)[np.mod(np.multiply(m, f.log_table[x]), f.q - 1)]
+
+
+def _gauss_pairs(ctx: MixedSumContext, nu) -> list[np.ndarray]:
+    """[G(nu A4^(k-1)) G(nu A4^k) for k = 0..3], elementwise over the
+    exponent array nu: the Gauss-sum pairs every closed form is built of."""
+    f, e = ctx.field, ctx.A4.m
+    return [_gauss(f, nu + (k - 1) * e) * _gauss(f, nu + k * e) for k in range(4)]
+
+
+def _jacobi_phi(f: FieldTable):
+    """m -> J(chi_m, phi) elementwise, read from one (q-1) x (q-2) gather of
+    all q-1 values, as the Gauss sums are read from their table."""
+    table = jacobi(f, np.arange(f.q - 1), (f.q - 1) // 2)
+    return lambda m: table[np.mod(m, f.q - 1)]
 
 
 # --- Mellin transform of V ---
@@ -34,22 +60,26 @@ def mellin_v_all(ctx: MixedSumContext) -> np.ndarray:
     return char_matrix(f) @ state_vector(ctx)[f.exp_table]
 
 
-def mellin_v_closed_root(ctx: MixedSumContext, nu: MultChar) -> complex:
-    """Gauss-sum evaluation of S(nu^4) for an explicit fourth root nu."""
-    f = ctx.field
-    A4 = ctx.A4
-    nubar_a = nu.conj()(ctx.a)
-    total = 0.0 + 0.0j
-    for m in range(4):
-        total += (A4 ** (1 - m))(ctx.a) * gauss(nu * A4 ** (m - 1)) * gauss(nu * A4**m)
-    return nubar_a * total / ctx.tau
+def _root_sum(ctx: MixedSumContext, nu) -> np.ndarray:
+    """conj(nu)(a) sum over k of conj(A4)^(k-1)(a) G(nu A4^(k-1)) G(nu A4^k),
+    the factor S(nu^4) and T(nu^4) share."""
+    f, e = ctx.field, ctx.A4.m
+    nu = np.asarray(nu)
+    total = sum(_char_at(f, (1 - k) * e, ctx.a) * g for k, g in enumerate(_gauss_pairs(ctx, nu)))
+    return _char_at(f, -nu, ctx.a) * total
 
 
-def mellin_v_closed(ctx: MixedSumContext, chi: MultChar) -> complex:
-    """Closed form of S(chi): exactly 0 unless chi is a fourth power."""
-    if not is_fourth_power(chi):
-        return 0.0 + 0.0j
-    return mellin_v_closed_root(ctx, fourth_root(chi))
+def mellin_v_closed_root(ctx: MixedSumContext, nu) -> np.ndarray:
+    """Gauss-sum evaluation of S(nu^4) for explicit fourth roots nu
+    (an exponent array)."""
+    return _root_sum(ctx, nu) / ctx.tau
+
+
+def mellin_v_closed(ctx: MixedSumContext, m) -> np.ndarray:
+    """Closed form of S(chi_m) for an exponent array m: exactly 0 unless
+    4 | m, else evaluated at the root chi_(m/4), m reduced mod q-1."""
+    m = np.mod(m, ctx.field.q - 1)
+    return np.where(m % 4 == 0, mellin_v_closed_root(ctx, m // 4), 0.0)
 
 
 def mellin_v_octic(ctx: MixedSumContext) -> complex:
@@ -87,37 +117,35 @@ def mellin_p0_all(ctx: MixedSumContext) -> np.ndarray:
     return char_matrix(f) @ mixed_table(ctx)[f.exp_table, 0]
 
 
-def mellin_p0_closed_root(ctx: MixedSumContext, nu: MultChar) -> complex:
-    f = ctx.field
-    A4 = ctx.A4
-    neg_one = f.neg_table[1]
-    prefac = A4(neg_one) * (A4.conj()(ctx.a) * gauss(A4) + gauss(A4.conj())) / f.q
-    total = 0.0 + 0.0j
-    for m in range(4):
-        total += (A4 ** (1 - m))(ctx.a) * gauss(nu * A4**m) * gauss(nu * A4 ** (m - 1))
-    return prefac * nu.conj()(ctx.a) * total
+def mellin_p0_closed_root(ctx: MixedSumContext, nu) -> np.ndarray:
+    """Gauss-sum evaluation of T(nu^4) for explicit fourth roots nu
+    (an exponent array)."""
+    f, e = ctx.field, ctx.A4.m
+    prefac = (_char_at(f, -e, ctx.a) * _gauss(f, e) + _gauss(f, -e)) / f.q
+    return _char_at(f, e, f.neg_table[1]) * prefac * _root_sum(ctx, nu)
 
 
-def mellin_p0_closed(ctx: MixedSumContext, chi: MultChar) -> complex:
-    if not is_fourth_power(chi):
-        return 0.0 + 0.0j
-    return mellin_p0_closed_root(ctx, fourth_root(chi))
+def mellin_p0_closed(ctx: MixedSumContext, m) -> np.ndarray:
+    """Closed form of T(chi_m) for an exponent array m: exactly 0 unless
+    4 | m, else evaluated at the root chi_(m/4), m reduced mod q-1."""
+    m = np.mod(m, ctx.field.q - 1)
+    return np.where(m % 4 == 0, mellin_p0_closed_root(ctx, m // 4), 0.0)
 
 
-def kummer_closed(ctx: MixedSumContext, nu: MultChar) -> complex:
+def kummer_closed(ctx: MixedSumContext, nu) -> np.ndarray:
     """Gauss-sum value of the 2F1 with parameters (nu^2, nu*A4; nu*conj(A4))
-    at -1, from the finite-field analogue of Kummer's summation formula.
-    Requires nu^4 nontrivial."""
+    at -1, from the finite-field analogue of Kummer's summation formula,
+    for an exponent array nu.  Requires every nu^4 nontrivial."""
     f = ctx.field
-    if (nu**4).is_trivial():
+    nu = np.asarray(nu)
+    if np.any(np.mod(4 * nu, f.q - 1) == 0):
         raise FourthPowerTrivial("nu^4 must be nontrivial")
-    A4 = ctx.A4
-    phi = ctx.phi
-    neg_one = f.neg_table[1]
-    num = A4(neg_one) * gauss(nu * A4) * (
-        gauss(nu) * gauss(A4) + gauss(nu * phi) * gauss(A4.conj())
+    e = ctx.A4.m
+    h = (f.q - 1) // 2
+    num = _char_at(f, e, f.neg_table[1]) * _gauss(f, nu + e) * (
+        _gauss(f, nu) * _gauss(f, e) + _gauss(f, nu + h) * _gauss(f, -e)
     )
-    return num / (f.q * gauss(phi) * gauss(nu**2))
+    return num / (f.q * _gauss(f, h) * _gauss(f, 2 * nu))
 
 
 def axis_sum(ctx: MixedSumContext, lam: MultChar) -> complex:
@@ -195,29 +223,32 @@ def hyper_kernel_closed_row(ctx: MixedSumContext, D: MultChar, js: np.ndarray) -
         return out.astype(complex)
     quarter = (f.q - 1) // 4
     if D.m in (quarter, 3 * quarter):
-        return jacobi(D, phi) - phi.values()[f.sub(j4, 1)]
+        return jacobi(f, D.m, phi.m) - phi.values()[f.sub(j4, 1)]
     pref = gauss(D) ** 2 * gauss(phi) / gauss((D**2) * phi)
     return pref * hyp2f1_many(D, D * ctx.A4, ctx.A4, j4)
 
 
-def null_locus_sum(ctx: MixedSumContext, lam1: MultChar) -> complex:
+def null_locus_sum(ctx: MixedSumContext, lam1) -> np.ndarray:
     """Sum of chi1(j) phi(x - a/x) over the zero locus of the cross form,
-    where chi1 = lam1^2 phi."""
+    where chi1 = lam1^2 phi, for an exponent array lam1.  The locus is
+    built once for all lam1."""
     f = ctx.field
-    chi1 = (lam1**2) * ctx.phi
     x = f.units()
     j = f.units()
     ax = f.mul(ctx.a, f.inv_table[x])
-    alpha = cross_form(ctx, j[:, None], x[None, :])
-    w = chi1.values()[j][:, None] * ctx.phi.values()[f.sub(x, ax)][None, :]
-    return complex(np.sum(w[alpha == 0]))
+    jl, xl = np.nonzero(cross_form(ctx, j[:, None], x[None, :]) == 0)
+    w = ctx.phi.values()[f.sub(x, ax)][xl]
+    chi1 = 2 * np.asarray(lam1)[..., None] + (f.q - 1) // 2
+    return (_char_at(f, chi1, j[jl]) * w).sum(axis=-1)
 
 
-def null_locus_closed(ctx: MixedSumContext, nu1: MultChar) -> complex:
-    """(A4(a) + conj(A4)(a)) * sum over m of J(nu1 A4^m, phi)."""
-    A4 = ctx.A4
-    jsum = sum(jacobi(nu1 * A4**m, ctx.phi) for m in range(4))
-    return complex((A4(ctx.a) + A4.conj()(ctx.a)) * jsum)
+def null_locus_closed(ctx: MixedSumContext, nu1) -> np.ndarray:
+    """(A4(a) + conj(A4)(a)) * sum over m of J(nu1 A4^m, phi), for an
+    exponent array nu1."""
+    f, e = ctx.field, ctx.A4.m
+    J = _jacobi_phi(f)
+    jsum = sum(J(np.add(nu1, k * e)) for k in range(4))
+    return (_char_at(f, e, ctx.a) + _char_at(f, -e, ctx.a)) * jsum
 
 
 def cross_form_sum(ctx: MixedSumContext, lam1: MultChar, lam2: MultChar) -> complex:
@@ -242,85 +273,54 @@ def double_mellin_matrix(ctx: MixedSumContext) -> np.ndarray:
     return C @ Pg @ C.T
 
 
-def double_mellin_closed(ctx: MixedSumContext, nu1: MultChar, nu2: MultChar) -> complex:
-    """Gauss-sum evaluation of T(nu1^4, nu2^4)."""
-    f = ctx.field
-    A4 = ctx.A4
-    mu = nu1 * nu2
-    neg_a = f.neg_table[ctx.a]
-    total = 0.0 + 0.0j
-    for m in range(4):
-        gm = gauss(nu2 * A4 ** (m - 1)) * gauss(nu2 * A4**m)
-        for n in range(4):
-            coeff = (mu.conj() * (A4.conj() ** (m + n)))(ctx.a)
-            total += coeff * gauss(nu1 * A4 ** (n - 1)) * gauss(nu1 * A4**n) * gm
-    return A4(neg_a) * total / f.q
+def double_mellin_closed(ctx: MixedSumContext, nu1, nu2) -> np.ndarray:
+    """Gauss-sum evaluation of T(nu1^4, nu2^4), elementwise over the
+    broadcast exponent arrays nu1 and nu2."""
+    f, e = ctx.field, ctx.A4.m
+    mu = np.add(nu1, nu2)
+    g1, g2 = _gauss_pairs(ctx, np.asarray(nu1)), _gauss_pairs(ctx, np.asarray(nu2))
+    total = sum(_char_at(f, -mu - (m + n) * e, ctx.a) * g1[n] * g2[m]
+                for m in range(4) for n in range(4))
+    return _char_at(f, e, f.neg_table[ctx.a]) * total / f.q
 
 
-def pair_coeffs(ctx: MixedSumContext, nu1: MultChar) -> tuple[complex, complex, complex, complex]:
+def pair_coeffs(ctx: MixedSumContext, nu1) -> np.ndarray:
     """Coefficients (R0, R1, R2, R3) of the quartic-value expansion
-    T(chi1, conj(chi1)) = sum_k R_k A4(a)^k, in Jacobi-sum form."""
+    T(chi1, conj(chi1)) = sum_k R_k A4(a)^k, chi1 = nu1^4, in Jacobi-sum
+    form, on a last axis of length 4 after the shape of the exponent array
+    nu1."""
     f = ctx.field
-    A4 = ctx.A4
-    phi = ctx.phi
-    chi1 = nu1**4
-    d = 1 if chi1.is_trivial() else 0
-    jsum = sum(jacobi(nu1 * A4**m, phi) for m in range(4))
-    g_phi = gauss(phi)
-    r0 = complex(4 * f.q - (2 * f.q - 2) * d)
-    r1 = (f.q * jsum - d * (f.q - 1) * jacobi(A4.conj(), phi)) / g_phi
-    r3 = (f.q * jsum - d * (f.q - 1) * jacobi(A4, phi)) / g_phi
-    r2 = sum(
-        jacobi(nu1.conj() * (A4.conj() ** (m + 1)), phi) * jacobi(nu1 * A4**m, phi)
-        for m in range(4)
-    )
-    return r0, complex(r1), complex(r2), complex(r3)
+    q, e = f.q, ctx.A4.m
+    nu1 = np.asarray(nu1)
+    J = _jacobi_phi(f)
+    d = np.mod(4 * nu1, q - 1) == 0
+    jsum = sum(J(nu1 + k * e) for k in range(4))
+    g_phi = _gauss(f, (q - 1) // 2)
+    r0 = 4 * q - (2 * q - 2) * d
+    r1 = (q * jsum - d * (q - 1) * J(-e)) / g_phi
+    r3 = (q * jsum - d * (q - 1) * J(e)) / g_phi
+    r2 = sum(J(-nu1 - (k + 1) * e) * J(nu1 + k * e) for k in range(4))
+    return np.stack([r0, r1, r2, r3], axis=-1)
 
 
-def pair_coeffs_gauss(ctx: MixedSumContext, nu1: MultChar) -> tuple[complex, complex, complex, complex]:
+def pair_coeffs_gauss(ctx: MixedSumContext, nu1) -> np.ndarray:
     """The same coefficients as quadruple Gauss-sum sums restricted to
-    m + n == 1 - k (mod 4)."""
+    m + n == 1 - k (mod 4), on a last axis of length 4."""
     f = ctx.field
-    A4 = ctx.A4
-    neg_one = f.neg_table[1]
-    out = []
-    for k in range(4):
-        total = 0.0 + 0.0j
-        for m in range(4):
-            for n in range(4):
-                if (m + n) % 4 != (1 - k) % 4:
-                    continue
-                total += (
-                    gauss(nu1 * A4 ** (n - 1))
-                    * gauss(nu1 * A4**n)
-                    * gauss(nu1.conj() * A4 ** (m - 1))
-                    * gauss(nu1.conj() * A4**m)
-                )
-        out.append(A4(neg_one) * total / f.q)
-    return tuple(out)
+    nu1 = np.asarray(nu1)
+    g, gbar = _gauss_pairs(ctx, nu1), _gauss_pairs(ctx, -nu1)
+    out = [sum(g[(1 - k - m) % 4] * gbar[m] for m in range(4)) for k in range(4)]
+    return _char_at(f, ctx.A4.m, f.neg_table[1]) * np.stack(out, axis=-1) / f.q
 
 
-def inverse_mellin(values, j, field=None) -> complex:
-    """Reconstruct f(j) from all q-1 transform values via orthogonality:
-    (1/(q-1)) sum over chi of conj(chi)(j) values(chi), j != 0.
-
-    values may be a mapping MultChar -> complex or a sequence indexed by
-    the character exponent (then field must be given).
-    """
-    if isinstance(values, Mapping):
-        items = list(values.items())
-        field = items[0][0].field
-        spec = np.zeros(field.q - 1, dtype=complex)
-        for chi, val in items:
-            spec[chi.m] = val
-    else:
-        if field is None:
-            raise ValueError("field is required for sequence input")
-        spec = np.asarray(values, dtype=complex)
-    j = int(j)
-    if j == 0:
+def inverse_mellin(field: FieldTable, spec, j) -> np.ndarray:
+    """Reconstruct f(j) from the q-1 transform values spec[m] = F(chi_m) via
+    orthogonality: (1/(q-1)) sum over m of conj(chi_m)(j) spec[m], for every
+    nonzero element index in the array j."""
+    j = np.asarray(j)
+    if np.any(j == 0):
         raise ZeroArgument("inverse transform is defined on F_q* only")
     qm1 = field.q - 1
-    t = int(field.log_table[j])
-    phases = unit_roots(field)[(-np.arange(qm1) * t) % qm1]
-    return complex(np.sum(phases * spec) / qm1)
+    t = np.multiply.outer(-field.log_table[j], np.arange(qm1))
+    phases = unit_roots(field)[np.mod(t, qm1)]
+    return (phases * np.asarray(spec, dtype=complex)).sum(axis=-1) / qm1

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .gf import FieldError, FieldTable
-from .chars import MultChar, char_matrix, psi_table, quadratic_char, quartic_char
+from .chars import MultChar, char_matrix, psi_table, quadratic_char, quartic_char, unit_roots
 
 DEFAULT_TOL = 1e-8
 
@@ -50,11 +50,19 @@ def gauss(chi: MultChar) -> complex:
     return complex(gauss_table(chi.field)[chi.m])
 
 
-def jacobi(A: MultChar, B: MultChar) -> complex:
-    """J(A, B) = sum over y of A(y) B(1-y); the y = 0, 1 terms vanish."""
-    f = A.field
-    y = np.arange(f.q)
-    return complex(np.sum(A.values()[y] * B.values()[f.sub(1, y)]))
+def jacobi(field: FieldTable, ma, mb) -> np.ndarray:
+    """J(chi_ma, chi_mb) = sum over y not in {0, 1} of chi_ma(y) chi_mb(1-y),
+    elementwise over the broadcast exponent arrays ma and mb.
+
+    Each term is one read of the root table at ma log(y) + mb log(1-y), so
+    the sum never reads the Gauss sums it is checked against.
+    """
+    qm1 = field.q - 1
+    y = np.arange(2, field.q)  # index 0 is the zero element, index 1 the one
+    ma = np.mod(ma, qm1)[..., None]
+    mb = np.mod(mb, qm1)[..., None]
+    t = np.mod(ma * field.log_table[y] + mb * field.log_table[field.sub(1, y)], qm1)
+    return unit_roots(field)[t].sum(axis=-1)
 
 
 def hyp2f1(A: MultChar, B: MultChar, C: MultChar, x) -> complex:

@@ -82,3 +82,99 @@ def naive_double_mellin(f, P, m1, m2):
         for j in range(1, f.q)
         for k in range(1, f.q)
     )
+
+
+# --- closed forms, with characters as exponents (chi_m for any integer m) ---
+
+
+def naive_v_closed_root(ctx, nu):
+    """S(nu^4) = conj(nu)(a) / tau * sum over k of
+    conj(A4)^(k-1)(a) G(nu A4^(k-1)) G(nu A4^k)."""
+    f, a, e = ctx.field, ctx.a, ctx.A4.m
+    total = 0.0
+    for k in range(4):
+        total += (chi_val(f, (1 - k) * e, a) * naive_gauss(f, nu + (k - 1) * e)
+                  * naive_gauss(f, nu + k * e))
+    return chi_val(f, -nu, a) * total / ctx.tau
+
+
+def naive_v_closed(ctx, m):
+    q = ctx.field.q
+    if m % 4 != 0:
+        return 0.0
+    return naive_v_closed_root(ctx, (m % (q - 1)) // 4)
+
+
+def naive_p0_closed_root(ctx, nu):
+    f, a, e = ctx.field, ctx.a, ctx.A4.m
+    prefac = chi_val(f, e, int(f.neg(1))) * (
+        chi_val(f, -e, a) * naive_gauss(f, e) + naive_gauss(f, -e)) / f.q
+    total = 0.0
+    for k in range(4):
+        total += (chi_val(f, (1 - k) * e, a) * naive_gauss(f, nu + k * e)
+                  * naive_gauss(f, nu + (k - 1) * e))
+    return prefac * chi_val(f, -nu, a) * total
+
+
+def naive_p0_closed(ctx, m):
+    q = ctx.field.q
+    if m % 4 != 0:
+        return 0.0
+    return naive_p0_closed_root(ctx, (m % (q - 1)) // 4)
+
+
+def naive_kummer_closed(ctx, nu):
+    f, e = ctx.field, ctx.A4.m
+    h = (f.q - 1) // 2
+    num = chi_val(f, e, int(f.neg(1))) * naive_gauss(f, nu + e) * (
+        naive_gauss(f, nu) * naive_gauss(f, e) + naive_gauss(f, nu + h) * naive_gauss(f, -e))
+    return num / (f.q * naive_gauss(f, h) * naive_gauss(f, 2 * nu))
+
+
+def naive_null_locus_closed(ctx, nu1):
+    f, a, e = ctx.field, ctx.a, ctx.A4.m
+    h = (f.q - 1) // 2
+    jsum = sum(naive_jacobi(f, nu1 + k * e, h) for k in range(4))
+    return (chi_val(f, e, a) + chi_val(f, -e, a)) * jsum
+
+
+def naive_double_mellin_closed(ctx, nu1, nu2):
+    f, a, e = ctx.field, ctx.a, ctx.A4.m
+    total = 0.0
+    for m in range(4):
+        gm = naive_gauss(f, nu2 + (m - 1) * e) * naive_gauss(f, nu2 + m * e)
+        for n in range(4):
+            coeff = chi_val(f, -(nu1 + nu2) - (m + n) * e, a)
+            total += (coeff * naive_gauss(f, nu1 + (n - 1) * e) * naive_gauss(f, nu1 + n * e)
+                      * gm)
+    return chi_val(f, e, int(f.neg(a))) * total / f.q
+
+
+def naive_pair_coeffs(ctx, nu1):
+    f, e = ctx.field, ctx.A4.m
+    q, h = f.q, (f.q - 1) // 2
+    d = 1 if (4 * nu1) % (q - 1) == 0 else 0
+    jsum = sum(naive_jacobi(f, nu1 + k * e, h) for k in range(4))
+    g_phi = naive_gauss(f, h)
+    r0 = 4 * q - (2 * q - 2) * d
+    r1 = (q * jsum - d * (q - 1) * naive_jacobi(f, -e, h)) / g_phi
+    r3 = (q * jsum - d * (q - 1) * naive_jacobi(f, e, h)) / g_phi
+    r2 = sum(naive_jacobi(f, -nu1 - (k + 1) * e, h) * naive_jacobi(f, nu1 + k * e, h)
+             for k in range(4))
+    return [r0, r1, r2, r3]
+
+
+def naive_pair_coeffs_gauss(ctx, nu1):
+    f, e = ctx.field, ctx.A4.m
+    out = []
+    for k in range(4):
+        total = 0.0
+        for m in range(4):
+            for n in range(4):
+                if (m + n) % 4 != (1 - k) % 4:
+                    continue
+                total += (naive_gauss(f, nu1 + (n - 1) * e) * naive_gauss(f, nu1 + n * e)
+                          * naive_gauss(f, -nu1 + (m - 1) * e) * naive_gauss(f, -nu1 + m * e))
+        out.append(chi_val(f, e, int(f.neg(1))) * total / f.q)
+    return out
+

@@ -96,3 +96,29 @@ def test_repeated_q_and_a_run_once(tmp_path, capsys):
     assert [r["check_id"] for r in groups[0]["runs"]] == [
         "main_identity", "corner_value", "zero_row_factorization", "mixed_symmetry",
         "negation_symmetry", "quarter_turn", "imaginary_drift", "tau_branch"]
+
+
+@pytest.mark.parametrize("q", ["abc", "3^x"])
+@pytest.mark.parametrize("command", [
+    ["verify", "--a", "1"],
+    ["table", "--a", "1", "--object", "V"],
+], ids=["verify", "table"])
+def test_bad_q_text_exit_code(capsys, command, q):
+    assert main(command + ["--q", q]) == 2
+    assert "bad --q" in capsys.readouterr().err
+
+
+def test_internal_error_is_not_a_usage_error(monkeypatch):
+    # only bad input exits 2; an error inside the program propagates
+    def broken(config):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr("mixedsums.cli.run", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["verify", "--q", "5"])
+
+
+def test_huge_q_is_a_usage_error(capsys):
+    # 3^10000 has more digits than Python converts to a string by default
+    assert main(["verify", "--q", "3^10000"]) == 2
+    assert "exceeds the table cap" in capsys.readouterr().err

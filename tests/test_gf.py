@@ -48,6 +48,8 @@ def test_build_rejects_bad_parameters():
         build_field(3, 1)
     with pytest.raises(TooLarge):
         build_field(257, 2)
+    with pytest.raises(TooLarge):
+        build_field(3, 10**8)  # rejected before 3**n is formed
 
 
 def test_trace_examples(f5, f9):

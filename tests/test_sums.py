@@ -47,17 +47,21 @@ def test_gauss_norm_relation(f13, f25):
 def test_jacobi_values(f13):
     eps = trivial_char(f13)
     neg_one = f13.neg(1)
-    assert abs(jacobi(eps, eps) - 11) < 1e-10
+    assert abs(jacobi(f13, eps.m, eps.m) - 11) < 1e-10
     for A in all_chars(f13)[1:]:
-        assert agree(jacobi(eps, A), -1.0)
-        assert agree(jacobi(A, A.conj()), -A(neg_one))
+        assert agree(jacobi(f13, eps.m, A.m), -1.0)
+        assert agree(jacobi(f13, A.m, A.conj().m), -A(neg_one))
 
 
-def test_jacobi_matches_oracle(f13):
-    for ma in range(12):
-        for mb in range(12):
-            got = jacobi(MultChar(f13, ma), MultChar(f13, mb))
-            assert abs(got - naive_jacobi(f13, ma, mb)) < 1e-10
+def test_jacobi_matches_oracle(f5, f9, f13):
+    # the full (q-1) x (q-1) table in one call
+    for f in (f5, f9, f13):
+        m = np.arange(f.q - 1)
+        got = jacobi(f, m[:, None], m)
+        assert got.shape == (f.q - 1, f.q - 1)
+        for ma in m:
+            for mb in m:
+                assert abs(got[ma, mb] - naive_jacobi(f, ma, mb)) < 1e-10
 
 
 def test_jacobi_gauss_ratio(f13, f9):
@@ -66,7 +70,7 @@ def test_jacobi_gauss_ratio(f13, f9):
             for B in all_chars(f):
                 if (A * B).is_trivial():
                     continue
-                assert agree(jacobi(A, B), gauss(A) * gauss(B) / gauss(A * B))
+                assert agree(jacobi(f, A.m, B.m), gauss(A) * gauss(B) / gauss(A * B))
 
 
 def test_jacobi_reflection(f13):
@@ -74,8 +78,8 @@ def test_jacobi_reflection(f13):
     neg_one = f13.neg(1)
     for A in all_chars(f13):
         for C in all_chars(f13)[1:]:
-            lhs = jacobi(A, C.conj())
-            rhs = A(neg_one) * jacobi(A, A.conj() * C)
+            lhs = jacobi(f13, A.m, C.conj().m)
+            rhs = A(neg_one) * jacobi(f13, A.m, (A.conj() * C).m)
             assert agree(lhs, rhs)
 
 
