@@ -16,13 +16,13 @@ import numpy as np
 
 from . import gf
 from .gf import FieldTable, build_field
-from .chars import all_chars, char_matrix, quadratic_char, quartic_char, trivial_char, unit_roots
+from .chars import char_matrix, trivial_char, unit_roots
 from .sums import (
     DEFAULT_TOL,
     gauss,
     gauss_table,
     hasse_davenport_residual,
-    hyp2f1,
+    hyp2f1_many,
     jacobi,
     quad_transform,
 )
@@ -156,25 +156,32 @@ def run_classical(field: FieldTable, tol: float = DEFAULT_TOL) -> list[CheckRepo
     return checks.reports()
 
 
+def _blocks(xs: np.ndarray, q: int):
+    """Consecutive slices of xs of at most max(1, 2**14 // q) entries, so
+    that each (len(block), q-1) table of a sweep stays near 2**14 values."""
+    step = max(1, 2**14 // q)
+    return (xs[i:i + step] for i in range(0, len(xs), step))
+
+
 def run_transforms(field: FieldTable, tol: float = DEFAULT_TOL) -> list[CheckReport]:
     """Hasse-Davenport, the quadratic 2F1 transformation, and the Gauss
-    summation value of the 2F1 at argument 1."""
-    phi, A4 = quadratic_char(field), quartic_char(field)
+    summation value of the 2F1 at argument 1, for every character."""
     q = field.q
-    four = field.add(2, 2)
-    chars = all_chars(field)
+    qm1 = q - 1
+    e, h = qm1 // 4, qm1 // 2
+    m = np.arange(qm1)
+    G = gauss_table(field)
     checks = Checks(field, None, tol)
 
-    checks["hasse_davenport"].compare_arrays([hasse_davenport_residual(A) for A in chars], 0.0)
+    checks["hasse_davenport"].compare_arrays(hasse_davenport_residual(field, m), 0.0)
     zs = np.array([z for z in range(1, q) if z not in (1, field.neg_table[1])])
-    for D in chars:
-        checks["quad_transform"].compare_arrays(*quad_transform(D, zs))
-    quarter = (q - 1) // 4
-    Ds = [D for D in chars if D.m not in (0, quarter, 3 * quarter)]
+    for z in _blocks(zs, q):
+        checks["quad_transform"].compare_arrays(*quad_transform(field, z))
+    ds = m[(m != 0) & (m != e) & (m != 3 * e)]
+    dbar_four = unit_roots(field)[-ds * field.log_table[field.add(2, 2)] % qm1]
     checks["gauss_summation_at_one"].compare_arrays(
-        [hyp2f1(D, D * A4, A4, 1) for D in Ds],
-        [D.conj()(four) * gauss(D.conj() ** 2) / (gauss(D.conj() ** 2 * phi) * gauss(phi))
-         for D in Ds])
+        hyp2f1_many(field, (1, 0), (1, e), (0, e), [1])[0, ds],
+        dbar_four * G[-2 * ds % qm1] / (G[(h - 2 * ds) % qm1] * G[h]))
     return checks.reports()
 
 
@@ -211,17 +218,18 @@ def run_mellin_field(field: FieldTable, tol: float = DEFAULT_TOL) -> list[CheckR
     """Parameter-independent Mellin layer: the Kummer-style 2F1 value at -1
     and the hypergeometric kernel closed form, for every character."""
     ctx = make_context(field, 1)
-    A4 = quartic_char(field)
-    js = field.units()
-    nus = [nu for nu in all_chars(field) if not (nu**4).is_trivial()]
+    qm1 = field.q - 1
+    e = qm1 // 4
+    m = np.arange(qm1)
+    nus = m[4 * m % qm1 != 0]
     checks = Checks(field, None, tol)
 
     checks["kummer_value"].compare_arrays(
-        [hyp2f1(nu**2, nu * A4, nu * A4.conj(), field.neg_table[1]) for nu in nus],
-        ml.kummer_closed(ctx, np.array([nu.m for nu in nus], dtype=int)))
-    for D in all_chars(field):
-        checks["hyper_kernel"].compare_arrays(ml.hyper_kernel_row(ctx, D, js),
-                                              ml.hyper_kernel_closed_row(ctx, D, js))
+        hyp2f1_many(field, (2, 0), (1, e), (1, -e), [field.neg_table[1]])[0, nus],
+        ml.kummer_closed(ctx, nus))
+    for js in _blocks(field.units(), field.q):
+        checks["hyper_kernel"].compare_arrays(ml.hyper_kernel_row(ctx, js),
+                                              ml.hyper_kernel_closed_row(ctx, js))
     return checks.reports()
 
 
@@ -372,6 +380,8 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     """Split q into (p, n) with p prime, or raise ConfigError."""
     if q < 2:
         raise ConfigError(f"{q} is not a prime power")
+    if q > gf.MAX_Q:  # before trial division, which stalls on a huge q
+        raise ConfigError(f"q = {q} exceeds the table cap {gf.MAX_Q}")
     p = min(gf.prime_factors(q))
     n = 0
     m = q

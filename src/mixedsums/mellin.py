@@ -18,7 +18,7 @@ import numpy as np
 from .gf import FieldError, FieldTable, ZeroArgument
 from .chars import MultChar, char_matrix, unit_roots
 from .mixed import MixedSumContext, mixed_table, state_vector
-from .sums import gauss, gauss_table, hyp2f1_many, jacobi
+from .sums import exponent_sweep, gauss, gauss_table, hyp2f1_many, jacobi
 
 
 class FourthPowerTrivial(FieldError):
@@ -183,49 +183,56 @@ def cross_form(ctx: MixedSumContext, j, x):
 
 
 def hyper_kernel(ctx: MixedSumContext, D: MultChar, j) -> complex:
-    """h(D, j) = sum over x != 0 of D(x) phi(1-x)
-    (conj(D)^2 phi)(x (j+1)^2 + (j-1)^2), for j != 0."""
-    return complex(hyper_kernel_row(ctx, D, np.asarray([int(j)]))[0])
+    """h(D, j) at one character D and one nonzero element index j."""
+    return complex(hyper_kernel_row(ctx, [int(j)])[0, D.m])
 
 
-def hyper_kernel_row(ctx: MixedSumContext, D: MultChar, js: np.ndarray) -> np.ndarray:
-    """hyper_kernel at every j in js (all nonzero), vectorized."""
+def hyper_kernel_row(ctx: MixedSumContext, js) -> np.ndarray:
+    """h(D, j) = sum over x != 0 of D(x) phi(1-x) (conj(D)^2 phi)(x (j+1)^2 + (j-1)^2)
+    for every j in js (all nonzero) and every character D = chi_m, as a
+    (len(js), q-1) table indexed [j, m].
+
+    For D = chi_m each term is zeta^(m k) times a part free of m, with
+    k = log x - 2 log(x (j+1)^2 + (j-1)^2), so one exponent sweep covers
+    every character."""
     f = ctx.field
+    qm1 = f.q - 1
     js = np.asarray(js)
     if np.any(js == 0):
         raise ZeroArgument("j must be nonzero")
-    x = f.units()
-    w = D.values()[x] * ctx.phi.values()[f.sub(1, x)]
-    Dbar2phi = ((D.conj() ** 2) * ctx.phi).values()
+    x = np.arange(2, f.q)  # phi(1-x) vanishes at x = 1
     jp = f.add(js, 1)
     jm = f.sub(js, 1)
-    args = f.add(f.mul(x[None, :], f.mul(jp, jp)[:, None]), f.mul(jm, jm)[:, None])
-    return (w[None, :] * Dbar2phi[args]).sum(axis=1)
+    args = f.add(f.mul(x, f.mul(jp, jp)[:, None]), f.mul(jm, jm)[:, None])
+    lx, largs = f.log_table[x], f.log_table[args]
+    w = unit_roots(f)[np.mod(ctx.phi.m * (f.log_table[f.sub(1, x)] + largs), qm1)]
+    w[args == 0] = 0.0
+    return exponent_sweep(f, lx - 2 * largs, w)
 
 
 def hyper_kernel_closed(ctx: MixedSumContext, D: MultChar, j) -> complex:
-    return complex(hyper_kernel_closed_row(ctx, D, np.asarray([int(j)]))[0])
+    return complex(hyper_kernel_closed_row(ctx, [int(j)])[0, D.m])
 
 
-def hyper_kernel_closed_row(ctx: MixedSumContext, D: MultChar, js: np.ndarray) -> np.ndarray:
-    """Closed form of hyper_kernel: direct evaluations for D trivial or
-    quartic, a hypergeometric Gauss-sum expression otherwise."""
+def hyper_kernel_closed_row(ctx: MixedSumContext, js) -> np.ndarray:
+    """Closed form of hyper_kernel_row, a (len(js), q-1) table indexed
+    [j, m]: G(D)^2 G(phi) / G(D^2 phi) 2F1(D, D A4; A4 | j^4) for D = chi_m,
+    with direct evaluations in the trivial and quartic columns."""
     f = ctx.field
+    qm1 = f.q - 1
     js = np.asarray(js)
     if np.any(js == 0):
         raise ZeroArgument("j must be nonzero")
-    phi = ctx.phi
+    e, h = ctx.A4.m, ctx.phi.m
+    m = np.arange(qm1)
     j2 = f.mul(js, js)
     j4 = f.mul(j2, j2)
-    neg_one = f.neg_table[1]
-    if D.is_trivial():
-        out = -2.0 + f.q * (j2 == neg_one) + 1.0 * (j2 == 1)
-        return out.astype(complex)
-    quarter = (f.q - 1) // 4
-    if D.m in (quarter, 3 * quarter):
-        return jacobi(f, D.m, phi.m) - phi.values()[f.sub(j4, 1)]
-    pref = gauss(D) ** 2 * gauss(phi) / gauss((D**2) * phi)
-    return pref * hyp2f1_many(D, D * ctx.A4, ctx.A4, j4)
+    pref = _gauss(f, m) ** 2 * _gauss(f, h) / _gauss(f, 2 * m + h)
+    out = pref * hyp2f1_many(f, (1, 0), (1, e), (0, e), j4)
+    out[:, 0] = -2.0 + f.q * (j2 == f.neg_table[1]) + 1.0 * (j2 == 1)
+    quartic = [qm1 // 4, 3 * qm1 // 4]
+    out[:, quartic] = jacobi(f, quartic, h) - ctx.phi(f.sub(j4, 1))[:, None]
+    return out
 
 
 def null_locus_sum(ctx: MixedSumContext, lam1) -> np.ndarray:

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .gf import FieldError, FieldTable
-from .chars import MultChar, char_matrix, psi_table, quadratic_char, quartic_char, unit_roots
+from .chars import MultChar, char_matrix, psi_table, unit_roots
 
 DEFAULT_TOL = 1e-8
 
@@ -65,55 +65,87 @@ def jacobi(field: FieldTable, ma, mb) -> np.ndarray:
     return unit_roots(field)[t].sum(axis=-1)
 
 
+def exponent_sweep(field: FieldTable, k, w) -> np.ndarray:
+    """out[..., m] = sum over y of w[..., y] zeta^(m k[..., y]) for every m,
+    zeta = exp(2 pi i/(q-1)): each row of w is histogrammed by k mod q-1
+    (one bincount per real and imaginary part) and the histograms are
+    multiplied by the symmetric character matrix C[t, m] = zeta^(t m)."""
+    qm1 = field.q - 1
+    k, w = np.broadcast_arrays(np.mod(k, qm1), np.asarray(w, dtype=complex))
+    lead = k.shape[:-1]
+    rows = int(np.prod(lead))
+    bins = (np.arange(rows)[:, None] * qm1 + k.reshape(rows, -1)).ravel()
+    size = rows * qm1
+    hist = np.bincount(bins, w.real.ravel(), size) + 1j * np.bincount(bins, w.imag.ravel(), size)
+    return (hist.reshape(rows, qm1) @ char_matrix(field)).reshape(lead + (qm1,))
+
+
 def hyp2f1(A: MultChar, B: MultChar, C: MultChar, x) -> complex:
     """Greene's hypergeometric 2F1 over F_q at the element index x."""
-    return complex(hyp2f1_many(A, B, C, np.asarray([int(x)]))[0])
+    return complex(hyp2f1_many(A.field, (0, A.m), (0, B.m), (0, C.m), [int(x)])[0, 0])
 
 
-def hyp2f1_many(A: MultChar, B: MultChar, C: MultChar, xs: np.ndarray) -> np.ndarray:
-    """2F1 at every element index in xs (vectorized over the argument).
+def hyp2f1_many(field: FieldTable, a, b, c, xs) -> np.ndarray:
+    """2F1(chi_a, chi_b; chi_c | x) for every x in xs and every character
+    D = chi_m, as a (len(xs), q-1) table indexed [x, m].
 
-    The value is (eps(x)/q) * sum_y B(y) (conj(B) C)(y-1) conj(A)(1-x y);
-    x = 0 gives exactly 0 through the eps(x) prefactor.
+    Each parameter is a (slope, offset) pair (s, t) standing for the
+    character chi_(s m + t).  The value is the literal sum
+    (eps(x)/q) sum over y not in {0, 1} of B(y) (conj(B) C)(y-1) conj(A)(1-x y),
+    where a term with 1 - x y = 0 is 0 and the x = 0 row is exactly 0.
+    The exponent of each term is m k(x, y) plus a part free of m, so one
+    exponent_sweep covers every character.
     """
-    f = A.field
+    f = field
+    qm1 = f.q - 1
     xs = np.asarray(xs)
-    y = np.arange(f.q)
-    w = B.values()[y] * (B.conj() * C).values()[f.sub(y, 1)]
-    Abar = A.conj().values()
-    out = (w[None, :] * Abar[f.sub(1, f.mul(xs[:, None], y[None, :]))]).sum(axis=1) / f.q
-    return np.where(xs == 0, 0.0 + 0.0j, out)
+    (sa, ta), (sb, tb), (sc, tc) = a, b, c
+    y = np.arange(2, f.q)  # index 0 is the zero element, index 1 the one
+    ly, ly1 = f.log_table[y], f.log_table[f.sub(y, 1)]
+    u = f.sub(1, f.mul(xs[:, None], y))
+    lu = f.log_table[u]
+    k = sb * ly + (sc - sb) * ly1 - sa * lu
+    w = unit_roots(f)[np.mod(tb * ly + (tc - tb) * ly1 - ta * lu, qm1)]
+    w[(u == 0) | (xs[:, None] == 0)] = 0.0
+    return exponent_sweep(f, k, w) / f.q
 
 
-def hasse_davenport_residual(A: MultChar) -> float:
-    """|A(4) G(A) G(A phi) - G(A^2) G(phi)|."""
-    f = A.field
-    phi = quadratic_char(f)
-    four = f.add(2, 2)
-    lhs = A(four) * gauss(A) * gauss(A * phi)
-    rhs = gauss(A * A) * gauss(phi)
-    return residual(lhs, rhs)
+def hasse_davenport_residual(field: FieldTable, m) -> np.ndarray:
+    """|A(4) G(A) G(A phi) - G(A^2) G(phi)| for A = chi_m, elementwise over
+    the exponent array m."""
+    qm1 = field.q - 1
+    G = gauss_table(field)
+    m = np.asarray(m)
+    h = qm1 // 2
+    a_four = unit_roots(field)[np.mod(m * field.log_table[field.add(2, 2)], qm1)]
+    lhs = a_four * G[np.mod(m, qm1)] * G[np.mod(m + h, qm1)]
+    return np.abs(lhs - G[np.mod(2 * m, qm1)] * G[h])
 
 
-def quad_transform(D: MultChar, z) -> tuple[np.ndarray, np.ndarray]:
+def quad_transform(field: FieldTable, z) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the quadratic 2F1 transformation relating the argument
-    z^4 to -((z+1)/(z-1))^2, at every z in an array of element indices
-    outside {0, 1, -1}."""
-    f = D.field
+    z^4 to -((z+1)/(z-1))^2, for every character D = chi_m and every z in an
+    array of element indices outside {0, 1, -1}: two (len(z), q-1) tables
+    indexed [z, m].
+
+    lhs = 2F1(D, D A4; A4 | z^4) and
+    rhs = conj(D)^4(z-1) 2F1(D, D^2 phi; D phi | -((z+1)/(z-1))^2).
+    """
+    f = field
     z = np.asarray(z)
     bad = (z == 0) | (z == 1) | (z == f.neg_table[1])
     if np.any(bad):
         raise BadArgument(f"z = {int(z[bad].flat[0])} is excluded")
-    A4 = quartic_char(f)
-    phi = quadratic_char(f)
-    lhs = hyp2f1_many(D, D * A4, A4, f.pow(z, 4))
+    e, h = (f.q - 1) // 4, (f.q - 1) // 2
+    lhs = hyp2f1_many(f, (1, 0), (1, e), (0, e), f.pow(z, 4))
     zm1 = f.sub(z, 1)
     ratio = f.mul(f.add(z, 1), f.inv_table[zm1])
-    rhs = (D.conj() ** 4)(zm1) * hyp2f1_many(D, (D**2) * phi, D * phi, f.neg(f.mul(ratio, ratio)))
+    dbar4 = char_matrix(f)[np.mod(-4 * f.log_table[zm1], f.q - 1)]
+    rhs = dbar4 * hyp2f1_many(f, (1, 0), (2, h), (1, h), f.neg(f.mul(ratio, ratio)))
     return lhs, rhs
 
 
 def quad_transform_residual(D: MultChar, z) -> float:
-    """|lhs - rhs| of quad_transform at one z."""
-    lhs, rhs = quad_transform(D, [int(z)])
-    return residual(lhs[0], rhs[0])
+    """|lhs - rhs| of quad_transform at one character D and one z."""
+    lhs, rhs = quad_transform(D.field, [int(z)])
+    return residual(lhs[0, D.m], rhs[0, D.m])

@@ -38,6 +38,18 @@ def naive_hyp2f1(f, ma, mb, mc, x):
     return total / f.q
 
 
+def naive_hyper_kernel(f, m, j):
+    """h(chi_m, j) = sum over x != 0 of
+    chi_m(x) phi(1-x) (conj(chi_m)^2 phi)(x (j+1)^2 + (j-1)^2)."""
+    h = (f.q - 1) // 2
+    jp, jm = int(f.add(j, 1)), int(f.sub(j, 1))
+    total = 0.0
+    for x in range(1, f.q):
+        arg = int(f.add(f.mul(x, f.mul(jp, jp)), f.mul(jm, jm)))
+        total += chi_val(f, m, x) * chi_val(f, h, int(f.sub(1, x))) * chi_val(f, h - 2 * m, arg)
+    return total
+
+
 def naive_mixed_sum(f, a, j, k):
     phi_m = (f.q - 1) // 2
     g_phi = naive_gauss(f, phi_m)

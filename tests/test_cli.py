@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,3 +126,42 @@ def test_huge_q_is_a_usage_error(capsys):
     # 3^10000 has more digits than Python converts to a string by default
     assert main(["verify", "--q", "3^10000"]) == 2
     assert "exceeds the table cap" in capsys.readouterr().err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+HUGE_Q = "1000000000000000000000000000057"
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--q", HUGE_Q, "--suite", "main"],
+    ["table", "--q", HUGE_Q, "--a", "1", "--object", "V"],
+], ids=["verify", "table"])
+def test_huge_plain_integer_q_is_rejected_before_factoring(command):
+    # trial division of a 31-digit q would run for hours; the size cap comes first
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "mixedsums.cli", *command],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "exceeds the table cap" in proc.stderr
+
+
+BAD_INPUTS = (
+    [["verify", "--a", "1", f"--q={q}"] for q in
+     ("abc", "3^0", "5^-1", "7", "12", "1", "0", "-5", "65537", "2^17", "4^1")]
+    + [["verify", "--q", "5", "--a", "1", f"--tol={t}"] for t in ("nan", "-1", "inf")]
+    + [["verify", "--q", "5", "--suite", "bogus"], ["verify", "--q", "5", "--format", "xml"]]
+    + [["verify", "--q", "5", "--suite", "main", f"--a={a}"] for a in ("0", "x", ",", "1,,2")]
+    + [["verify", "--q", "5", "--a", "1", "--suite", "main", "--out", "{missing}/r.json"],
+       ["table", "--q", "5", "--a", "1", "--object", "V", "--out", "{missing}/t.csv"],
+       ["table", "--q", "5", "--a", "1", "--object", "Q"]]
+)
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
+def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error:" in err.strip().splitlines()[-1]

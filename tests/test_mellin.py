@@ -15,7 +15,8 @@ from mixedsums import (
 from mixedsums import mellin as ml
 from mixedsums.mellin import FourthPowerTrivial
 import oracles
-from oracles import chi_val, naive_double_mellin, naive_mellin_p0, naive_mellin_v
+from oracles import (chi_val, naive_double_mellin, naive_hyper_kernel, naive_mellin_p0,
+                     naive_mellin_v)
 
 
 def test_mellin_v_vanishes_off_fourth_powers(f13):
@@ -202,15 +203,33 @@ def test_hyper_kernel_closed_everywhere(f13, f9):
         ctx = make_context(f, 1)
         js = f.units()
         for D in all_chars(f):
-            direct = ml.hyper_kernel_row(ctx, D, js)
-            closed = ml.hyper_kernel_closed_row(ctx, D, js)
+            direct = ml.hyper_kernel_row(ctx, js)[:, D.m]
+            closed = ml.hyper_kernel_closed_row(ctx, js)[:, D.m]
             assert np.abs(direct - closed).max() < 1e-9
+
+
+def test_hyper_kernel_rows_match_oracle(f5, f9, f13):
+    # every character, every nonzero j, both routes against the plain loop
+    for f in (f5, f9, f13):
+        ctx = make_context(f, 1)
+        js = f.units()
+        direct = ml.hyper_kernel_row(ctx, js)
+        closed = ml.hyper_kernel_closed_row(ctx, js)
+        assert direct.shape == closed.shape == (f.q - 1, f.q - 1)
+        for i, j in enumerate(js):
+            for m in range(f.q - 1):
+                expect = naive_hyper_kernel(f, m, int(j))
+                assert abs(direct[i, m] - expect) < 1e-10
+                assert abs(closed[i, m] - expect) < 1e-9
 
 
 def test_hyper_kernel_rejects_zero(f13):
     ctx = make_context(f13, 1)
     with pytest.raises(ZeroArgument):
         ml.hyper_kernel(ctx, MultChar(f13, 1), 0)
+    for row in (ml.hyper_kernel_row, ml.hyper_kernel_closed_row):
+        with pytest.raises(ZeroArgument):
+            row(ctx, np.array([2, 0, 3]))
 
 
 def test_null_locus_sum(f13):

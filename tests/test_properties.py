@@ -1,7 +1,9 @@
 """Property tests of the exponent-array layer: for random admissible fields,
 parameters a and integer exponent arrays, every closed form and the Jacobi
 sum return the broadcast shape of their exponent arguments, do not change
-when an exponent moves by q-1, and agree with the scalar oracles."""
+when an exponent moves by q-1, and agree with the scalar oracles.  The
+all-character 2F1 table is checked the same way over its (slope, offset)
+parameters."""
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ import oracles  # noqa: E402
 from mixedsums import build_field, make_context  # noqa: E402
 from mixedsums import mellin as ml  # noqa: E402
 from mixedsums.mellin import FourthPowerTrivial  # noqa: E402
-from mixedsums.sums import jacobi  # noqa: E402
+from mixedsums.sums import hyp2f1_many, jacobi  # noqa: E402
 
 FIELDS = [(5, 1), (3, 2), (13, 1), (17, 1), (5, 2), (29, 1)]  # every q = 1 mod 4 up to 29
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
@@ -111,3 +113,23 @@ def test_jacobi_properties(data):
     ma, mb = exponents(data.draw, qm1, s1), exponents(data.draw, qm1, s2)
     check(lambda a, b: jacobi(f, a, b), [ma, mb],
           lambda a, b: oracles.naive_jacobi(f, a, b), shape, qm1, data.draw)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_hyp2f1_many_properties(data):
+    f = build_field(*data.draw(st.sampled_from(FIELDS)))
+    qm1 = f.q - 1
+    params = [tuple(int(v) for v in exponents(data.draw, qm1, (2,))) for _ in range(3)]
+    xs = data.draw(hnp.arrays(np.int64, st.integers(1, 5), elements=st.integers(0, f.q - 1)))
+    got = hyp2f1_many(f, *params, xs)
+    assert got.shape == (len(xs), qm1)
+    for i in range(3):
+        moved = list(params)
+        moved[i] = tuple(v + qm1 * data.draw(st.integers(-2, 2)) for v in params[i])
+        assert np.array_equal(hyp2f1_many(f, *moved, xs), got)
+    m = data.draw(st.integers(0, qm1 - 1))
+    ma, mb, mc = (s * m + t for s, t in params)
+    for x, value in zip(xs, got[:, m]):
+        expect = oracles.naive_hyp2f1(f, ma, mb, mc, int(x))
+        assert abs(value - expect) <= 1e-9 * (1 + abs(expect))

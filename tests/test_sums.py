@@ -17,8 +17,9 @@ from mixedsums import (
     special_chars,
     trivial_char,
 )
-from mixedsums.sums import quad_transform
-from oracles import naive_gauss, naive_hyp2f1, naive_jacobi
+from mixedsums.chars import unit_roots
+from mixedsums.sums import exponent_sweep, hyp2f1_many, quad_transform
+from oracles import chi_val, naive_gauss, naive_hyp2f1, naive_jacobi
 
 
 def test_gauss_matches_oracle(f13, f9):
@@ -107,10 +108,69 @@ def test_hyp2f1_matches_transcription_q13(f13):
             assert abs(got - naive_hyp2f1(f13, ma, mb, mc, x)) < 1e-10
 
 
+# (slope, offset) pairs for a, b, c: chi_(s m + t), with negative offsets and
+# offsets of q-1 or more
+SWEEP_PARAMS = [
+    ((1, 0), (1, 1), (0, 1)),
+    ((2, 0), (1, 3), (1, -3)),
+    ((-1, 5), (0, -7), (3, 20)),
+    ((0, 0), (0, 0), (0, 0)),
+    ((-2, -13), (4, 2), (-1, 30)),
+]
+
+
+@pytest.mark.parametrize("params", SWEEP_PARAMS)
+def test_hyp2f1_many_matches_oracle(f5, f9, f13, params):
+    # every character m, every argument x, in one call per field
+    for f in (f5, f9, f13):
+        xs = np.arange(f.q)
+        got = hyp2f1_many(f, *params, xs)
+        assert got.shape == (f.q, f.q - 1)
+        assert np.all(got[0] == 0)
+        for m in range(f.q - 1):
+            ma, mb, mc = (s * m + t for s, t in params)
+            for x in xs:
+                assert abs(got[x, m] - naive_hyp2f1(f, ma, mb, mc, int(x))) < 1e-10
+
+
+def test_quad_transform_matches_oracle(f5, f9, f13):
+    for f in (f5, f9, f13):
+        e, h = (f.q - 1) // 4, (f.q - 1) // 2
+        zs = np.array([z for z in range(2, f.q) if z != f.neg(1)])
+        lhs, rhs = quad_transform(f, zs)
+        for i, z in enumerate(zs):
+            zm1 = int(f.sub(z, 1))
+            ratio = f.mul(f.add(z, 1), f.inv(zm1))
+            arg = int(f.neg(f.mul(ratio, ratio)))
+            for m in range(f.q - 1):
+                expect_l = naive_hyp2f1(f, m, m + e, e, int(f.pow(z, 4)))
+                expect_r = chi_val(f, -4 * m, zm1) * naive_hyp2f1(f, m, 2 * m + h, m + h, arg)
+                assert abs(lhs[i, m] - expect_l) < 1e-10
+                assert abs(rhs[i, m] - expect_r) < 1e-10
+
+
+def test_exponent_sweep_sign_convention(f13, f9):
+    # one term of weight 1 at k = 1 is zeta^m, not its conjugate
+    for f in (f13, f9):
+        out = exponent_sweep(f, np.array([1]), np.array([1.0]))
+        assert np.allclose(out, unit_roots(f), atol=1e-12)
+        assert not np.allclose(out[1], np.conj(unit_roots(f)[1]))
+        # rows are independent, and equal exponents add their weights
+        k = np.array([[1, 1 + (f.q - 1)], [3, 0]])
+        w = np.array([[2.0, 1j], [1.0, 1.0]])
+        out = exponent_sweep(f, k, w)
+        assert np.allclose(out[0], (2 + 1j) * unit_roots(f), atol=1e-12)
+        assert np.allclose(out[1], unit_roots(f)[3 * np.arange(f.q - 1) % (f.q - 1)] + 1,
+                           atol=1e-12)
+
+
 def test_hasse_davenport(f13, f9):
     for f in (f13, f9):
         for A in all_chars(f):
-            assert hasse_davenport_residual(A) < 1e-10
+            assert hasse_davenport_residual(f, A.m) < 1e-10
+        m = np.arange(f.q - 1)
+        assert hasse_davenport_residual(f, m).shape == m.shape
+        assert hasse_davenport_residual(f, m).max() < 1e-10
 
 
 def test_quad_transform(f13, f9):
@@ -121,10 +181,10 @@ def test_quad_transform(f13, f9):
                 if z in excluded:
                     continue
                 assert quad_transform_residual(D, z) < 1e-10
-            zs = np.array(sorted(set(range(f.q)) - excluded))
-            lhs, rhs = quad_transform(D, zs)
-            assert lhs.shape == rhs.shape == zs.shape
-            assert np.abs(lhs - rhs).max() < 1e-10
+        zs = np.array(sorted(set(range(f.q)) - excluded))
+        lhs, rhs = quad_transform(f, zs)
+        assert lhs.shape == rhs.shape == (len(zs), f.q - 1)
+        assert np.abs(lhs - rhs).max() < 1e-10
 
 
 def test_quad_transform_bad_argument(f13):
@@ -133,7 +193,7 @@ def test_quad_transform_bad_argument(f13):
         with pytest.raises(BadArgument):
             quad_transform_residual(D, z)
         with pytest.raises(BadArgument):
-            quad_transform(D, np.array([2, z, 3]))
+            quad_transform(f13, np.array([2, z, 3]))
 
 
 def test_gauss_summation_value_at_one(f13):
