@@ -16,20 +16,24 @@ from .gf import FieldTable
 
 def unit_roots(field: FieldTable) -> np.ndarray:
     """The shared table exp(2*pi*i*t/(q-1)), t = 0..q-2."""
-    tab = field._cache.get("unit_roots")
-    if tab is None:
-        tab = np.exp(2j * np.pi * np.arange(field.q - 1) / (field.q - 1))
-        field._cache["unit_roots"] = tab
-    return tab
+    return field.cached("unit_roots",
+                        lambda f: np.exp(2j * np.pi * np.arange(f.q - 1) / (f.q - 1)))
 
 
 def psi_table(field: FieldTable) -> np.ndarray:
     """Additive character values per element index."""
-    tab = field._cache.get("psi")
-    if tab is None:
-        tab = np.exp(2j * np.pi * field.trace_table / field.p)
-        field._cache["psi"] = tab
-    return tab
+    return field.cached("psi", lambda f: np.exp(2j * np.pi * f.trace_table / f.p))
+
+
+def dft(field: FieldTable, h, axes=(-1,)) -> np.ndarray:
+    """out[m] = sum over t of h[t] zeta^(t m), zeta = exp(2*pi*i/(q-1)), on
+    each given axis (of length q-1).  For h indexed by the log index t of
+    g^t this is the sum of chi_m h over F_q* for every chi_m; it is the one
+    place that fixes the sign and normalisation of such sums."""
+    h = np.asarray(h)
+    if any(h.shape[ax] != field.q - 1 for ax in axes):
+        raise ValueError(f"dft axes {axes} of shape {h.shape} are not of length q-1")
+    return np.fft.ifftn(h, axes=axes, norm="forward")
 
 
 def eval_add(field: FieldTable, y) -> complex:
@@ -118,16 +122,8 @@ def delta_kron(j, k) -> int:
 
 
 def char_matrix(field: FieldTable) -> np.ndarray:
-    """Matrix C[m, t] = chi_m(g^t), shape (q-1, q-1); cached per field.
-
-    Multiplying by C evaluates all q-1 Mellin transforms of a function on
-    F_q* (indexed in generator-power order) at once.
-    """
-    C = field._cache.get("char_matrix")
-    if C is None:
-        qm1 = field.q - 1
-        t = np.arange(qm1)
-        C = unit_roots(field)[(t[:, None] * t[None, :]) % qm1]
-        C.flags.writeable = False
-        field._cache["char_matrix"] = C
-    return C
+    """Matrix C[m, t] = chi_m(g^t), shape (q-1, q-1), built on each call:
+    the table whose column sums the orthogonality check reads.  Sums over
+    every character go through dft instead."""
+    t = np.arange(field.q - 1)
+    return unit_roots(field)[np.outer(t, t) % (field.q - 1)]

@@ -2,7 +2,7 @@
 emits a report; `table` dumps the P or V values for one (q, a) as CSV.
 
 Exit codes: 0 all checks passed, 1 at least one failed, 2 usage or
-configuration error.
+configuration error, or too little memory for the tables of the given q.
 """
 
 from __future__ import annotations
@@ -119,6 +119,10 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        qs = [args.q] if isinstance(args.q, str) else args.q
+        print(f"error: out of memory at q = {', '.join(qs)}: {exc}", file=sys.stderr)
         return 2
 
 

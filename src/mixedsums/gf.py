@@ -164,6 +164,15 @@ class FieldTable:
         self.i_elem = int(exp_table[(q - 1) // 4])
         self._cache: dict = {}
 
+    def cached(self, key: str, build):
+        """The per-field table stored under key, built once as build(self)
+        and made read-only."""
+        tab = self._cache.get(key)
+        if tab is None:
+            tab = self._cache[key] = build(self)
+            tab.flags.writeable = False
+        return tab
+
     # -- arithmetic, elementwise over indices (scalars or arrays) --
 
     def add(self, x, y):

@@ -129,15 +129,21 @@ class Checks(dict):
 # --- suites ---
 
 
+def _blocks(xs: np.ndarray, q: int):
+    """Consecutive slices of xs of at most max(1, 2**14 // q) entries, so
+    that each (len(block), q-1) table of a sweep stays near 2**14 values."""
+    step = max(1, 2**14 // q)
+    return (xs[i:i + step] for i in range(0, len(xs), step))
+
+
 def run_classical(field: FieldTable, tol: float = DEFAULT_TOL) -> list[CheckReport]:
     """Unit layer: textbook Gauss/Jacobi sum facts and character
     orthogonality, exhaustive over the character group."""
     q = field.q
     m = np.arange(q - 1)
-    C = char_matrix(field)
     G = gauss_table(field)
     ms = m[1:]
-    A_neg_one = C[ms, field.log_table[field.neg_table[1]]]  # A(-1) for A = chi_m
+    A_neg_one = unit_roots(field)[ms * field.log_table[field.neg_table[1]] % (q - 1)]  # chi_m(-1)
     checks = Checks(field, None, tol)
 
     checks["gauss_trivial"].compare_arrays(gauss(trivial_char(field)), -1.0)
@@ -145,22 +151,17 @@ def run_classical(field: FieldTable, tol: float = DEFAULT_TOL) -> list[CheckRepo
     checks["gauss_norm"].compare_arrays(G[ms] * G[-ms], A_neg_one * q)
     checks["jacobi_conjugate"].compare_arrays(jacobi(field, ms, -ms), -A_neg_one)
     checks["jacobi_with_trivial"].compare_arrays(jacobi(field, 0, ms), -1.0)
-    for ma in m:
-        mb = m[(ma + m) % (q - 1) != 0]
+    for rows in _blocks(m, q):
+        ra, mb = np.nonzero((rows[:, None] + m) % (q - 1))  # every pair with ma + mb != 0
+        ma = rows[ra]
         checks["jacobi_gauss_ratio"].compare_arrays(
             jacobi(field, ma, mb), G[ma] * G[mb] / G[(ma + mb) % (q - 1)])
     # row sums over x != 0 of chi_m(x), read through the log table
     char_sums = unit_roots(field)[np.outer(m, field.log_table[1:]) % (q - 1)].sum(axis=1)
     expect = np.where(m == 0, q - 1.0, 0.0)
-    checks["char_orthogonality"].compare_arrays([char_sums, C.sum(axis=0)], expect)
+    checks["char_orthogonality"].compare_arrays(
+        [char_sums, char_matrix(field).sum(axis=0)], expect)
     return checks.reports()
-
-
-def _blocks(xs: np.ndarray, q: int):
-    """Consecutive slices of xs of at most max(1, 2**14 // q) entries, so
-    that each (len(block), q-1) table of a sweep stays near 2**14 values."""
-    step = max(1, 2**14 // q)
-    return (xs[i:i + step] for i in range(0, len(xs), step))
 
 
 def run_transforms(field: FieldTable, tol: float = DEFAULT_TOL) -> list[CheckReport]:

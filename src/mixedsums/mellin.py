@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import FieldError, FieldTable, ZeroArgument
-from .chars import MultChar, char_matrix, unit_roots
+from .chars import MultChar, dft, unit_roots
 from .mixed import MixedSumContext, mixed_table, state_vector
 from .sums import exponent_sweep, gauss, gauss_table, hyp2f1_many, jacobi
 
@@ -43,21 +43,14 @@ def _gauss_pairs(ctx: MixedSumContext, nu) -> list[np.ndarray]:
     return [_gauss(f, nu + (k - 1) * e) * _gauss(f, nu + k * e) for k in range(4)]
 
 
-def _jacobi_phi(f: FieldTable):
-    """m -> J(chi_m, phi) elementwise, read from one (q-1) x (q-2) gather of
-    all q-1 values, as the Gauss sums are read from their table."""
-    table = jacobi(f, np.arange(f.q - 1), (f.q - 1) // 2)
-    return lambda m: table[np.mod(m, f.q - 1)]
-
-
 # --- Mellin transform of V ---
 
 
 def mellin_v_all(ctx: MixedSumContext) -> np.ndarray:
     """S(chi_m) = sum over j != 0 of chi_m(j) V(j), for all m at once,
-    through the character matrix."""
+    as one DFT over log j."""
     f = ctx.field
-    return char_matrix(f) @ state_vector(ctx)[f.exp_table]
+    return dft(f, state_vector(ctx)[f.exp_table])
 
 
 def _root_sum(ctx: MixedSumContext, nu) -> np.ndarray:
@@ -114,7 +107,7 @@ def v_moment_sum(ctx: MixedSumContext, lam: MultChar) -> complex:
 def mellin_p0_all(ctx: MixedSumContext) -> np.ndarray:
     """T(chi_m) = sum over j != 0 of chi_m(j) P(j, 0), for all m at once."""
     f = ctx.field
-    return char_matrix(f) @ mixed_table(ctx)[f.exp_table, 0]
+    return dft(f, mixed_table(ctx)[f.exp_table, 0])
 
 
 def mellin_p0_closed_root(ctx: MixedSumContext, nu) -> np.ndarray:
@@ -238,23 +231,22 @@ def hyper_kernel_closed_row(ctx: MixedSumContext, js) -> np.ndarray:
 def null_locus_sum(ctx: MixedSumContext, lam1) -> np.ndarray:
     """Sum of chi1(j) phi(x - a/x) over the zero locus of the cross form,
     where chi1 = lam1^2 phi, for an exponent array lam1.  The locus is
-    built once for all lam1."""
+    built once, and chi1(j) = zeta^(lam1 2 log j) phi(j), so one exponent
+    sweep covers every lam1."""
     f = ctx.field
     x = f.units()
     j = f.units()
     ax = f.mul(ctx.a, f.inv_table[x])
     jl, xl = np.nonzero(cross_form(ctx, j[:, None], x[None, :]) == 0)
-    w = ctx.phi.values()[f.sub(x, ax)][xl]
-    chi1 = 2 * np.asarray(lam1)[..., None] + (f.q - 1) // 2
-    return (_char_at(f, chi1, j[jl]) * w).sum(axis=-1)
+    w = ctx.phi.values()[f.sub(x, ax)][xl] * ctx.phi(j[jl])
+    return exponent_sweep(f, 2 * f.log_table[j[jl]], w)[np.mod(lam1, f.q - 1)]
 
 
 def null_locus_closed(ctx: MixedSumContext, nu1) -> np.ndarray:
     """(A4(a) + conj(A4)(a)) * sum over m of J(nu1 A4^m, phi), for an
     exponent array nu1."""
     f, e = ctx.field, ctx.A4.m
-    J = _jacobi_phi(f)
-    jsum = sum(J(np.add(nu1, k * e)) for k in range(4))
+    jsum = sum(jacobi(f, np.add(nu1, k * e), ctx.phi.m) for k in range(4))
     return (_char_at(f, e, ctx.a) + _char_at(f, -e, ctx.a)) * jsum
 
 
@@ -273,11 +265,9 @@ def cross_form_sum(ctx: MixedSumContext, lam1: MultChar, lam2: MultChar) -> comp
 
 def double_mellin_matrix(ctx: MixedSumContext) -> np.ndarray:
     """T(chi_m1, chi_m2) = sum over j, k != 0 of chi_m1(j) chi_m2(k) P(j, k),
-    for all pairs, via two character-matrix products."""
+    for all pairs, as one 2-D DFT over (log j, log k)."""
     f = ctx.field
-    C = char_matrix(f)
-    Pg = mixed_table(ctx)[np.ix_(f.exp_table, f.exp_table)]
-    return C @ Pg @ C.T
+    return dft(f, mixed_table(ctx)[np.ix_(f.exp_table, f.exp_table)], axes=(0, 1))
 
 
 def double_mellin_closed(ctx: MixedSumContext, nu1, nu2) -> np.ndarray:
@@ -297,16 +287,15 @@ def pair_coeffs(ctx: MixedSumContext, nu1) -> np.ndarray:
     form, on a last axis of length 4 after the shape of the exponent array
     nu1."""
     f = ctx.field
-    q, e = f.q, ctx.A4.m
+    q, e, h = f.q, ctx.A4.m, ctx.phi.m
     nu1 = np.asarray(nu1)
-    J = _jacobi_phi(f)
     d = np.mod(4 * nu1, q - 1) == 0
-    jsum = sum(J(nu1 + k * e) for k in range(4))
-    g_phi = _gauss(f, (q - 1) // 2)
+    jsum = sum(jacobi(f, nu1 + k * e, h) for k in range(4))
+    g_phi = _gauss(f, h)
     r0 = 4 * q - (2 * q - 2) * d
-    r1 = (q * jsum - d * (q - 1) * J(-e)) / g_phi
-    r3 = (q * jsum - d * (q - 1) * J(e)) / g_phi
-    r2 = sum(J(-nu1 - (k + 1) * e) * J(nu1 + k * e) for k in range(4))
+    r1 = (q * jsum - d * (q - 1) * jacobi(f, -e, h)) / g_phi
+    r3 = (q * jsum - d * (q - 1) * jacobi(f, e, h)) / g_phi
+    r2 = sum(jacobi(f, -nu1 - (k + 1) * e, h) * jacobi(f, nu1 + k * e, h) for k in range(4))
     return np.stack([r0, r1, r2, r3], axis=-1)
 
 
@@ -323,11 +312,9 @@ def pair_coeffs_gauss(ctx: MixedSumContext, nu1) -> np.ndarray:
 def inverse_mellin(field: FieldTable, spec, j) -> np.ndarray:
     """Reconstruct f(j) from the q-1 transform values spec[m] = F(chi_m) via
     orthogonality: (1/(q-1)) sum over m of conj(chi_m)(j) spec[m], for every
-    nonzero element index in the array j."""
+    nonzero element index in the array j.  That sum is the DFT of spec at
+    the log index -log j."""
     j = np.asarray(j)
     if np.any(j == 0):
         raise ZeroArgument("inverse transform is defined on F_q* only")
-    qm1 = field.q - 1
-    t = np.multiply.outer(-field.log_table[j], np.arange(qm1))
-    phases = unit_roots(field)[np.mod(t, qm1)]
-    return (phases * np.asarray(spec, dtype=complex)).sum(axis=-1) / qm1
+    return dft(field, spec)[np.mod(-field.log_table[j], field.q - 1)] / (field.q - 1)

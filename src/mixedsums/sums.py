@@ -2,9 +2,10 @@
 over F_q, the Hasse-Davenport product relation, and the quadratic
 2F1 transformation used throughout the verification suites.
 
-Gauss sums for all q-1 characters are computed once per field (a single
-(q-1)x(q-1) matrix product against the additive character on the group)
-and cached; every closed-form evaluation reads the cache.
+Gauss sums for all q-1 characters are computed once per field (one DFT
+of the additive character over the log index) and cached; every
+closed-form evaluation reads the cache.  Jacobi sums for all pairs of
+characters are one 2-D DFT of a log-index histogram, cached the same way.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import numpy as np
 
 from .gf import FieldError, FieldTable
-from .chars import MultChar, char_matrix, psi_table, unit_roots
+from .chars import MultChar, dft, psi_table, unit_roots
 
 DEFAULT_TOL = 1e-8
 
@@ -36,13 +37,7 @@ def agree(lhs: complex, rhs: complex, tol: float = DEFAULT_TOL) -> bool:
 
 def gauss_table(field: FieldTable) -> np.ndarray:
     """G(chi_m) for m = 0..q-2, cached per field."""
-    tab = field._cache.get("gauss")
-    if tab is None:
-        psi_on_group = psi_table(field)[field.exp_table]
-        tab = char_matrix(field) @ psi_on_group
-        tab.flags.writeable = False
-        field._cache["gauss"] = tab
-    return tab
+    return field.cached("gauss", lambda f: dft(f, psi_table(f)[f.exp_table]))
 
 
 def gauss(chi: MultChar) -> complex:
@@ -52,24 +47,29 @@ def gauss(chi: MultChar) -> complex:
 
 def jacobi(field: FieldTable, ma, mb) -> np.ndarray:
     """J(chi_ma, chi_mb) = sum over y not in {0, 1} of chi_ma(y) chi_mb(1-y),
-    elementwise over the broadcast exponent arrays ma and mb.
+    elementwise over the broadcast exponent arrays ma and mb, read from the
+    all-pairs table cached per field.
 
-    Each term is one read of the root table at ma log(y) + mb log(1-y), so
-    the sum never reads the Gauss sums it is checked against.
+    The table is the 2-D DFT of the histogram H[s, t] = #{y not in {0, 1} :
+    log y = s, log(1-y) = t}, so the sum never reads the Gauss sums it is
+    checked against.
     """
     qm1 = field.q - 1
-    y = np.arange(2, field.q)  # index 0 is the zero element, index 1 the one
-    ma = np.mod(ma, qm1)[..., None]
-    mb = np.mod(mb, qm1)[..., None]
-    t = np.mod(ma * field.log_table[y] + mb * field.log_table[field.sub(1, y)], qm1)
-    return unit_roots(field)[t].sum(axis=-1)
+    return field.cached("jacobi", _jacobi_table)[np.mod(ma, qm1), np.mod(mb, qm1)]
+
+
+def _jacobi_table(f: FieldTable) -> np.ndarray:
+    qm1 = f.q - 1
+    y = np.arange(2, f.q)  # index 0 is the zero element, index 1 the one
+    pairs = f.log_table[y] * qm1 + f.log_table[f.sub(1, y)]
+    return dft(f, np.bincount(pairs, minlength=qm1 * qm1).reshape(qm1, qm1), axes=(0, 1))
 
 
 def exponent_sweep(field: FieldTable, k, w) -> np.ndarray:
     """out[..., m] = sum over y of w[..., y] zeta^(m k[..., y]) for every m,
     zeta = exp(2 pi i/(q-1)): each row of w is histogrammed by k mod q-1
-    (one bincount per real and imaginary part) and the histograms are
-    multiplied by the symmetric character matrix C[t, m] = zeta^(t m)."""
+    (one bincount per real and imaginary part) and all histograms go
+    through one dft call."""
     qm1 = field.q - 1
     k, w = np.broadcast_arrays(np.mod(k, qm1), np.asarray(w, dtype=complex))
     lead = k.shape[:-1]
@@ -77,7 +77,7 @@ def exponent_sweep(field: FieldTable, k, w) -> np.ndarray:
     bins = (np.arange(rows)[:, None] * qm1 + k.reshape(rows, -1)).ravel()
     size = rows * qm1
     hist = np.bincount(bins, w.real.ravel(), size) + 1j * np.bincount(bins, w.imag.ravel(), size)
-    return (hist.reshape(rows, qm1) @ char_matrix(field)).reshape(lead + (qm1,))
+    return dft(field, hist.reshape(lead + (qm1,)))
 
 
 def hyp2f1(A: MultChar, B: MultChar, C: MultChar, x) -> complex:
@@ -140,7 +140,8 @@ def quad_transform(field: FieldTable, z) -> tuple[np.ndarray, np.ndarray]:
     lhs = hyp2f1_many(f, (1, 0), (1, e), (0, e), f.pow(z, 4))
     zm1 = f.sub(z, 1)
     ratio = f.mul(f.add(z, 1), f.inv_table[zm1])
-    dbar4 = char_matrix(f)[np.mod(-4 * f.log_table[zm1], f.q - 1)]
+    m = np.arange(f.q - 1)
+    dbar4 = unit_roots(f)[np.mod(np.outer(-4 * f.log_table[zm1], m), f.q - 1)]
     rhs = dbar4 * hyp2f1_many(f, (1, 0), (2, h), (1, h), f.neg(f.mul(ratio, ratio)))
     return lhs, rhs
 

@@ -15,7 +15,21 @@ from mixedsums import (
     special_chars,
     trivial_char,
 )
-from mixedsums.chars import psi_table
+from mixedsums.chars import char_matrix, dft, psi_table
+
+
+def test_dft_is_the_character_matrix_product(f13, f9):
+    # out[m] = sum over t of chi_m(g^t) h[t], on one axis or on two
+    rng = np.random.default_rng(0)
+    for f in (f13, f9):
+        qm1 = f.q - 1
+        C = char_matrix(f)
+        h = rng.standard_normal((3, qm1)) + 1j * rng.standard_normal((3, qm1))
+        assert np.allclose(dft(f, h), h @ C.T, atol=1e-12)
+        H = rng.standard_normal((qm1, qm1))
+        assert np.allclose(dft(f, H, axes=(0, 1)), C @ H @ C.T, atol=1e-11)
+        with pytest.raises(ValueError):
+            dft(f, np.ones(qm1 + 1))
 
 
 def test_zero_maps_to_zero(f13):

@@ -122,6 +122,25 @@ def test_internal_error_is_not_a_usage_error(monkeypatch):
         main(["verify", "--q", "5"])
 
 
+@pytest.mark.parametrize("argv, target", [
+    (["verify", "--q", "5", "--q", "3^2", "--a", "1"], "mixedsums.cli.run"),
+    (["table", "--q", "13", "--a", "1", "--object", "P"], "mixedsums.cli.mixed_table"),
+])
+def test_out_of_memory_exits_2(monkeypatch, capsys, argv, target):
+    # numpy reports a failed allocation as a MemoryError; the stand-in
+    # raises one without allocating anything
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 16.0 GiB for an array with shape (65520, 32761)")
+
+    monkeypatch.setattr(target, exhausted)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [err.strip()]
+    qs = ", ".join(argv[i + 1] for i, arg in enumerate(argv) if arg == "--q")
+    assert err.startswith(f"error: out of memory at q = {qs}: Unable to allocate")
+
+
 def test_huge_q_is_a_usage_error(capsys):
     # 3^10000 has more digits than Python converts to a string by default
     assert main(["verify", "--q", "3^10000"]) == 2

@@ -27,12 +27,20 @@ def test_config_validation():
 
 
 def test_report_layout_matches_manifest():
-    # The benchmark's frozen manifest fixes each row's check id, q, a,
+    # The benchmark's frozen manifests fix each row's check id, q, a,
     # instance count and tol, in run order.
-    manifest = Path(__file__).resolve().parents[1] / "perfbench/manifests/acceptance_sweep.json"
+    manifests = Path(__file__).resolve().parents[1] / "perfbench/manifests"
     qs = (5, 9, 13)
-    expected = [tuple(row) for row in json.loads(manifest.read_text()) if row[1] in qs]
+    rows = json.loads((manifests / "acceptance_sweep.json").read_text())
+    expected = [tuple(row) for row in rows if row[1] in qs]
     reports = run(SuiteConfig(fields=[(5, 1), (3, 2), (13, 1)], a_policy="sample"))
+    assert [(r.check_id, r.q, r.a, r.instances, r.tol) for r in reports] == expected
+    # one mid-size field at one a, which stands for the manifest's "seeded" a
+    a = 3
+    rows = json.loads((manifests / "mellin_q257.json").read_text())
+    expected = [(cid, q, a if ra == "seeded" else ra, n, tol) for cid, q, ra, n, tol in rows]
+    reports = run(SuiteConfig(fields=[(257, 1)], a_policy=[a],
+                              suites=("classical", "transforms", "mellin")))
     assert [(r.check_id, r.q, r.a, r.instances, r.tol) for r in reports] == expected
 
 

@@ -14,9 +14,30 @@ from mixedsums import (
 )
 from mixedsums import mellin as ml
 from mixedsums.mellin import FourthPowerTrivial
+from mixedsums.sums import exponent_sweep, hyp2f1_many
 import oracles
 from oracles import (chi_val, naive_double_mellin, naive_hyper_kernel, naive_mellin_p0,
                      naive_mellin_v)
+
+
+def test_direct_routes_never_read_gauss_sums(monkeypatch):
+    # a fresh field, so that the Jacobi table is built under the patch
+    f = build_field(17, 1)
+    ctx = make_context(f, 3)
+
+    def no_gauss(field):
+        raise AssertionError("a direct route read the Gauss sums")
+
+    monkeypatch.setattr("mixedsums.sums.gauss_table", no_gauss)
+    monkeypatch.setattr("mixedsums.mellin.gauss_table", no_gauss)
+    qm1 = f.q - 1
+    m = np.arange(qm1)
+    js = f.units()
+    assert jacobi(f, m[:, None], m).shape == (qm1, qm1)
+    assert exponent_sweep(f, m, np.ones(qm1)).shape == (qm1,)
+    assert hyp2f1_many(f, (1, 0), (1, qm1 // 4), (0, qm1 // 4), js).shape == (qm1, qm1)
+    assert ml.hyper_kernel_row(ctx, js).shape == (qm1, qm1)
+    assert ml.null_locus_sum(ctx, m).shape == (qm1,)
 
 
 def test_mellin_v_vanishes_off_fourth_powers(f13):
