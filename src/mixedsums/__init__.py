@@ -40,6 +40,7 @@ from .mixed import (
     MixedSumContext,
     ParameterOutOfRange,
     make_context,
+    mixed_block,
     mixed_sum,
     mixed_table,
     state_value,
@@ -56,7 +57,8 @@ __all__ = [
     "quadratic_char", "quartic_char", "special_chars", "trivial_char",
     "DEFAULT_TOL", "BadArgument", "agree", "gauss",
     "hasse_davenport_residual", "hyp2f1", "jacobi", "quad_transform_residual",
-    "MixedSumContext", "ParameterOutOfRange", "make_context", "mixed_sum", "mixed_table",
+    "MixedSumContext", "ParameterOutOfRange", "make_context", "mixed_block",
+    "mixed_sum", "mixed_table",
     "state_value", "state_vector",
     "CheckReport", "ConfigError", "SuiteConfig", "emit_report", "run",
     "mellin",

@@ -10,7 +10,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .gf import FieldTable, build_field
 from .chars import char_matrix, trivial_char, unit_roots
 from .sums import (
     DEFAULT_TOL,
+    exponent_sweep,
     gauss,
     gauss_table,
     hasse_davenport_residual,
@@ -26,7 +27,7 @@ from .sums import (
     jacobi,
     quad_transform,
 )
-from .mixed import MixedSumContext, make_context, mixed_table, state_vector
+from .mixed import MixedSumContext, make_context, mixed_block, state_vector
 from . import mellin as ml
 
 SUITES = ("classical", "transforms", "main", "mellin")
@@ -157,7 +158,7 @@ def run_classical(field: FieldTable, tol: float = DEFAULT_TOL) -> list[CheckRepo
         checks["jacobi_gauss_ratio"].compare_arrays(
             jacobi(field, ma, mb), G[ma] * G[mb] / G[(ma + mb) % (q - 1)])
     # row sums over x != 0 of chi_m(x), read through the log table
-    char_sums = unit_roots(field)[np.outer(m, field.log_table[1:]) % (q - 1)].sum(axis=1)
+    char_sums = exponent_sweep(field, field.log_table[1:], 1.0)
     expect = np.where(m == 0, q - 1.0, 0.0)
     checks["char_orthogonality"].compare_arrays(
         [char_sums, char_matrix(field).sum(axis=0)], expect)
@@ -189,29 +190,41 @@ def run_transforms(field: FieldTable, tol: float = DEFAULT_TOL) -> list[CheckRep
 def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL,
              branch_tol: float = 1e-12) -> list[CheckReport]:
     """The flagship identity P(j,k) = V(j)V(k) and its structural
-    symmetries, plus the square-root branch robustness check."""
+    symmetries, plus the square-root branch robustness check.
+
+    P is streamed in _blocks row blocks: each block of rows, its transposed
+    block of columns and its negated rows are read from the squares table
+    by their own slot computations, so no q x q array is ever held."""
     f = ctx.field
     q = f.q
-    P = mixed_table(ctx)
     V = state_vector(ctx)
-    j = f.units()
-    checks = Checks(f, ctx.a, tol)
-
-    checks["main_identity"].compare_arrays(P, np.outer(V, V))
-    corner = 2 + 2 * (gauss(ctx.A4) ** 2 / (q * ctx.A4(f.neg_table[ctx.a]))).real
-    checks["corner_value"].compare_arrays(P[0, 0], [corner, V[0] ** 2])
-    checks["zero_row_factorization"].compare_arrays(P[:, 0], V[0] * V)
-    checks["mixed_symmetry"].compare_arrays(P, P.T)
-    checks["negation_symmetry"].compare_arrays(P[f.neg_table[np.arange(q)], :],
-                                               ctx.phi(f.neg_table[1]) * P)
-    checks["quarter_turn"].compare_arrays(V[f.mul(j, ctx.i_elem)], V[j])
-    checks["imaginary_drift"].compare_arrays(P.imag, 0.0)
     flipped = make_context(f, ctx.a, conjugate_quartic=ctx.A4.m != (q - 1) // 4,
                            flip_tau=True)
     Vf = state_vector(flipped)
-    checks["tau_branch"] = Checker("tau_branch", f, ctx.a, branch_tol)
-    checks["tau_branch"].compare_arrays(Vf, -V)
-    checks["tau_branch"].compare_arrays(np.outer(Vf, Vf), np.outer(V, V))
+    jj = np.arange(q)
+    phi_neg_one = ctx.phi(f.neg_table[1])
+    checks = Checks(f, ctx.a, tol)
+    # created up front, so the report rows keep their order
+    main, corner, zero_row, symmetry, negation, quarter, drift = (
+        checks[c] for c in ("main_identity", "corner_value", "zero_row_factorization",
+                            "mixed_symmetry", "negation_symmetry", "quarter_turn",
+                            "imaginary_drift"))
+    branch = checks["tau_branch"] = Checker("tau_branch", f, ctx.a, branch_tol)
+    branch.compare_arrays(Vf, -V)
+
+    for jb in _blocks(jj, q):
+        P = mixed_block(ctx, jb, jj)
+        VV = np.outer(V[jb], V)
+        main.compare_arrays(P, VV)
+        zero_row.compare_arrays(P[:, 0], V[0] * V[jb])
+        symmetry.compare_arrays(P, mixed_block(ctx, jj, jb).T)
+        negation.compare_arrays(mixed_block(ctx, f.neg_table[jb], jj), phi_neg_one * P)
+        drift.compare_arrays(P.imag, 0.0)
+        branch.compare_arrays(np.outer(Vf[jb], Vf), VV)
+    expect = 2 + 2 * (gauss(ctx.A4) ** 2 / (q * ctx.A4(f.neg_table[ctx.a]))).real
+    corner.compare_arrays(mixed_block(ctx, [0], [0])[0, 0], [expect, V[0] ** 2])
+    j = f.units()
+    quarter.compare_arrays(V[f.mul(j, ctx.i_elem)], V[j])
     return checks.reports()
 
 
@@ -330,12 +343,13 @@ def _field_header(p: int, n: int) -> dict:
 
 
 def _json_row(r: CheckReport) -> dict:
-    """asdict(r), with a non-finite max_abs_err written as the string
-    "nan", "inf" or "-inf": strict JSON has no such numbers."""
-    row = asdict(r)
-    if not math.isfinite(r.max_abs_err):
-        row["max_abs_err"] = repr(float(r.max_abs_err))
-    return row
+    """asdict(r) without its deep copy, with a non-finite max_abs_err
+    written as the string "nan", "inf" or "-inf": strict JSON has no such
+    numbers."""
+    err = r.max_abs_err
+    return {"check_id": r.check_id, "q": r.q, "a": r.a, "instances": r.instances,
+            "max_abs_err": err if math.isfinite(err) else repr(float(err)),
+            "tol": r.tol, "passed": r.passed}
 
 
 def emit_report(reports: list[CheckReport], format: str, path: str,

@@ -94,38 +94,103 @@ def state_value(ctx: MixedSumContext, j) -> complex:
     return complex(state_vector(ctx)[int(j)])
 
 
-def mixed_table(ctx: MixedSumContext) -> np.ndarray:
-    """The full q x q table of P(j,k), cached.
+def _zech_table(field: FieldTable) -> np.ndarray:
+    """The Zech logarithms Z[d] = log(1 + g^d), d = 0..q-2, stored twice
+    over so that Z[lk - lj + q - 1] needs no reduction mod q-1; cached per
+    field.  1 + g^d = 0 at d = (q-1)/2, whose entry is the sentinel 2(q-1):
+    it lands past the end of _square_columns' periodic part, on a 0."""
+    def build(f):
+        z = f.log_table[f.add(1, f.exp_table)]
+        z[(f.q - 1) // 2] = 2 * (f.q - 1)
+        return np.tile(z, 2)
+    return field.cached("zech", build)
 
-    P(j,k) = delta(j,k) + phi(-1) delta(j,-k)
-             + G(phi)^{-1} F((j+k)^2, (j-k)^2),
+
+def _square_columns(field: FieldTable) -> np.ndarray:
+    """col[t] = 1 + (t mod (q-1)/2), the column of (g^t)^2 in the squares
+    table, for t < 2(q-1) (a sum of two logs); col[t] = 0, the column of 0,
+    for the q-1 entries after that, which the Zech sentinel reads.  Cached
+    per field."""
+    def build(f):
+        t = np.arange(2 * (f.q - 1))
+        return np.concatenate((1 + t % ((f.q - 1) // 2), np.zeros(f.q - 1, dtype=t.dtype)))
+    return field.cached("square_columns", build)
+
+
+def sum_square_slots(field: FieldTable, js, ks) -> np.ndarray:
+    """The squares-table column of (j+k)^2 for every j in js, k in ks, as a
+    (len(js), len(ks)) array.  For j, k != 0, j + k = g^lj (1 + g^(lk-lj)),
+    so log(j+k) = lj + Z[lk - lj] and the column is col[lj + Z[lk - lj]];
+    k = -j reads the Zech sentinel and gets column 0.  The row of j = 0 and
+    the column of k = 0 are the columns of k^2 and j^2."""
+    f = field
+    col = _square_columns(f)
+    js, ks = np.asarray(js), np.asarray(ks)
+    lj, lk = f.log_table[js], f.log_table[ks]
+    s = col[lj[:, None] + _zech_table(f)[(lk + (f.q - 1)) - lj[:, None]]]
+    s[js == 0, :] = np.where(ks == 0, 0, col[lk])
+    s[:, ks == 0] = np.where(js == 0, 0, col[lj])[:, None]
+    return s
+
+
+def squares_table(ctx: MixedSumContext) -> np.ndarray:
+    """P as a function of the pair of squares ((j+k)^2, (j-k)^2), cached
+    per context: S(u, v) = F(u, v) / G(phi) + delta(v, 0) + phi(-1) delta(u, 0).
+
     F(u, v) = sum_{x != 0} phi(a/x - x) psi(x u + (a/x) v).
     psi is additive, so psi(x u + (a/x) v) = psi(x u) psi((a/x) v) and F is
     one matrix product over x:
         F = (w[:, None] * psi[x u])^T @ psi[(a/x) v],   w(x) = phi(a/x - x).
-    P reads F only at pairs of squares, so u and v run over the (q+1)/2
-    squares of F_q: column 0 is 0 and column 1 + t is g^(2t).  The column
-    of j^2 is slot[j] = 1 + (log(j) mod (q-1)/2), and slot[0] = 0.
+    u and v run over the (q+1)/2 squares of F_q: column 0 is 0 and column
+    1 + t is g^(2t), so the column of j^2 is 1 + (log(j) mod (q-1)/2).
+    (j-k)^2 = 0 exactly when j = k and (j+k)^2 = 0 exactly when j = -k, so
+    the two delta terms of P are column 0 and row 0 of S.
     """
-    P = ctx._cache.get("mixed")
-    if P is None:
+    S = ctx._cache.get("squares")
+    if S is None:
         f = ctx.field
         x = f.units()
         ax = f.mul(ctx.a, f.inv_table[x])
         w = ctx.phi.values()[f.sub(ax, x)]
         psi = psi_table(f)
-        jj = np.arange(f.q)
         squares = np.concatenate(([0], f.exp_table[::2]))
-        slot = np.where(jj == 0, 0, 1 + f.log_table[jj] % ((f.q - 1) // 2))
         left = w[:, None] * psi[f.mul(x[:, None], squares[None, :])]
         right = psi[f.mul(ax[:, None], squares[None, :])]
-        F = left.T @ right
-        del left, right  # free before the q x q gather, which sets the peak memory
-        F /= gauss(ctx.phi)
-        u = slot[f.add(jj[:, None], jj[None, :])]  # column of (j+k)^2
-        P = F[u, u[:, f.neg_table]]                # (j-k)^2 = (j+(-k))^2
-        P[jj, jj] += 1.0
-        P[jj, f.neg_table[jj]] += ctx.phi(f.neg_table[1])
+        S = left.T @ right
+        S /= gauss(ctx.phi)
+        S[:, 0] += 1.0
+        S[0, :] += ctx.phi(f.neg_table[1])
+        S.flags.writeable = False
+        ctx._cache["squares"] = S
+    return S
+
+
+def mixed_block(ctx: MixedSumContext, js, ks) -> np.ndarray:
+    """P(j,k) for every j in js and k in ks, as a (len(js), len(ks)) array:
+    one gather from the squares table at the columns of (j+k)^2 and of
+    (j-k)^2 = (j+(-k))^2 (sum_square_slots).
+
+    P(j,k) = delta(j,k) + phi(-1) delta(j,-k)
+             + G(phi)^{-1} F((j+k)^2, (j-k)^2).
+    """
+    f = ctx.field
+    S = squares_table(ctx)
+    u = sum_square_slots(f, js, ks)
+    u *= S.shape[1]
+    u += sum_square_slots(f, js, f.neg_table[ks])
+    return S.ravel()[u]
+
+
+def mixed_table(ctx: MixedSumContext) -> np.ndarray:
+    """The full q x q table of P(j,k), cached: mixed_block over every row
+    and column, so each entry is one read of the squares table at columns
+    found through the Zech table.  The main suite streams row blocks of
+    mixed_block instead and never holds this table.
+    """
+    P = ctx._cache.get("mixed")
+    if P is None:
+        jj = np.arange(ctx.field.q)
+        P = mixed_block(ctx, jj, jj)
         P.flags.writeable = False
         ctx._cache["mixed"] = P
     return P

@@ -1,13 +1,18 @@
 import csv
 import json
 import math
+import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mixedsums import CheckReport, ConfigError, SuiteConfig, build_field, emit_report, run
-from mixedsums.harness import Checker, _factor_prime_power, resolve_a_values
+from mixedsums import (CheckReport, ConfigError, SuiteConfig, build_field, emit_report,
+                       make_context, run, state_vector)
+from mixedsums.harness import (Checker, _factor_prime_power, _json_row, resolve_a_values,
+                               run_main)
+from mixedsums.mixed import squares_table
 
 
 def test_config_validation():
@@ -42,6 +47,28 @@ def test_report_layout_matches_manifest():
     reports = run(SuiteConfig(fields=[(257, 1)], a_policy=[a],
                               suites=("classical", "transforms", "mellin")))
     assert [(r.check_id, r.q, r.a, r.instances, r.tol) for r in reports] == expected
+    rows = json.loads((manifests / "main_q625.json").read_text())
+    expected = [(cid, q, a if ra == "seeded" else ra, n, tol) for cid, q, ra, n, tol in rows]
+    reports = run(SuiteConfig(fields=[(5, 4)], a_policy=[a], suites=("main",)))
+    assert [(r.check_id, r.q, r.a, r.instances, r.tol) for r in reports] == expected
+    assert all(r.passed for r in reports)
+
+
+def test_main_suite_holds_no_q_by_q_array():
+    # P is streamed in row blocks: with V and the squares table already
+    # built, run_main allocates less than one q x q complex array.
+    f = build_field(5, 4)
+    ctx = make_context(f, 3)
+    state_vector(ctx)
+    squares_table(ctx)
+    tracemalloc.start()
+    try:
+        reports = run_main(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    assert peak < 16 * f.q**2
 
 
 def test_instances_are_counted_after_broadcasting(f5):
@@ -124,6 +151,15 @@ def test_emit_csv(tmp_path):
     # >= 15 significant digits survive the round trip
     assert float(rows[1][4]) == 1.2345678901234567e-11
     assert rows[2][6] == "false"
+
+
+def test_json_row_is_asdict():
+    finite = CheckReport("demo", 5, 1, 10, 1.25e-11, 1e-8, True)
+    assert _json_row(finite) == asdict(finite)
+    assert list(_json_row(finite)) == list(asdict(finite))
+    nan = CheckReport("demo", 5, None, 3, math.nan, 1e-8, False)
+    assert _json_row(nan) == {**asdict(nan), "max_abs_err": "nan"}
+    assert list(_json_row(nan)) == list(asdict(nan))
 
 
 def test_emit_empty_report(tmp_path):

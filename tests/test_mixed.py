@@ -9,12 +9,14 @@ from mixedsums import (
     build_field,
     gauss,
     make_context,
+    mixed_block,
     mixed_sum,
     mixed_table,
     quartic_char,
     state_value,
     state_vector,
 )
+from mixedsums.mixed import sum_square_slots
 from oracles import naive_mixed_sum, naive_state_value
 
 
@@ -140,3 +142,26 @@ def test_conjugate_quartic_context(f13):
         P = mixed_table(ctx)
         V = state_vector(ctx)
         assert np.abs(P - np.outer(V, V)).max() < 1e-10
+
+
+@pytest.mark.parametrize("pn", [(5, 1), (3, 2), (13, 1), (5, 2), (7, 2), (3, 4), (5, 3)])
+def test_zech_slots_match_field_addition(pn):
+    # the column of (j+k)^2 through the Zech table equals the column of the
+    # square of f.add(j, k), over the full grid
+    f = build_field(*pn)
+    jj = np.arange(f.q)
+    slot = np.where(jj == 0, 0, 1 + f.log_table % ((f.q - 1) // 2))
+    assert np.array_equal(sum_square_slots(f, jj, jj), slot[f.add(jj[:, None], jj)])
+
+
+@pytest.mark.parametrize("pn, a", [((13, 1), 2), ((5, 2), 3), ((3, 2), 8)])
+def test_mixed_block_matches_oracle(pn, a):
+    f = build_field(*pn)
+    ctx = make_context(f, a)
+    j = 2
+    js = [0, j, int(f.neg(j)), 1, 0]
+    for ks in ([int(f.neg(j)), 0, j, f.q - 1, 1], [j], [0]):
+        block = mixed_block(ctx, js, ks)
+        assert block.shape == (len(js), len(ks))
+        expect = [[naive_mixed_sum(f, a, x, y) for y in ks] for x in js]
+        assert np.abs(block - expect).max() < 1e-10
