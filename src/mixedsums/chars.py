@@ -36,6 +36,19 @@ def dft(field: FieldTable, h, axes=(-1,)) -> np.ndarray:
     return np.fft.ifftn(h, axes=axes, norm="forward")
 
 
+def convolve(field: FieldTable, h, k) -> np.ndarray:
+    """out[..., r] = sum over s of h[..., s] k[(r - s) mod (q-1)], the cyclic
+    convolution on the last axis (of length q-1), as one FFT product.  For
+    h and k indexed by the log index of x = g^s this is the sum over
+    x y = g^r of h(x) k(y), for every r at once."""
+    h, k = np.asarray(h), np.asarray(k)
+    if h.shape[-1] != field.q - 1 or k.shape[-1] != field.q - 1:
+        raise ValueError(f"convolve operands of shapes {h.shape} and {k.shape} "
+                         "do not end in an axis of length q-1")
+    out = np.fft.fft(h) * np.fft.fft(k)
+    return np.fft.ifft(out, out=out)
+
+
 def eval_add(field: FieldTable, y) -> complex:
     """psi(y), elementwise on indices."""
     return psi_table(field)[y]

@@ -216,6 +216,12 @@ class FieldTable:
         """Indices of all nonzero elements (1..q-1)."""
         return np.arange(1, self.q, dtype=np.int64)
 
+    def blocks(self, xs: np.ndarray):
+        """Consecutive slices of xs of at most max(1, 2**14 // q) entries, so
+        that each (len(block), q-1) table of a sweep stays near 2**14 values."""
+        step = max(1, 2**14 // self.q)
+        return (xs[i:i + step] for i in range(0, len(xs), step))
+
     def __repr__(self):
         return f"FieldTable(q={self.q}, p={self.p}, n={self.n}, g={self.g})"
 

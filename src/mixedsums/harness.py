@@ -130,13 +130,6 @@ class Checks(dict):
 # --- suites ---
 
 
-def _blocks(xs: np.ndarray, q: int):
-    """Consecutive slices of xs of at most max(1, 2**14 // q) entries, so
-    that each (len(block), q-1) table of a sweep stays near 2**14 values."""
-    step = max(1, 2**14 // q)
-    return (xs[i:i + step] for i in range(0, len(xs), step))
-
-
 def run_classical(field: FieldTable, tol: float = DEFAULT_TOL) -> list[CheckReport]:
     """Unit layer: textbook Gauss/Jacobi sum facts and character
     orthogonality, exhaustive over the character group."""
@@ -152,7 +145,7 @@ def run_classical(field: FieldTable, tol: float = DEFAULT_TOL) -> list[CheckRepo
     checks["gauss_norm"].compare_arrays(G[ms] * G[-ms], A_neg_one * q)
     checks["jacobi_conjugate"].compare_arrays(jacobi(field, ms, -ms), -A_neg_one)
     checks["jacobi_with_trivial"].compare_arrays(jacobi(field, 0, ms), -1.0)
-    for rows in _blocks(m, q):
+    for rows in field.blocks(m):
         ra, mb = np.nonzero((rows[:, None] + m) % (q - 1))  # every pair with ma + mb != 0
         ma = rows[ra]
         checks["jacobi_gauss_ratio"].compare_arrays(
@@ -177,7 +170,7 @@ def run_transforms(field: FieldTable, tol: float = DEFAULT_TOL) -> list[CheckRep
 
     checks["hasse_davenport"].compare_arrays(hasse_davenport_residual(field, m), 0.0)
     zs = np.array([z for z in range(1, q) if z not in (1, field.neg_table[1])])
-    for z in _blocks(zs, q):
+    for z in field.blocks(zs):
         checks["quad_transform"].compare_arrays(*quad_transform(field, z))
     ds = m[(m != 0) & (m != e) & (m != 3 * e)]
     dbar_four = unit_roots(field)[-ds * field.log_table[field.add(2, 2)] % qm1]
@@ -192,9 +185,10 @@ def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL,
     """The flagship identity P(j,k) = V(j)V(k) and its structural
     symmetries, plus the square-root branch robustness check.
 
-    P is streamed in _blocks row blocks: each block of rows, its transposed
-    block of columns and its negated rows are read from the squares table
-    by their own slot computations, so no q x q array is ever held."""
+    P is streamed in FieldTable.blocks row blocks: each block of rows, its
+    transposed block of columns and its negated rows are read from the
+    squares table by their own slot computations, so no q x q array is
+    ever held."""
     f = ctx.field
     q = f.q
     V = state_vector(ctx)
@@ -212,7 +206,7 @@ def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL,
     branch = checks["tau_branch"] = Checker("tau_branch", f, ctx.a, branch_tol)
     branch.compare_arrays(Vf, -V)
 
-    for jb in _blocks(jj, q):
+    for jb in f.blocks(jj):
         P = mixed_block(ctx, jb, jj)
         VV = np.outer(V[jb], V)
         main.compare_arrays(P, VV)
@@ -241,7 +235,7 @@ def run_mellin_field(field: FieldTable, tol: float = DEFAULT_TOL) -> list[CheckR
     checks["kummer_value"].compare_arrays(
         hyp2f1_many(field, (2, 0), (1, e), (1, -e), [field.neg_table[1]])[0, nus],
         ml.kummer_closed(ctx, nus))
-    for js in _blocks(field.units(), field.q):
+    for js in field.blocks(field.units()):
         checks["hyper_kernel"].compare_arrays(ml.hyper_kernel_row(ctx, js),
                                               ml.hyper_kernel_closed_row(ctx, js))
     return checks.reports()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .gf import FieldError, FieldTable, ZeroArgument
-from .chars import MultChar, psi_table, quadratic_char, quartic_char
+from .chars import MultChar, convolve, psi_table, quadratic_char, quartic_char
 from .sums import gauss
 
 
@@ -67,22 +67,19 @@ def state_vector(ctx: MixedSumContext) -> np.ndarray:
     V(j) = tau^{-1} * sum_{x != 0} A4(x) psi(x + a j^4 / x) for j != 0,
     and V(0) = G(A4)/tau + tau/G(A4).
 
-    psi is additive, so psi(x + c/x) = psi(x) psi(c/x) and the x-sum is one
-    matrix-vector product: tau V(j) = psi[c x^{-1}] @ (A4(x) psi(x)) with
-    c = a j^4.  It depends on j only through j^4 = g^(4t), t = log(j) mod
-    (q-1)/4, so the product runs over the (q-1)/4 fourth powers and is then
-    gathered back to j by t.
+    psi is additive, so psi(x + c/x) = psi(x) psi(c/x).  With x = g^s and
+    c = g^r the x-sum is the cyclic convolution over log x
+        K[r] = sum_s A4(g^s) psi(g^s) psi(g^(r-s)),
+    one FFT product for every c at once, and tau V(j) = K[log a + 4 log j].
     """
     v = ctx._cache.get("state")
     if v is None:
         f = ctx.field
-        x = f.units()
-        psi = psi_table(f)
-        coef = f.mul(ctx.a, f.exp_table[::4])  # a g^(4t)
-        kernel = psi[f.mul(coef[:, None], f.inv_table[x][None, :])]  # psi(c/x)
-        sums = kernel @ (ctx.A4.values()[x] * psi[x])
+        x = f.exp_table  # x = g^s
+        psi = psi_table(f)[x]
+        K = convolve(f, ctx.A4(x) * psi, psi)
         v = np.empty(f.q, dtype=complex)
-        v[1:] = sums[f.log_table[x] % ((f.q - 1) // 4)] / ctx.tau
+        v[1:] = K[(f.log_table[ctx.a] + 4 * f.log_table[1:]) % (f.q - 1)] / ctx.tau
         g4 = gauss(ctx.A4)
         v[0] = g4 / ctx.tau + ctx.tau / g4
         v.flags.writeable = False
@@ -138,25 +135,36 @@ def squares_table(ctx: MixedSumContext) -> np.ndarray:
     per context: S(u, v) = F(u, v) / G(phi) + delta(v, 0) + phi(-1) delta(u, 0).
 
     F(u, v) = sum_{x != 0} phi(a/x - x) psi(x u + (a/x) v).
-    psi is additive, so psi(x u + (a/x) v) = psi(x u) psi((a/x) v) and F is
-    one matrix product over x:
-        F = (w[:, None] * psi[x u])^T @ psi[(a/x) v],   w(x) = phi(a/x - x).
     u and v run over the (q+1)/2 squares of F_q: column 0 is 0 and column
     1 + t is g^(2t), so the column of j^2 is 1 + (log(j) mod (q-1)/2).
+    psi is additive, so with x = g^s, u = g^(2t) and v = g^r each row is
+    the cyclic convolution over log x
+        F(u, g^r) = sum_s [w(g^s) psi(g^(s+2t))] psi(a g^(r-s)),
+    w(x) = phi(a/x - x), read at even r; F(u, 0) is the plain sum of the
+    bracket, and the row u = 0 convolves w alone.  Rows are built in
+    FieldTable.blocks steps, so nothing but S grows as q^2.
     (j-k)^2 = 0 exactly when j = k and (j+k)^2 = 0 exactly when j = -k, so
     the two delta terms of P are column 0 and row 0 of S.
     """
     S = ctx._cache.get("squares")
     if S is None:
         f = ctx.field
-        x = f.units()
-        ax = f.mul(ctx.a, f.inv_table[x])
-        w = ctx.phi.values()[f.sub(ax, x)]
+        n = f.q - 1
+        half = n // 2
+        x = f.exp_table  # x = g^s
+        w = ctx.phi(f.sub(f.mul(ctx.a, f.inv_table[x]), x))
         psi = psi_table(f)
-        squares = np.concatenate(([0], f.exp_table[::2]))
-        left = w[:, None] * psi[f.mul(x[:, None], squares[None, :])]
-        right = psi[f.mul(ax[:, None], squares[None, :])]
-        S = left.T @ right
+        k = psi[f.mul(ctx.a, x)]  # psi(a g^s)
+        # psi(u x) over s is a window of psi(g^s) taken over two periods,
+        # starting at 2t for u = g^(2t); the window at 2n, all ones, is u = 0
+        psi_ux = np.concatenate((np.tile(psi[x], 2), np.ones(n)))
+        start = np.concatenate(([2 * n], 2 * np.arange(half)))  # row r of S
+        S = np.empty((half + 1, half + 1), dtype=complex)
+        for rows in f.blocks(np.arange(half + 1)):
+            h = psi_ux[start[rows, None] + np.arange(n)]
+            h *= w
+            S[rows, 0] = h.sum(axis=1)
+            S[rows, 1:] = convolve(f, h, k)[:, ::2]
         S /= gauss(ctx.phi)
         S[:, 0] += 1.0
         S[0, :] += ctx.phi(f.neg_table[1])

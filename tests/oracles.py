@@ -68,13 +68,19 @@ def naive_mixed_sum(f, a, j, k):
     return val
 
 
-def naive_state_value(f, a, tau, j):
-    quarter = (f.q - 1) // 4
+def naive_state_value(f, a, tau, j, quartic_m):
+    """V(j) for j != 0, with A4 = chi_quartic_m (either quartic character)."""
     total = 0.0
     aj4 = f.mul(a, f.pow(j, 4))
     for x in range(1, f.q):
-        total += chi_val(f, quarter, x) * psi_val(f, int(f.add(x, f.mul(aj4, f.inv(x)))))
+        total += chi_val(f, quartic_m, x) * psi_val(f, int(f.add(x, f.mul(aj4, f.inv(x)))))
     return total / tau
+
+
+def naive_convolve(h, k):
+    """out[r] = sum over s of h[s] k[(r - s) mod n], as a plain double loop."""
+    n = len(h)
+    return [sum(h[s] * k[(r - s) % n] for s in range(n)) for r in range(n)]
 
 
 def naive_mellin_v(f, V, m):

@@ -54,6 +54,16 @@ def test_report_layout_matches_manifest():
     assert all(r.passed for r in reports)
 
 
+def traced_peak(fn):
+    """The tracemalloc peak, in bytes, of one call of fn, and its result."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
 def test_main_suite_holds_no_q_by_q_array():
     # P is streamed in row blocks: with V and the squares table already
     # built, run_main allocates less than one q x q complex array.
@@ -61,14 +71,23 @@ def test_main_suite_holds_no_q_by_q_array():
     ctx = make_context(f, 3)
     state_vector(ctx)
     squares_table(ctx)
-    tracemalloc.start()
-    try:
-        reports = run_main(ctx)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, reports = traced_peak(lambda: run_main(ctx))
     assert all(r.passed for r in reports)
     assert peak < 16 * f.q**2
+
+
+def test_squares_table_build_holds_no_factor_matrix():
+    # Each row block of S is one cyclic convolution over log x, so the build
+    # holds little besides S itself.
+    peak, S = traced_peak(lambda: squares_table(make_context(build_field(5, 4), 3)))
+    assert peak < 2 * S.nbytes
+
+
+def test_state_vector_build_is_linear_in_q():
+    # V is one length-(q-1) convolution, so its build holds O(q) memory.
+    f = build_field(5, 4)
+    peak, _ = traced_peak(lambda: state_vector(make_context(f, 3)))
+    assert peak < 256 * f.q
 
 
 def test_instances_are_counted_after_broadcasting(f5):

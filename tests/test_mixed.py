@@ -77,9 +77,11 @@ def test_mixed_table_matches_oracle(pn, a):
 @pytest.mark.parametrize("pn, a", ORACLE_CASES)
 def test_state_vector_matches_oracle(pn, a):
     f = build_field(*pn)
-    ctx = make_context(f, a)
-    for j in range(1, f.q):
-        assert abs(state_value(ctx, j) - naive_state_value(f, a, ctx.tau, j)) < 1e-10
+    for ctx in (make_context(f, a), make_context(f, a, conjugate_quartic=True),
+                make_context(f, a, flip_tau=True)):
+        for j in range(1, f.q):
+            expect = naive_state_value(f, a, ctx.tau, j, ctx.A4.m)
+            assert abs(state_value(ctx, j) - expect) < 1e-10
 
 
 def test_corner_value(f13):

@@ -3,7 +3,8 @@ parameters a and integer exponent arrays, every closed form and the Jacobi
 sum return the broadcast shape of their exponent arguments, do not change
 when an exponent moves by q-1, and agree with the scalar oracles.  The
 all-character 2F1 table is checked the same way over its (slope, offset)
-parameters."""
+parameters, and the cyclic convolution over the log index against its
+literal double sum."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 import oracles  # noqa: E402
 from mixedsums import build_field, make_context  # noqa: E402
 from mixedsums import mellin as ml  # noqa: E402
+from mixedsums.chars import convolve  # noqa: E402
 from mixedsums.mellin import FourthPowerTrivial  # noqa: E402
 from mixedsums.sums import hyp2f1_many, jacobi  # noqa: E402
 
@@ -133,3 +135,25 @@ def test_hyp2f1_many_properties(data):
     for x, value in zip(xs, got[:, m]):
         expect = oracles.naive_hyp2f1(f, ma, mb, mc, int(x))
         assert abs(value - expect) <= 1e-9 * (1 + abs(expect))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_convolve_is_the_literal_cyclic_sum(data):
+    f = build_field(*data.draw(st.sampled_from(FIELDS)))
+    n = f.q - 1
+    rows = data.draw(st.integers(1, 3))
+    hshape, kshape = data.draw(st.sampled_from([((n,), (n,)), ((rows, n), (n,)),
+                                                ((n,), (rows, n)), ((rows, n), (rows, n))]))
+    values = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+    h = data.draw(hnp.arrays(np.complex128, hshape, elements=values))
+    k = data.draw(hnp.arrays(np.complex128, kshape, elements=values))
+    got = convolve(f, h, k)
+    hb, kb = np.broadcast_arrays(h, k)
+    assert got.shape == hb.shape
+    for idx in np.ndindex(hb.shape[:-1]):
+        expect = np.array(oracles.naive_convolve(list(hb[idx]), list(kb[idx])))
+        scale = 1 + np.abs(hb[idx]).sum() * np.abs(kb[idx]).max()
+        assert np.all(np.abs(got[idx] - expect) <= 1e-12 * scale)
+    with pytest.raises(ValueError):
+        convolve(f, h[..., 1:], k[..., 1:])
