@@ -25,15 +25,17 @@ def psi_table(field: FieldTable) -> np.ndarray:
     return field.cached("psi", lambda f: np.exp(2j * np.pi * f.trace_table / f.p))
 
 
-def dft(field: FieldTable, h, axes=(-1,)) -> np.ndarray:
+def dft(field: FieldTable, h, axes=(-1,), out=None) -> np.ndarray:
     """out[m] = sum over t of h[t] zeta^(t m), zeta = exp(2*pi*i/(q-1)), on
     each given axis (of length q-1).  For h indexed by the log index t of
     g^t this is the sum of chi_m h over F_q* for every chi_m; it is the one
-    place that fixes the sign and normalisation of such sums."""
+    place that fixes the sign and normalisation of such sums.  A complex
+    array of h's shape passed as out receives the result (out=h transforms
+    in place, with no second copy of h)."""
     h = np.asarray(h)
     if any(h.shape[ax] != field.q - 1 for ax in axes):
         raise ValueError(f"dft axes {axes} of shape {h.shape} are not of length q-1")
-    return np.fft.ifftn(h, axes=axes, norm="forward")
+    return np.fft.ifftn(h, axes=axes, norm="forward", out=out)
 
 
 def convolve(field: FieldTable, h, k) -> np.ndarray:

@@ -231,15 +231,19 @@ def hyper_kernel_closed_row(ctx: MixedSumContext, js) -> np.ndarray:
 def null_locus_sum(ctx: MixedSumContext, lam1) -> np.ndarray:
     """Sum of chi1(j) phi(x - a/x) over the zero locus of the cross form,
     where chi1 = lam1^2 phi, for an exponent array lam1.  The locus is
-    built once, and chi1(j) = zeta^(lam1 2 log j) phi(j), so one exponent
-    sweep covers every lam1."""
+    found once, in FieldTable.blocks rows of j, and chi1(j) =
+    zeta^(lam1 2 log j) phi(j), so one exponent sweep covers every lam1."""
     f = ctx.field
     x = f.units()
-    j = f.units()
     ax = f.mul(ctx.a, f.inv_table[x])
-    jl, xl = np.nonzero(cross_form(ctx, j[:, None], x[None, :]) == 0)
-    w = ctx.phi.values()[f.sub(x, ax)][xl] * ctx.phi(j[jl])
-    return exponent_sweep(f, 2 * f.log_table[j[jl]], w)[np.mod(lam1, f.q - 1)]
+    js, xs = [], []
+    for jb in f.blocks(f.units()):  # at most two x per j, so the locus is O(q)
+        jl, xl = np.nonzero(cross_form(ctx, jb[:, None], x) == 0)
+        js.append(jb[jl])
+        xs.append(xl)
+    j, xl = np.concatenate(js), np.concatenate(xs)
+    w = ctx.phi.values()[f.sub(x, ax)][xl] * ctx.phi(j)
+    return exponent_sweep(f, 2 * f.log_table[j], w)[np.mod(lam1, f.q - 1)]
 
 
 def null_locus_closed(ctx: MixedSumContext, nu1) -> np.ndarray:
@@ -265,9 +269,11 @@ def cross_form_sum(ctx: MixedSumContext, lam1: MultChar, lam2: MultChar) -> comp
 
 def double_mellin_matrix(ctx: MixedSumContext) -> np.ndarray:
     """T(chi_m1, chi_m2) = sum over j, k != 0 of chi_m1(j) chi_m2(k) P(j, k),
-    for all pairs, as one 2-D DFT over (log j, log k)."""
+    for all pairs, as one 2-D DFT over (log j, log k), run in place in the
+    gather of P in log order, so the step holds P and T only."""
     f = ctx.field
-    return dft(f, mixed_table(ctx)[np.ix_(f.exp_table, f.exp_table)], axes=(0, 1))
+    T = mixed_table(ctx)[np.ix_(f.exp_table, f.exp_table)]
+    return dft(f, T, axes=(0, 1), out=T)
 
 
 def double_mellin_closed(ctx: MixedSumContext, nu1, nu2) -> np.ndarray:

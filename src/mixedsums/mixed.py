@@ -190,15 +190,19 @@ def mixed_block(ctx: MixedSumContext, js, ks) -> np.ndarray:
 
 
 def mixed_table(ctx: MixedSumContext) -> np.ndarray:
-    """The full q x q table of P(j,k), cached: mixed_block over every row
-    and column, so each entry is one read of the squares table at columns
-    found through the Zech table.  The main suite streams row blocks of
+    """The full q x q table of P(j,k), cached: mixed_block over every
+    column, filled in FieldTable.blocks row blocks, so each entry is one
+    read of the squares table at columns found through the Zech table and
+    no q x q slot array is built.  The main suite streams row blocks of
     mixed_block instead and never holds this table.
     """
     P = ctx._cache.get("mixed")
     if P is None:
-        jj = np.arange(ctx.field.q)
-        P = mixed_block(ctx, jj, jj)
+        f = ctx.field
+        jj = np.arange(f.q)
+        P = np.empty((f.q, f.q), dtype=complex)
+        for jb in f.blocks(jj):
+            P[jb] = mixed_block(ctx, jb, jj)
         P.flags.writeable = False
         ctx._cache["mixed"] = P
     return P

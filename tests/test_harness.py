@@ -11,8 +11,9 @@ import pytest
 from mixedsums import (CheckReport, ConfigError, SuiteConfig, build_field, emit_report,
                        make_context, run, state_vector)
 from mixedsums.harness import (Checker, _factor_prime_power, _json_row, resolve_a_values,
-                               run_main)
-from mixedsums.mixed import squares_table
+                               run_main, run_mellin)
+from mixedsums.mellin import null_locus_sum
+from mixedsums.mixed import mixed_table, squares_table
 
 
 def test_config_validation():
@@ -88,6 +89,43 @@ def test_state_vector_build_is_linear_in_q():
     f = build_field(5, 4)
     peak, _ = traced_peak(lambda: state_vector(make_context(f, 3)))
     assert peak < 256 * f.q
+
+
+def test_mellin_suite_holds_only_p_and_t():
+    # T is built in place in the gather of P and checked in row blocks, so
+    # with the field tables warm and a cold context run_mellin holds P, T,
+    # the squares table and little else.
+    f = build_field(5, 4)
+    run_mellin(make_context(f, 1))  # builds the per-field tables
+    peak, reports = traced_peak(lambda: run_mellin(make_context(f, 3)))
+    assert all(r.passed for r in reports)
+    assert peak < 3 * 16 * f.q**2
+
+
+def test_mellin_suite_passes_over_several_row_blocks():
+    # at q = 169, T and its closed form are compared in several row blocks
+    f = build_field(13, 2)
+    for a in (1, f.g):
+        reports = {r.check_id: r for r in run_mellin(make_context(f, a))}
+        assert all(r.passed for r in reports.values())
+        assert reports["double_mellin"].instances == (f.q - 1) ** 2
+        assert reports["product_assembly"].instances == (f.q - 1) ** 2
+
+
+def test_null_locus_is_found_in_row_blocks():
+    # the cross form is tested on row blocks of j, with no (q-1)^2 digit arrays
+    f = build_field(5, 4)
+    ctx = make_context(f, 3)
+    peak, _ = traced_peak(lambda: null_locus_sum(ctx, np.arange(f.q - 1)))
+    assert peak < 16 * f.q**2
+
+
+def test_mixed_table_is_filled_in_row_blocks():
+    # with the squares table built, filling P holds no q x q slot array
+    ctx = make_context(build_field(5, 4), 3)
+    squares_table(ctx)
+    peak, P = traced_peak(lambda: mixed_table(ctx))
+    assert peak < 1.25 * P.nbytes
 
 
 def test_instances_are_counted_after_broadcasting(f5):

@@ -266,6 +266,17 @@ def test_null_locus_sum(f13):
                 assert abs(direct) < 1e-10
 
 
+def test_null_locus_sum_over_several_blocks():
+    # at q = 169 the locus is found in several row blocks of j
+    f = build_field(13, 2)
+    m = np.arange(f.q - 1)
+    for a in (1, f.g):
+        ctx = make_context(f, a)
+        chi1 = (2 * m + ctx.phi.m) % (f.q - 1)
+        expect = np.where(chi1 % 4 == 0, ml.null_locus_closed(ctx, chi1 // 4), 0.0)
+        assert np.abs(ml.null_locus_sum(ctx, m) - expect).max() < 1e-9
+
+
 def test_cross_form_sum_oracle_q5(f5):
     ctx = make_context(f5, 1)
     lam = MultChar(f5, 1)

@@ -156,6 +156,17 @@ def test_zech_slots_match_field_addition(pn):
     assert np.array_equal(sum_square_slots(f, jj, jj), slot[f.add(jj[:, None], jj)])
 
 
+def test_mixed_table_is_mixed_block_over_every_row():
+    # at q = 169 the table is filled in several row blocks
+    f = build_field(13, 2)
+    ctx = make_context(f, 3)
+    jj = np.arange(f.q)
+    P = mixed_table(ctx)
+    assert len(list(f.blocks(jj))) > 1
+    assert np.array_equal(P, mixed_block(ctx, jj, jj))
+    assert not P.flags.writeable
+
+
 @pytest.mark.parametrize("pn, a", [((13, 1), 2), ((5, 2), 3), ((3, 2), 8)])
 def test_mixed_block_matches_oracle(pn, a):
     f = build_field(*pn)

@@ -3,8 +3,8 @@ parameters a and integer exponent arrays, every closed form and the Jacobi
 sum return the broadcast shape of their exponent arguments, do not change
 when an exponent moves by q-1, and agree with the scalar oracles.  The
 all-character 2F1 table is checked the same way over its (slope, offset)
-parameters, and the cyclic convolution over the log index against its
-literal double sum."""
+parameters, the cyclic convolution over the log index against its
+literal double sum, and the in-place DFT against the DFT into a new array."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 import oracles  # noqa: E402
 from mixedsums import build_field, make_context  # noqa: E402
 from mixedsums import mellin as ml  # noqa: E402
-from mixedsums.chars import convolve  # noqa: E402
+from mixedsums.chars import convolve, dft  # noqa: E402
 from mixedsums.mellin import FourthPowerTrivial  # noqa: E402
 from mixedsums.sums import hyp2f1_many, jacobi  # noqa: E402
 
@@ -157,3 +157,18 @@ def test_convolve_is_the_literal_cyclic_sum(data):
         assert np.all(np.abs(got[idx] - expect) <= 1e-12 * scale)
     with pytest.raises(ValueError):
         convolve(f, h[..., 1:], k[..., 1:])
+
+
+@PROPERTY
+@given(data=st.data())
+def test_dft_out_is_the_dft_in_place(data):
+    f = build_field(*data.draw(st.sampled_from(FIELDS)))
+    n = f.q - 1
+    rows = data.draw(st.integers(1, 3))
+    shape, axes = data.draw(st.sampled_from([((n,), (-1,)), ((rows, n), (-1,)),
+                                             ((n, rows), (0,)), ((n, n), (0, 1))]))
+    values = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+    h = data.draw(hnp.arrays(np.complex128, shape, elements=values))
+    expect = dft(f, h.copy(), axes)
+    assert dft(f, h, axes, out=h) is h
+    assert np.array_equal(h, expect)
