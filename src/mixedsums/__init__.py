@@ -14,36 +14,14 @@ from .gf import (
     ZeroArgument,
     build_field,
 )
-from .chars import (
-    MultChar,
-    all_chars,
-    delta_char,
-    delta_kron,
-    eval_add,
-    octic_char,
-    quadratic_char,
-    quartic_char,
-    special_chars,
-    trivial_char,
-)
-from .sums import (
-    DEFAULT_TOL,
-    BadArgument,
-    agree,
-    gauss,
-    hasse_davenport_residual,
-    hyp2f1,
-    jacobi,
-    quad_transform_residual,
-)
+from .chars import MultChar, quadratic_char, quartic_char
+from .sums import DEFAULT_TOL, BadArgument, gauss, hasse_davenport_residual, jacobi
 from .mixed import (
     MixedSumContext,
     ParameterOutOfRange,
     make_context,
     mixed_block,
-    mixed_sum,
     mixed_table,
-    state_value,
     state_vector,
 )
 from .harness import CheckReport, ConfigError, SuiteConfig, emit_report, run
@@ -52,14 +30,10 @@ from . import mellin
 __all__ = [
     "FieldParams", "FieldTable", "FieldError", "NotPrime", "TooLarge",
     "WrongResidue", "ZeroArgument", "build_field",
-    "MultChar", "all_chars", "delta_char", "delta_kron",
-    "eval_add", "octic_char",
-    "quadratic_char", "quartic_char", "special_chars", "trivial_char",
-    "DEFAULT_TOL", "BadArgument", "agree", "gauss",
-    "hasse_davenport_residual", "hyp2f1", "jacobi", "quad_transform_residual",
+    "MultChar", "quadratic_char", "quartic_char",
+    "DEFAULT_TOL", "BadArgument", "gauss", "hasse_davenport_residual", "jacobi",
     "MixedSumContext", "ParameterOutOfRange", "make_context", "mixed_block",
-    "mixed_sum", "mixed_table",
-    "state_value", "state_vector",
+    "mixed_table", "state_vector",
     "CheckReport", "ConfigError", "SuiteConfig", "emit_report", "run",
     "mellin",
 ]

@@ -2,9 +2,10 @@
 additive character psi(y) = exp(2*pi*i*trace(y)/p).
 
 A multiplicative character chi_m sends g^t to exp(2*pi*i*m*t/(q-1)) and 0
-to 0 (every character, including the trivial one).  All values are read
-from one shared table of (q-1)-st roots of unity, so products of characters
-reduce to index addition and never accumulate phase error.
+to 0 (every character, including the trivial one), and is written as its
+integer exponent m: products, powers and conjugates of characters are sums,
+multiples and negatives of exponents.  All values are read from one shared
+table of (q-1)-st roots of unity, so they never accumulate phase error.
 """
 
 from __future__ import annotations
@@ -51,13 +52,9 @@ def convolve(field: FieldTable, h, k) -> np.ndarray:
     return np.fft.ifft(out, out=out)
 
 
-def eval_add(field: FieldTable, y) -> complex:
-    """psi(y), elementwise on indices."""
-    return psi_table(field)[y]
-
-
 class MultChar:
-    """Multiplicative character chi_m on F_q*, extended by chi(0) = 0."""
+    """The values of chi_m on F_q, with chi_m(0) = 0: an evaluator for the
+    exponent m, with no arithmetic of its own."""
 
     __slots__ = ("field", "m")
 
@@ -75,34 +72,8 @@ class MultChar:
         """Value vector over all q element indices."""
         return self(np.arange(self.field.q))
 
-    def __mul__(self, other: "MultChar") -> "MultChar":
-        return MultChar(self.field, self.m + other.m)
-
-    def __pow__(self, e: int) -> "MultChar":
-        return MultChar(self.field, self.m * e)
-
-    def conj(self) -> "MultChar":
-        return MultChar(self.field, -self.m)
-
-    def is_trivial(self) -> bool:
-        return self.m == 0
-
-    def __eq__(self, other):
-        return isinstance(other, MultChar) and self.field is other.field and self.m == other.m
-
-    def __hash__(self):
-        return hash((id(self.field), self.m))
-
     def __repr__(self):
         return f"chi_{self.m}"
-
-
-def all_chars(field: FieldTable) -> list[MultChar]:
-    return [MultChar(field, m) for m in range(field.q - 1)]
-
-
-def trivial_char(field: FieldTable) -> MultChar:
-    return MultChar(field, 0)
 
 
 def quadratic_char(field: FieldTable) -> MultChar:
@@ -111,29 +82,6 @@ def quadratic_char(field: FieldTable) -> MultChar:
 
 def quartic_char(field: FieldTable) -> MultChar:
     return MultChar(field, (field.q - 1) // 4)
-
-
-def octic_char(field: FieldTable) -> MultChar | None:
-    """The fixed octic character with square equal to the quartic one,
-    or None when 8 does not divide q-1."""
-    if (field.q - 1) % 8 != 0:
-        return None
-    return MultChar(field, (field.q - 1) // 8)
-
-
-def special_chars(field: FieldTable):
-    """(trivial, quadratic, quartic, octic-or-None)."""
-    return trivial_char(field), quadratic_char(field), quartic_char(field), octic_char(field)
-
-
-def delta_char(chi: MultChar) -> int:
-    """1 if chi is trivial, else 0."""
-    return 1 if chi.m == 0 else 0
-
-
-def delta_kron(j, k) -> int:
-    """Kronecker delta on element indices."""
-    return 1 if int(j) == int(k) else 0
 
 
 def char_matrix(field: FieldTable) -> np.ndarray:

@@ -13,7 +13,7 @@ import sys
 
 from .gf import FieldError, build_field
 from .mixed import make_context, mixed_table, state_vector
-from .harness import SUITES, ConfigError, SuiteConfig, _factor_prime_power, run
+from .harness import A_POLICIES, SUITES, ConfigError, SuiteConfig, _factor_prime_power, run
 from .sums import DEFAULT_TOL
 
 
@@ -33,7 +33,7 @@ def parse_q(text: str) -> tuple[int, int]:
 
 
 def _parse_a(text: str):
-    if text in ("all", "sample"):
+    if text in A_POLICIES:
         return text
     try:
         return [int(tok) for tok in text.split(",")]

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gf
 from .gf import FieldTable, build_field
-from .chars import char_matrix, trivial_char, unit_roots
+from .chars import char_matrix, unit_roots
 from .sums import (
     DEFAULT_TOL,
     exponent_sweep,
@@ -31,6 +31,8 @@ from .mixed import MixedSumContext, make_context, mixed_block, state_vector
 from . import mellin as ml
 
 SUITES = ("classical", "transforms", "main", "mellin")
+A_POLICIES = ("all", "sample")
+BRANCH_TOL = 1e-12  # tau_branch: flipping tau negates V exactly
 
 
 class ConfigError(ValueError):
@@ -40,7 +42,7 @@ class ConfigError(ValueError):
 @dataclass
 class SuiteConfig:
     fields: list[tuple[int, int]]
-    a_policy: str | list[int] = "all"  # "all" | "sample" | explicit index list
+    a_policy: str | list[int] = "all"  # one of A_POLICIES, or explicit indices
     suites: tuple[str, ...] = SUITES
     tol: float = DEFAULT_TOL
     out_path: str | None = None
@@ -57,6 +59,18 @@ class SuiteConfig:
                 raise ConfigError(f"unknown suite {s!r}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.format!r}")
+        if isinstance(self.a_policy, str):
+            if self.a_policy not in A_POLICIES:
+                raise ConfigError(f"unknown a policy {self.a_policy!r}")
+        else:  # on every field, before any suite runs
+            for p, n in self.fields:
+                if n >= gf.MAX_Q.bit_length():
+                    continue  # build_field rejects so large a field before it uses any a
+                bad = [a for a in self.a_policy if not 0 < a < p**n]
+                if bad:
+                    q = f"{p}^{n}" if n > 1 else p  # a huge p^n has too many digits to print
+                    raise ConfigError(f"a = {bad[0]} is not a nonzero element index "
+                                      f"for q = {q} (1 <= a < q)")
 
 
 @dataclass
@@ -140,7 +154,7 @@ def run_classical(field: FieldTable, tol: float = DEFAULT_TOL) -> list[CheckRepo
     A_neg_one = unit_roots(field)[ms * field.log_table[field.neg_table[1]] % (q - 1)]  # chi_m(-1)
     checks = Checks(field, None, tol)
 
-    checks["gauss_trivial"].compare_arrays(gauss(trivial_char(field)), -1.0)
+    checks["gauss_trivial"].compare_arrays(G[0], -1.0)
     checks["jacobi_trivial"].compare_arrays(jacobi(field, 0, 0), q - 2.0)
     checks["gauss_norm"].compare_arrays(G[ms] * G[-ms], A_neg_one * q)
     checks["jacobi_conjugate"].compare_arrays(jacobi(field, ms, -ms), -A_neg_one)
@@ -180,8 +194,7 @@ def run_transforms(field: FieldTable, tol: float = DEFAULT_TOL) -> list[CheckRep
     return checks.reports()
 
 
-def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL,
-             branch_tol: float = 1e-12) -> list[CheckReport]:
+def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckReport]:
     """The flagship identity P(j,k) = V(j)V(k) and its structural
     symmetries, plus the square-root branch robustness check.
 
@@ -203,7 +216,7 @@ def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL,
         checks[c] for c in ("main_identity", "corner_value", "zero_row_factorization",
                             "mixed_symmetry", "negation_symmetry", "quarter_turn",
                             "imaginary_drift"))
-    branch = checks["tau_branch"] = Checker("tau_branch", f, ctx.a, branch_tol)
+    branch = checks["tau_branch"] = Checker("tau_branch", f, ctx.a, BRANCH_TOL)
     branch.compare_arrays(Vf, -V)
 
     for jb in f.blocks(jj):
@@ -301,18 +314,14 @@ def run_mellin(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckRepo
 
 
 def resolve_a_values(field: FieldTable, a_policy) -> list[int]:
-    if isinstance(a_policy, str):
-        if a_policy == "all":
-            return [int(a) for a in field.units()]
-        if a_policy == "sample":
-            g = field.g
-            sample = [1, g, int(field.mul(g, g)), int(field.neg_table[1])]
-            return sorted(set(sample))
-        raise ConfigError(f"unknown a policy {a_policy!r}")
-    vals = [int(a) for a in a_policy]
-    if any(a <= 0 or a >= field.q for a in vals):
-        raise ConfigError("explicit a values must be nonzero field indices")
-    return list(dict.fromkeys(vals))  # each a once, in first-seen order
+    """The values of a that a_policy stands for.  SuiteConfig has already
+    checked the policy, and every explicit a against every field."""
+    if a_policy == "all":
+        return [int(a) for a in field.units()]
+    if a_policy == "sample":
+        g = field.g
+        return sorted({1, g, int(field.mul(g, g)), int(field.neg_table[1])})
+    return list(dict.fromkeys(int(a) for a in a_policy))  # each a once, in first-seen order
 
 
 def run(config: SuiteConfig) -> list[CheckReport]:

@@ -7,8 +7,10 @@ function evaluates Gauss-sum expressions from the per-field cache.  The
 verification suites compare the two routes, so the pairs are kept strictly
 independent of each other.
 
-The closed forms take characters as integer exponent arrays (m stands for
-chi_m, reduced mod q-1 at every index) and work elementwise over them.
+Characters enter as integer exponents (m stands for chi_m, reduced mod
+q-1), and the closed forms work elementwise over exponent arrays; only
+hyper_kernel_closed, the one-value view of hyper_kernel_closed_row, reads
+the exponent off a MultChar.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .gf import FieldError, FieldTable, ZeroArgument
 from .chars import MultChar, dft, unit_roots
 from .mixed import MixedSumContext, mixed_table, state_vector
-from .sums import exponent_sweep, gauss, gauss_table, hyp2f1_many, jacobi
+from .sums import exponent_sweep, gauss_table, hyp2f1_many, jacobi
 
 
 class FourthPowerTrivial(FieldError):
@@ -76,29 +78,31 @@ def mellin_v_closed(ctx: MixedSumContext, m) -> np.ndarray:
 
 
 def mellin_v_octic(ctx: MixedSumContext) -> complex:
-    """S(phi) written through the octic character, valid when 8 | q-1."""
+    """S(phi) written through the octic character chi_o, o = +-(q-1)/8 with
+    the sign that makes chi_o^2 the context's quartic character; valid when
+    8 | q-1."""
     f = ctx.field
     if (f.q - 1) % 8 != 0:
         raise FieldError("no octic character: 8 does not divide q-1")
-    A8 = MultChar(f, (f.q - 1) // 8)
-    if ctx.A4.m != (f.q - 1) // 4:
-        A8 = A8.conj()  # keep A8^2 equal to the context's quartic character
+    o = (f.q - 1) // 8
+    if ctx.A4.m != 2 * o:
+        o = -o
     a = ctx.a
     total = (
-        A8(a) * gauss(A8) * gauss(A8.conj())
-        + (A8**5)(a) * gauss(A8**3) * gauss((A8**3).conj())
-        + (A8**3)(a) * gauss(A8.conj()) * gauss((A8**3).conj())
-        + A8.conj()(a) * gauss(A8) * gauss(A8**3)
+        _char_at(f, o, a) * _gauss(f, o) * _gauss(f, -o)
+        + _char_at(f, 5 * o, a) * _gauss(f, 3 * o) * _gauss(f, -3 * o)
+        + _char_at(f, 3 * o, a) * _gauss(f, -o) * _gauss(f, -3 * o)
+        + _char_at(f, -o, a) * _gauss(f, o) * _gauss(f, 3 * o)
     )
-    return total / ctx.tau
+    return complex(total / ctx.tau)
 
 
-def v_moment_sum(ctx: MixedSumContext, lam: MultChar) -> complex:
-    """sum over x != 0 of A4(x) conj(lam)(x + a/x)."""
+def v_moment_sum(ctx: MixedSumContext, lam: int) -> complex:
+    """sum over x != 0 of A4(x) conj(lam)(x + a/x), lam = chi_lam."""
     f = ctx.field
     x = f.units()
     args = f.add(x, f.mul(ctx.a, f.inv_table[x]))
-    return complex(np.sum(ctx.A4.values()[x] * lam.conj().values()[args]))
+    return complex(np.sum(ctx.A4(x) * MultChar(f, -lam).values()[args]))
 
 
 # --- Mellin transform of P(j, 0) ---
@@ -141,25 +145,27 @@ def kummer_closed(ctx: MixedSumContext, nu) -> np.ndarray:
     return num / (f.q * _gauss(f, h) * _gauss(f, 2 * nu))
 
 
-def axis_sum(ctx: MixedSumContext, lam: MultChar) -> complex:
+def axis_sum(ctx: MixedSumContext, lam: int) -> complex:
     """Sum over the locus x + a/x = 0 of phi(x - a/x) times the full
-    character sum of lam*A4 plus lam*conj(A4) over F_q*."""
-    f = ctx.field
+    character sum of lam*A4 plus lam*conj(A4) over F_q*, lam = chi_lam."""
+    f, e = ctx.field, ctx.A4.m
     x = f.units()
     ax = f.mul(ctx.a, f.inv_table[x])
     on_axis = f.add(x, ax) == 0
     phi_vals = ctx.phi.values()[f.sub(x, ax)]
-    j_sum = np.sum((lam * ctx.A4).values()[x] + (lam * ctx.A4.conj()).values()[x])
+    j_sum = np.sum(_char_at(f, lam + e, x) + _char_at(f, lam - e, x))
     return complex(np.sum(phi_vals[on_axis]) * j_sum)
 
 
-def p0_locus_sum(ctx: MixedSumContext, lam: MultChar) -> complex:
-    """G(lam*A4) * sum over x != 0 of phi(x - a/x) conj(lam*A4)(x + a/x)."""
+def p0_locus_sum(ctx: MixedSumContext, lam: int) -> complex:
+    """G(lam*A4) * sum over x != 0 of phi(x - a/x) conj(lam*A4)(x + a/x),
+    lam = chi_lam."""
     f = ctx.field
+    mu = lam + ctx.A4.m  # lam*A4
     x = f.units()
     ax = f.mul(ctx.a, f.inv_table[x])
-    w = ctx.phi.values()[f.sub(x, ax)] * (lam * ctx.A4).conj().values()[f.add(x, ax)]
-    return complex(gauss(lam * ctx.A4) * np.sum(w))
+    w = ctx.phi.values()[f.sub(x, ax)] * MultChar(f, -mu).values()[f.add(x, ax)]
+    return complex(_gauss(f, mu) * np.sum(w))
 
 
 # --- double Mellin transform of P(j, k) ---
@@ -173,11 +179,6 @@ def cross_form(ctx: MixedSumContext, j, x):
     jp = f.add(j, 1)
     jm = f.sub(j, 1)
     return f.add(f.mul(x, f.mul(jp, jp)), f.mul(f.mul(ctx.a, f.mul(jm, jm)), f.inv_table[x]))
-
-
-def hyper_kernel(ctx: MixedSumContext, D: MultChar, j) -> complex:
-    """h(D, j) at one character D and one nonzero element index j."""
-    return complex(hyper_kernel_row(ctx, [int(j)])[0, D.m])
 
 
 def hyper_kernel_row(ctx: MixedSumContext, js) -> np.ndarray:
@@ -254,16 +255,16 @@ def null_locus_closed(ctx: MixedSumContext, nu1) -> np.ndarray:
     return (_char_at(f, e, ctx.a) + _char_at(f, -e, ctx.a)) * jsum
 
 
-def cross_form_sum(ctx: MixedSumContext, lam1: MultChar, lam2: MultChar) -> complex:
-    """Double sum of chi1(j) phi(x - a/x) conj(lam1 lam2)(alpha(j, x))."""
+def cross_form_sum(ctx: MixedSumContext, lam1: int, lam2: int) -> complex:
+    """Double sum of chi1(j) phi(x - a/x) conj(lam1 lam2)(alpha(j, x)),
+    chi1 = lam1^2 phi, lam1 = chi_lam1 and lam2 = chi_lam2."""
     f = ctx.field
-    chi1 = (lam1**2) * ctx.phi
     x = f.units()
     j = f.units()
     ax = f.mul(ctx.a, f.inv_table[x])
     alpha = cross_form(ctx, j[:, None], x[None, :])
-    vals = (lam1 * lam2).conj().values()[alpha]
-    w = chi1.values()[j][:, None] * ctx.phi.values()[f.sub(x, ax)][None, :]
+    vals = MultChar(f, -(lam1 + lam2)).values()[alpha]
+    w = _char_at(f, 2 * lam1 + ctx.phi.m, j)[:, None] * ctx.phi.values()[f.sub(x, ax)][None, :]
     return complex(np.sum(w * vals))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .gf import FieldError, FieldTable, ZeroArgument
-from .chars import MultChar, convolve, psi_table, quadratic_char, quartic_char
+from .chars import MultChar, convolve, psi_table, quadratic_char
 from .sums import gauss
 
 
@@ -50,10 +50,8 @@ def make_context(field: FieldTable, a: int, conjugate_quartic: bool = False,
         raise ZeroArgument("the parameter a must be nonzero")
     if not 1 <= a < field.q:
         raise ParameterOutOfRange(f"a = {a} is not an element index in 1..{field.q - 1}")
-    A4 = quartic_char(field)
-    if conjugate_quartic:
-        A4 = A4.conj()
     quarter = (field.q - 1) // 4
+    A4 = MultChar(field, -quarter if conjugate_quartic else quarter)
     k = ((A4.m * field.log_table[field.neg_table[a]]) % (field.q - 1)) // quarter
     tau = -np.sqrt(field.q) * np.exp(1j * np.pi * k / 4)
     if flip_tau:
@@ -85,10 +83,6 @@ def state_vector(ctx: MixedSumContext) -> np.ndarray:
         v.flags.writeable = False
         ctx._cache["state"] = v
     return v
-
-
-def state_value(ctx: MixedSumContext, j) -> complex:
-    return complex(state_vector(ctx)[int(j)])
 
 
 def _zech_table(field: FieldTable) -> np.ndarray:
@@ -207,6 +201,3 @@ def mixed_table(ctx: MixedSumContext) -> np.ndarray:
         ctx._cache["mixed"] = P
     return P
 
-
-def mixed_sum(ctx: MixedSumContext, j, k) -> complex:
-    return complex(mixed_table(ctx)[int(j), int(k)])

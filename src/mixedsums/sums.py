@@ -10,8 +10,6 @@ characters are one 2-D DFT of a log-index histogram, cached the same way.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .gf import FieldError, FieldTable
@@ -22,17 +20,6 @@ DEFAULT_TOL = 1e-8
 
 class BadArgument(FieldError):
     pass
-
-
-def residual(lhs: complex, rhs: complex) -> float:
-    return abs(lhs - rhs)
-
-
-def agree(lhs: complex, rhs: complex, tol: float = DEFAULT_TOL) -> bool:
-    """Mixed relative/absolute comparison: values range from O(1) to O(q^2).
-    A NaN or infinite difference never agrees."""
-    err = abs(lhs - rhs)
-    return math.isfinite(err) and err <= tol * (1.0 + max(abs(lhs), abs(rhs)))
 
 
 def gauss_table(field: FieldTable) -> np.ndarray:
@@ -78,11 +65,6 @@ def exponent_sweep(field: FieldTable, k, w) -> np.ndarray:
     size = rows * qm1
     hist = np.bincount(bins, w.real.ravel(), size) + 1j * np.bincount(bins, w.imag.ravel(), size)
     return dft(field, hist.reshape(lead + (qm1,)))
-
-
-def hyp2f1(A: MultChar, B: MultChar, C: MultChar, x) -> complex:
-    """Greene's hypergeometric 2F1 over F_q at the element index x."""
-    return complex(hyp2f1_many(A.field, (0, A.m), (0, B.m), (0, C.m), [int(x)])[0, 0])
 
 
 def hyp2f1_many(field: FieldTable, a, b, c, xs) -> np.ndarray:
@@ -145,8 +127,3 @@ def quad_transform(field: FieldTable, z) -> tuple[np.ndarray, np.ndarray]:
     rhs = dbar4 * hyp2f1_many(f, (1, 0), (2, h), (1, h), f.neg(f.mul(ratio, ratio)))
     return lhs, rhs
 
-
-def quad_transform_residual(D: MultChar, z) -> float:
-    """|lhs - rhs| of quad_transform at one character D and one z."""
-    lhs, rhs = quad_transform(D.field, [int(z)])
-    return residual(lhs[0, D.m], rhs[0, D.m])

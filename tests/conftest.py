@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from mixedsums import build_field
@@ -26,3 +27,12 @@ def f17():
 @pytest.fixture(scope="session")
 def f25():
     return build_field(5, 2)
+
+
+def assert_matches(got, expect):
+    """got has the shape of expect and matches it to within
+    1e-9 * (1 + |expect|) at every entry: stricter than the harness policy
+    at tol = 1e-8.  A NaN or inf never matches."""
+    got, expect = np.asarray(got), np.asarray(expect, dtype=complex)
+    assert got.shape == expect.shape
+    assert np.all(np.abs(got - expect) <= 1e-9 * (1 + np.abs(expect)))

@@ -8,11 +8,11 @@ to see them.
 
 import numpy as np
 
-from mixedsums import all_chars, build_field, gauss, hyp2f1, jacobi, make_context
+from mixedsums import build_field, gauss, jacobi, make_context
 from mixedsums import mellin as ml
-from mixedsums.chars import special_chars
 from mixedsums.mixed import mixed_table, state_vector
-from mixedsums.sums import hasse_davenport_residual, hyp2f1_many
+from mixedsums.sums import gauss_table, hasse_davenport_residual, hyp2f1_many
+from oracles import chi_val
 
 TOL = 1e-8
 
@@ -119,13 +119,14 @@ def test_criterion_04_mellin_p0_and_kummer():
     c = Criterion("criterion 4 (Mellin transform of P(.,0): direct = closed; Kummer value)")
     for p, n in FIELD_SPECS:
         f = field_for(p, n)
-        chars = all_chars(f)
+        qm1 = f.q - 1
         ref = ctx_for(f, 1)
-        for nu in chars:
-            if (nu**4).is_trivial():
-                continue
-            lhs = hyp2f1(nu**2, nu * ref.A4, nu * ref.A4.conj(), f.neg(1))
-            c.check(lhs, ml.kummer_closed(ref, nu.m))
+        e = ref.A4.m
+        # 2F1(nu^2, nu A4; nu conj(A4) | -1) for every nu = chi_m with nu^4 nontrivial
+        m = np.arange(qm1)
+        nus = m[4 * m % qm1 != 0]
+        lhs = hyp2f1_many(f, (2, 0), (1, e), (1, -e), [f.neg(1)])[0, nus]
+        c.check(lhs, ml.kummer_closed(ref, nus))
         for a in a_all(f):
             ctx = ctx_for(f, a)
             direct = ml.mellin_p0_all(ctx)
@@ -167,26 +168,29 @@ def test_criterion_07_transformation_layer():
                   "Gauss summation at 1)")
     for p, n in FIELD_SPECS:
         f = field_for(p, n)
-        eps, phi, A4, _ = special_chars(f)
-        m = np.arange(f.q - 1)
+        qm1 = f.q - 1
+        m = np.arange(qm1)
         c.check(hasse_davenport_residual(f, m), 0.0)
         neg_one = int(f.neg(1))
         zs = np.array([z for z in range(1, f.q) if z not in (1, neg_one)])
-        e, h = A4.m, phi.m
+        e, h = qm1 // 4, qm1 // 2  # the quartic and quadratic exponents
         lhs = hyp2f1_many(f, (1, 0), (1, e), (0, e), f.pow(zs, 4))
         ratio = f.mul(f.add(zs, 1), f.inv(f.sub(zs, 1)))
         arg = f.neg(f.mul(ratio, ratio))
-        dbar4 = np.array([[(D.conj() ** 4)(z) for D in all_chars(f)] for z in f.sub(zs, 1)])
+        # conj(D)^4(z - 1) for D = chi_d
+        dbar4 = np.array([[chi_val(f, -4 * d, int(z)) for d in m] for z in f.sub(zs, 1)])
         rhs = dbar4 * hyp2f1_many(f, (1, 0), (2, h), (1, h), arg)
         c.check(lhs, rhs)
-        four = f.add(2, 2)
-        quarter = (f.q - 1) // 4
-        for D in all_chars(f):
-            if D.m in (0, quarter, 3 * quarter):
+        # Gauss summation for D = chi_d away from the trivial and quartic characters:
+        # 2F1(D, D A4; A4 | 1) = conj(D)(4) G(conj(D)^2) / (G(conj(D)^2 phi) G(phi))
+        G = gauss_table(f)
+        four = int(f.add(2, 2))
+        at_one = hyp2f1_many(f, (1, 0), (1, e), (0, e), [1])[0]
+        for d in m:
+            if d in (0, e, 3 * e):
                 continue
-            Dbar2 = D.conj() ** 2
-            rhs = D.conj()(four) * gauss(Dbar2) / (gauss(Dbar2 * phi) * gauss(phi))
-            c.check(hyp2f1(D, D * A4, A4, 1), rhs)
+            rhs = chi_val(f, -d, four) * G[-2 * d % qm1] / (G[(h - 2 * d) % qm1] * G[h])
+            c.check(at_one[d], rhs)
     c.finish()
 
 
@@ -212,7 +216,6 @@ def test_criterion_09_branch_robustness():
                   "fourth-root shifts)")
     for p, n in FIELD_SPECS:
         f = field_for(p, n)
-        chars = all_chars(f)
         for a in a_all(f):
             ctx = ctx_for(f, a)
             V = state_vector(ctx)
@@ -232,11 +235,11 @@ def test_criterion_09_branch_robustness():
         # closed forms are invariant under nu -> nu * A4
         ctx = ctx_for(f, f.g)
         e = ctx.A4.m
-        for nu in chars:
-            c.check(ml.mellin_v_closed_root(ctx, nu.m),
-                    ml.mellin_v_closed_root(ctx, nu.m + e))
-            c.check(ml.mellin_p0_closed_root(ctx, nu.m),
-                    ml.mellin_p0_closed_root(ctx, nu.m + e))
+        for nu in range(f.q - 1):
+            c.check(ml.mellin_v_closed_root(ctx, nu),
+                    ml.mellin_v_closed_root(ctx, nu + e))
+            c.check(ml.mellin_p0_closed_root(ctx, nu),
+                    ml.mellin_p0_closed_root(ctx, nu + e))
         for m1 in range(0, f.q - 1, max(1, (f.q - 1) // 8)):
             for m2 in range(0, f.q - 1, max(1, (f.q - 1) // 8)):
                 c.check(ml.double_mellin_closed(ctx, m1, m2),
@@ -248,18 +251,19 @@ def test_criterion_10_classical_layer():
     c = Criterion("criterion 10 (classical Gauss/Jacobi sum facts, exhaustive)")
     for p, n in FIELD_SPECS:
         f = field_for(p, n)
-        chars = all_chars(f)
-        eps = chars[0]
+        qm1 = f.q - 1
+        G = gauss_table(f)
         neg_one = int(f.neg(1))
-        c.check(gauss(eps), -1.0)
-        c.check(jacobi(f, eps.m, eps.m), f.q - 2.0)
-        for A in chars[1:]:
-            c.check(gauss(A) * gauss(A.conj()), A(neg_one) * f.q)
-            c.check(jacobi(f, A.m, A.conj().m), -A(neg_one))
-            c.check(jacobi(f, eps.m, A.m), -1.0)
-        for A in chars:
-            for B in chars:
-                if (A * B).is_trivial():
+        c.check(G[0], -1.0)
+        c.check(jacobi(f, 0, 0), f.q - 2.0)
+        for ma in range(1, qm1):
+            a_neg_one = chi_val(f, ma, neg_one)
+            c.check(G[ma] * G[-ma], a_neg_one * f.q)
+            c.check(jacobi(f, ma, -ma), -a_neg_one)
+            c.check(jacobi(f, 0, ma), -1.0)
+        for ma in range(qm1):
+            for mb in range(qm1):
+                if (ma + mb) % qm1 == 0:
                     continue
-                c.check(jacobi(f, A.m, B.m), gauss(A) * gauss(B) / gauss(A * B))
+                c.check(jacobi(f, ma, mb), G[ma] * G[mb] / G[(ma + mb) % qm1])
     c.finish()

@@ -3,18 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
-from mixedsums import (
-    MultChar,
-    all_chars,
-    build_field,
-    delta_char,
-    delta_kron,
-    eval_add,
-    quadratic_char,
-    quartic_char,
-    special_chars,
-    trivial_char,
-)
+from mixedsums import MultChar, build_field, quadratic_char, quartic_char
 from mixedsums.chars import char_matrix, dft, psi_table
 
 
@@ -33,8 +22,8 @@ def test_dft_is_the_character_matrix_product(f13, f9):
 
 
 def test_zero_maps_to_zero(f13):
-    for chi in all_chars(f13):
-        assert chi(0) == 0
+    for m in range(f13.q - 1):
+        assert MultChar(f13, m)(0) == 0
 
 
 def test_quadratic_at_minus_one(f13, f9, f17):
@@ -53,10 +42,10 @@ def test_quartic_at_minus_four(f13, f17, f25):
 
 
 def test_additive_char(f5):
-    assert eval_add(f5, 0) == 1
-    assert abs(eval_add(f5, 1) - cmath.exp(2j * cmath.pi / 5)) < 1e-12
-    total = sum(eval_add(f5, y) for y in range(5))
-    assert abs(total) < 1e-12
+    psi = psi_table(f5)
+    assert psi[0] == 1
+    assert abs(psi[1] - cmath.exp(2j * cmath.pi / 5)) < 1e-12
+    assert abs(psi.sum()) < 1e-12
 
 
 @pytest.mark.parametrize("pn", [(3, 2), (5, 2), (7, 2)])
@@ -71,47 +60,38 @@ def test_additive_char_is_additive(pn):
 
 
 def test_special_chars_q13(f13):
-    eps, phi, A4, A8 = special_chars(f13)
-    assert (eps.m, phi.m, A4.m) == (0, 6, 3)
-    assert A8 is None  # 8 does not divide 12
+    assert (quadratic_char(f13).m, quartic_char(f13).m) == (6, 3)
+    assert (f13.q - 1) % 8 != 0  # no octic character
 
 
 def test_special_chars_q17(f17):
-    _, _, A4, A8 = special_chars(f17)
-    assert A8.m == 2
-    assert (A8 * A8) == A4
+    # the octic exponent (q-1)/8 = 2 squares to the quartic one
+    A8 = MultChar(f17, 2)
+    assert np.allclose(A8.values() ** 2, quartic_char(f17).values(), atol=1e-12)
 
 
 def test_quadratic_squares_to_trivial(f13, f9, f25):
     for f in (f13, f9, f25):
-        phi = quadratic_char(f)
-        assert (phi * phi).is_trivial()
-
-
-def test_deltas(f13):
-    assert delta_char(trivial_char(f13)) == 1
-    assert delta_char(quadratic_char(f13)) == 0
-    assert delta_kron(3, 3) == 1
-    assert delta_kron(3, 4) == 0
+        assert np.allclose(quadratic_char(f).values()[1:] ** 2, 1.0, atol=1e-12)
 
 
 def test_fourth_power_iff_value_one_at_i(f13, f17):
     for f in (f13, f17):
-        for chi in all_chars(f):
-            at_i = chi(f.i_elem)
-            assert (chi.m % 4 == 0) == (abs(at_i - 1) < 1e-12)
+        for m in range(f.q - 1):
+            at_i = MultChar(f, m)(f.i_elem)
+            assert (m % 4 == 0) == (abs(at_i - 1) < 1e-12)
 
 
 def test_orthogonality_over_elements(f13):
-    for chi in all_chars(f13):
-        total = np.sum(chi.values()[1:])
-        expect = 12.0 if chi.is_trivial() else 0.0
+    for m in range(f13.q - 1):
+        total = np.sum(MultChar(f13, m).values()[1:])
+        expect = 12.0 if m == 0 else 0.0
         assert abs(total - expect) < 1e-10
 
 
 def test_orthogonality_over_characters(f13):
     for x in range(1, 13):
-        total = sum(chi(x) for chi in all_chars(f13))
+        total = sum(MultChar(f13, m)(x) for m in range(f13.q - 1))
         expect = 12.0 if x == 1 else 0.0
         assert abs(total - expect) < 1e-10
 
@@ -124,12 +104,17 @@ def test_multiplicativity(f13):
 
 
 def test_unit_modulus(f25):
-    for chi in all_chars(f25):
-        assert np.all(np.abs(np.abs(chi.values()[1:]) - 1) < 1e-12)
+    for m in range(f25.q - 1):
+        assert np.all(np.abs(np.abs(MultChar(f25, m).values()[1:]) - 1) < 1e-12)
 
 
 def test_group_law_on_characters(f13):
-    a, b = MultChar(f13, 5), MultChar(f13, 9)
-    assert (a * b).m == 2
-    assert a.conj().m == 7
-    assert (a**3).m == 3
+    # the product, conjugate and power of characters are the sum, negative
+    # and multiple of their exponents, mod q-1
+    def chi(m):
+        return MultChar(f13, m).values()
+
+    assert np.allclose(chi(5) * chi(9), chi(2), atol=1e-12)
+    assert np.allclose(np.conj(chi(5)), chi(-5), atol=1e-12)
+    assert np.allclose(chi(5) ** 3, chi(3), atol=1e-12)
+    assert (MultChar(f13, -5).m, MultChar(f13, 15).m) == (7, 3)

@@ -88,6 +88,18 @@ def test_bad_a_exit_code(capsys, command, a):
     assert captured.out == ""
 
 
+def test_bad_explicit_a_exits_before_any_suite(monkeypatch, capsys):
+    # a = 100 is fine at q = 7^4 but not at q = 5: no suite of either field runs
+    def no_suite(*args):
+        raise AssertionError("a suite ran before the bad a was rejected")
+
+    monkeypatch.setattr("mixedsums.harness.run_main", no_suite)
+    assert main(["verify", "--q", "7^4", "--q", "5", "--a", "100", "--suite", "main"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a = 100 is not a nonzero element index for q = 5 (1 <= a < q)\n"
+
+
 def test_repeated_q_and_a_run_once(tmp_path, capsys):
     out = tmp_path / "r.json"
     code = main(["verify", "--q", "5", "--q", "5^1", "--a", "1,1", "--suite", "main",
@@ -167,7 +179,8 @@ def test_huge_plain_integer_q_is_rejected_before_factoring(command):
 
 BAD_INPUTS = (
     [["verify", "--a", "1", f"--q={q}"] for q in
-     ("abc", "3^0", "5^-1", "7", "12", "1", "0", "-5", "65537", "2^17", "4^1")]
+     ("abc", "3^0", "5^-1", "7", "12", "1", "0", "-5", "65537", "2^17", "4^1",
+      "3^100000000")]  # 3**100000000 alone takes minutes
     + [["verify", "--q", "5", "--a", "1", f"--tol={t}"] for t in ("nan", "-1", "inf")]
     + [["verify", "--q", "5", "--suite", "bogus"], ["verify", "--q", "5", "--format", "xml"]]
     + [["verify", "--q", "5", "--suite", "main", f"--a={a}"] for a in ("0", "x", ",", "1,,2")]

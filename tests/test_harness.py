@@ -26,6 +26,15 @@ def test_config_validation():
     for bad_tol in (math.nan, math.inf):
         with pytest.raises(ConfigError):
             SuiteConfig(fields=[(5, 1)], tol=bad_tol)
+    with pytest.raises(ConfigError, match="unknown a policy 'bogus'"):
+        SuiteConfig(fields=[(5, 1)], a_policy="bogus")
+    # every explicit a is checked against every field when the config is made
+    for a, q in ((0, "7\\^4"), (-1, "7\\^4"), (5, "5"), (100, "5")):
+        with pytest.raises(ConfigError, match=f"a = {a} .* q = {q} "):
+            SuiteConfig(fields=[(7, 4), (5, 1)], a_policy=[1, a])
+    with pytest.raises(ConfigError, match="a = 2401 .* q = 7\\^4 "):
+        SuiteConfig(fields=[(7, 4)], a_policy=[2401])
+    assert SuiteConfig(fields=[(7, 4), (5, 1)], a_policy=[4, 1]).a_policy == [4, 1]
     cfg = SuiteConfig(fields=[(5, 1)], suites=("all",))
     assert set(cfg.suites) == {"classical", "transforms", "main", "mellin"}
     assert SuiteConfig(fields=[(13, 1), (5, 1), (13, 1), (3, 2), (5, 1)]).fields == [
@@ -153,10 +162,6 @@ def test_resolve_a_values():
     assert set(sample) == {1, f.g, int(f.mul(f.g, f.g)), int(f.neg(1))}
     assert resolve_a_values(f, [3, 7]) == [3, 7]
     assert resolve_a_values(f, [7, 3, 7, 3]) == [7, 3]
-    with pytest.raises(ConfigError):
-        resolve_a_values(f, [0])
-    with pytest.raises(ConfigError):
-        resolve_a_values(f, "bogus")
 
 
 def test_full_run_small_field_passes():

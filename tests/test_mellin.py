@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import assert_matches
 from mixedsums import (
     MultChar,
     ZeroArgument,
-    all_chars,
     build_field,
-    gauss,
     jacobi,
     make_context,
     mixed_table,
@@ -14,7 +13,7 @@ from mixedsums import (
 )
 from mixedsums import mellin as ml
 from mixedsums.mellin import FourthPowerTrivial
-from mixedsums.sums import exponent_sweep, hyp2f1_many
+from mixedsums.sums import exponent_sweep, gauss_table, hyp2f1_many
 import oracles
 from oracles import (chi_val, naive_double_mellin, naive_hyper_kernel, naive_mellin_p0,
                      naive_mellin_v)
@@ -43,9 +42,9 @@ def test_direct_routes_never_read_gauss_sums(monkeypatch):
 def test_mellin_v_vanishes_off_fourth_powers(f13):
     for a in (1, 2):
         S = ml.mellin_v_all(make_context(f13, a))
-        for chi in all_chars(f13):
-            if chi.m % 4 != 0:
-                assert abs(S[chi.m]) < 1e-10
+        for m in range(f13.q - 1):
+            if m % 4 != 0:
+                assert abs(S[m]) < 1e-10
 
 
 def test_mellin_v_direct_equals_closed(f13, f9):
@@ -53,8 +52,8 @@ def test_mellin_v_direct_equals_closed(f13, f9):
         for a in (1, f.g):
             ctx = make_context(f, a)
             S = ml.mellin_v_all(ctx)
-            for chi in all_chars(f):
-                assert abs(S[chi.m] - ml.mellin_v_closed(ctx, chi.m)) < 1e-9
+            for m in range(f.q - 1):
+                assert abs(S[m] - ml.mellin_v_closed(ctx, m)) < 1e-9
 
 
 def test_mellin_v_trivial_char_is_plain_sum(f13):
@@ -63,12 +62,13 @@ def test_mellin_v_trivial_char_is_plain_sum(f13):
 
 
 def test_mellin_v_octic_form(f17):
-    for a in (1, 3, 5):
-        ctx = make_context(f17, a)
-        phi = ctx.phi
-        octic = ml.mellin_v_octic(ctx)
-        assert abs(octic - ml.mellin_v_closed(ctx, phi.m)) < 1e-9
-        assert abs(octic - ml.mellin_v_all(ctx)[phi.m]) < 1e-9
+    # with either quartic character, whose square root the octic one must follow
+    for a in range(1, f17.q):
+        for ctx in (make_context(f17, a), make_context(f17, a, conjugate_quartic=True)):
+            phi = ctx.phi.m
+            octic = ml.mellin_v_octic(ctx)
+            assert abs(octic - ml.mellin_v_closed(ctx, phi)) < 1e-9
+            assert abs(octic - ml.mellin_v_all(ctx)[phi]) < 1e-9
 
 
 @pytest.mark.parametrize("p, n", [(5, 1), (3, 2), (13, 1)])
@@ -90,20 +90,19 @@ def test_mellin_transforms_match_oracles(p, n):
 
 def test_mellin_v_closed_root_shift(f13):
     ctx = make_context(f13, 2)
-    for nu in all_chars(f13):
-        a_val = ml.mellin_v_closed_root(ctx, nu.m)
-        b_val = ml.mellin_v_closed_root(ctx, (nu * ctx.A4).m)
+    for nu in range(f13.q - 1):
+        a_val = ml.mellin_v_closed_root(ctx, nu)
+        b_val = ml.mellin_v_closed_root(ctx, nu + ctx.A4.m)  # nu A4
         assert abs(a_val - b_val) < 1e-10
 
 
 def test_v_moment_sum_oracle(f13):
     ctx = make_context(f13, 1)
-    lam = MultChar(f13, 1)
     total = 0.0
     for x in range(1, 13):
         arg = int(f13.add(x, f13.mul(1, f13.inv(x))))
         total += chi_val(f13, 3, x) * chi_val(f13, -1, arg)
-    assert abs(ml.v_moment_sum(ctx, lam) - total) < 1e-10
+    assert abs(ml.v_moment_sum(ctx, 1) - total) < 1e-10
 
 
 def test_v_moment_jacobi_form(f13):
@@ -111,14 +110,14 @@ def test_v_moment_jacobi_form(f13):
     # Y(lam) = conj(nu)(a) {A4(a) J(nu, nu conj(A4)) + conj(A4)(a) J(nu phi, nu A4)}
     for a in (1, 2, 5):
         ctx = make_context(f13, a)
-        A4, phi = ctx.A4, ctx.phi
-        for nu in all_chars(f13):
-            lam = (nu**2) * A4.conj()
-            if (lam**2).is_trivial():
+        e, h = ctx.A4.m, ctx.phi.m
+        for nu in range(f13.q - 1):
+            lam = 2 * nu - e
+            if 2 * lam % 12 == 0:
                 continue
-            rhs = nu.conj()(a) * (
-                A4(a) * jacobi(f13, nu.m, (nu * A4.conj()).m)
-                + A4.conj()(a) * jacobi(f13, (nu * phi).m, (nu * A4).m)
+            rhs = chi_val(f13, -nu, a) * (
+                chi_val(f13, e, a) * jacobi(f13, nu, nu - e)
+                + chi_val(f13, -e, a) * jacobi(f13, nu + h, nu + e)
             )
             assert abs(ml.v_moment_sum(ctx, lam) - rhs) < 1e-9
 
@@ -129,28 +128,24 @@ def test_mellin_p0_direct_equals_closed(f13):
         for a in a_list:
             ctx = make_context(f, a)
             T = ml.mellin_p0_all(ctx)
-            for chi in all_chars(f):
-                assert abs(T[chi.m] - ml.mellin_p0_closed(ctx, chi.m)) < 1e-9
+            for m in range(f.q - 1):
+                assert abs(T[m] - ml.mellin_p0_closed(ctx, m)) < 1e-9
 
 
 def test_mellin_p0_trivial_case(f13):
     ctx = make_context(f13, 4)
-    eps = MultChar(f13, 0)
     plain = mixed_table(ctx)[1:, 0].sum()
-    assert abs(ml.mellin_p0_closed(ctx, eps.m) - plain) < 1e-9
+    assert abs(ml.mellin_p0_closed(ctx, 0) - plain) < 1e-9
 
 
 def test_kummer_closed(f13, f9):
+    # 2F1(nu^2, nu A4; nu conj(A4) | -1) for every nu = chi_m, in one table
     for f, roots in ((f13, (1, 2)), (f9, (1,))):
         ctx = make_context(f, 1)
-        A4 = ctx.A4
+        e = ctx.A4.m
+        rhs = hyp2f1_many(f, (2, 0), (1, e), (1, -e), [f.neg(1)])
         for m in roots:
-            nu = MultChar(f, m)
-            lhs = ml.kummer_closed(ctx, m)
-            from mixedsums import hyp2f1
-
-            rhs = hyp2f1(nu**2, nu * A4, nu * A4.conj(), f.neg(1))
-            assert abs(lhs - rhs) < 1e-10
+            assert abs(ml.kummer_closed(ctx, m) - rhs[0, m]) < 1e-10
 
 
 def test_kummer_rejects_trivial_fourth_power(f13):
@@ -164,9 +159,9 @@ def test_axis_sum_closed_cases(f13):
     # (q-1)(A4(a) + conj(A4)(a))
     for a in range(1, 13):
         ctx = make_context(f13, a)
-        A4 = ctx.A4
-        for lam in (A4.conj(), MultChar(f13, 3)):
-            expect = 12 * (A4(a) + A4.conj()(a))
+        e = ctx.A4.m
+        for lam in (-e, 3):
+            expect = 12 * (chi_val(f13, e, a) + chi_val(f13, -e, a))
             assert abs(ml.axis_sum(ctx, lam) - expect) < 1e-9
 
 
@@ -176,21 +171,24 @@ def test_axis_sum_empty_locus(f13):
     for a in range(1, 13):
         ctx = make_context(f13, a)
         if abs(chi_val(f13, phi_m, int(f13.neg(a))) + 1) < 1e-9:
-            assert ml.axis_sum(ctx, MultChar(f13, 1)) == 0
+            assert ml.axis_sum(ctx, 1) == 0
 
 
 def test_p0_locus_sum_gauss_form(f13):
     # lam = chi_1: lam*A4 = nu^2 with nu = chi_2 and nu^4 nontrivial
+    def G(m):
+        return gauss_table(f13)[m % 12]
+
     for a in (1, 2, 5):
         ctx = make_context(f13, a)
-        A4, phi = ctx.A4, ctx.phi
-        nu = MultChar(f13, 2)
-        lam = (nu**2) * A4.conj()
-        pref = A4(f13.neg(1)) * gauss(phi) / 13
-        rhs = pref * gauss(nu * A4) * (nu.conj() * A4.conj())(a) * (
-            gauss(nu) * gauss(A4) + gauss(nu * phi) * gauss(A4.conj())
-        ) + pref * gauss(nu * A4.conj()) * (nu.conj() * A4)(a) * (
-            gauss(nu * phi) * gauss(A4) + gauss(nu) * gauss(A4.conj())
+        e, h = ctx.A4.m, ctx.phi.m
+        nu = 2
+        lam = 2 * nu - e
+        pref = chi_val(f13, e, int(f13.neg(1))) * G(h) / 13
+        rhs = pref * G(nu + e) * chi_val(f13, -nu - e, a) * (
+            G(nu) * G(e) + G(nu + h) * G(-e)
+        ) + pref * G(nu - e) * chi_val(f13, -nu + e, a) * (
+            G(nu + h) * G(e) + G(nu) * G(-e)
         )
         assert abs(ml.p0_locus_sum(ctx, lam) - rhs) < 1e-9
 
@@ -209,24 +207,24 @@ def test_cross_form(f5, f13):
 
 def test_hyper_kernel_special_values(f13):
     ctx = make_context(f13, 1)
-    eps = MultChar(f13, 0)
-    A4, phi = ctx.A4, ctx.phi
-    assert abs(ml.hyper_kernel_closed(ctx, eps, f13.i_elem) - (13 - 2)) < 1e-10
-    assert abs(ml.hyper_kernel_closed(ctx, A4, 1) - jacobi(f13, A4.m, phi.m)) < 1e-10
+    e, h = ctx.A4.m, ctx.phi.m
+    assert abs(ml.hyper_kernel_closed(ctx, MultChar(f13, 0), f13.i_elem) - (13 - 2)) < 1e-10
+    assert abs(ml.hyper_kernel_closed(ctx, MultChar(f13, e), 1) - jacobi(f13, e, h)) < 1e-10
     # the closed special values agree with the defining sum
-    for D in (eps, A4, A4.conj()):
+    for m in (0, e, -e % 12):
         for j in range(1, 13):
-            assert abs(ml.hyper_kernel(ctx, D, j) - ml.hyper_kernel_closed(ctx, D, j)) < 1e-9
+            direct = ml.hyper_kernel_row(ctx, [j])[0, m]
+            assert abs(direct - ml.hyper_kernel_closed(ctx, MultChar(f13, m), j)) < 1e-9
 
 
 def test_hyper_kernel_closed_everywhere(f13, f9):
     for f in (f13, f9):
         ctx = make_context(f, 1)
         js = f.units()
-        for D in all_chars(f):
-            direct = ml.hyper_kernel_row(ctx, js)[:, D.m]
-            closed = ml.hyper_kernel_closed_row(ctx, js)[:, D.m]
-            assert np.abs(direct - closed).max() < 1e-9
+        direct = ml.hyper_kernel_row(ctx, js)
+        closed = ml.hyper_kernel_closed_row(ctx, js)
+        for m in range(f.q - 1):
+            assert np.abs(direct[:, m] - closed[:, m]).max() < 1e-9
 
 
 def test_hyper_kernel_rows_match_oracle(f5, f9, f13):
@@ -247,7 +245,7 @@ def test_hyper_kernel_rows_match_oracle(f5, f9, f13):
 def test_hyper_kernel_rejects_zero(f13):
     ctx = make_context(f13, 1)
     with pytest.raises(ZeroArgument):
-        ml.hyper_kernel(ctx, MultChar(f13, 1), 0)
+        ml.hyper_kernel_closed(ctx, MultChar(f13, 1), 0)
     for row in (ml.hyper_kernel_row, ml.hyper_kernel_closed_row):
         with pytest.raises(ZeroArgument):
             row(ctx, np.array([2, 0, 3]))
@@ -257,11 +255,11 @@ def test_null_locus_sum(f13):
     g = f13.g
     for a in (1, g):
         ctx = make_context(f13, a)
-        for lam1 in all_chars(f13):
-            chi1 = (lam1**2) * ctx.phi
-            direct = ml.null_locus_sum(ctx, lam1.m)
-            if chi1.m % 4 == 0:
-                assert abs(direct - ml.null_locus_closed(ctx, chi1.m // 4)) < 1e-9
+        for lam1 in range(f13.q - 1):
+            chi1 = (2 * lam1 + ctx.phi.m) % 12  # lam1^2 phi
+            direct = ml.null_locus_sum(ctx, lam1)
+            if chi1 % 4 == 0:
+                assert abs(direct - ml.null_locus_closed(ctx, chi1 // 4)) < 1e-9
             else:
                 assert abs(direct) < 1e-10
 
@@ -279,8 +277,7 @@ def test_null_locus_sum_over_several_blocks():
 
 def test_cross_form_sum_oracle_q5(f5):
     ctx = make_context(f5, 1)
-    lam = MultChar(f5, 1)
-    chi1_m = (2 * 1 + 2) % 4  # lam^2 * phi
+    chi1_m = (2 * 1 + 2) % 4  # lam^2 * phi for lam = chi_1
     total = 0.0
     for j in range(1, 5):
         for x in range(1, 5):
@@ -291,27 +288,25 @@ def test_cross_form_sum_oracle_q5(f5):
                 * chi_val(f5, 2, int(f5.sub(x, ax)))
                 * chi_val(f5, -2, alpha)
             )
-    assert abs(ml.cross_form_sum(ctx, lam, lam) - total) < 1e-10
+    assert abs(ml.cross_form_sum(ctx, 1, 1) - total) < 1e-10
 
 
 def test_double_mellin_assembly_from_parts(f13):
     # G(phi)(T - (2q-2) delta) = delta (q-1) H + G(l1 l2) E(l1, l2)
     #                            + G(l1 l2 phi) E(l1, l2 phi)
+    # for lam1 = chi_m1, lam2 = chi_m2 and chi_i = lam_i^2 phi
     ctx = make_context(f13, 2)
-    phi = ctx.phi
-    g_phi = gauss(phi)
+    h = ctx.phi.m
+    G = gauss_table(f13)
     T_all = ml.double_mellin_matrix(ctx)
     for m1, m2 in [(0, 0), (1, 1), (2, 3), (5, 1), (3, 9)]:
-        lam1, lam2 = MultChar(f13, m1), MultChar(f13, m2)
-        chi1 = (lam1**2) * phi
-        chi2 = (lam2**2) * phi
-        d = 1 if ((lam1 * lam2) ** 2).is_trivial() else 0
-        T = T_all[chi1.m, chi2.m]
-        lhs = g_phi * (T - (2 * 13 - 2) * d)
+        d = 1 if 2 * (m1 + m2) % 12 == 0 else 0  # (lam1 lam2)^2 trivial
+        T = T_all[(2 * m1 + h) % 12, (2 * m2 + h) % 12]
+        lhs = G[h] * (T - (2 * 13 - 2) * d)
         rhs = (
             d * 12 * ml.null_locus_sum(ctx, m1)
-            + gauss(lam1 * lam2) * ml.cross_form_sum(ctx, lam1, lam2)
-            + gauss(lam1 * lam2 * phi) * ml.cross_form_sum(ctx, lam1, lam2 * phi)
+            + G[(m1 + m2) % 12] * ml.cross_form_sum(ctx, m1, m2)
+            + G[(m1 + m2 + h) % 12] * ml.cross_form_sum(ctx, m1, m2 + h)
         )
         assert abs(lhs - rhs) < 1e-8
 
@@ -366,15 +361,15 @@ def test_pair_coeffs(f13):
         ctx = make_context(f13, a)
         T = ml.double_mellin_matrix(ctx)
         A4a = ctx.A4(ctx.a)
-        for nu1 in all_chars(f13):
-            rj = ml.pair_coeffs(ctx, nu1.m)
-            rg = ml.pair_coeffs_gauss(ctx, nu1.m)
+        for nu1 in range(f13.q - 1):
+            rj = ml.pair_coeffs(ctx, nu1)
+            rg = ml.pair_coeffs_gauss(ctx, nu1)
             for x, y in zip(rj, rg):
                 assert abs(x - y) < 1e-8
-            if nu1.is_trivial():
+            if nu1 == 0:
                 assert abs(rj[0] - (2 * 13 + 2)) < 1e-10
             assembled = sum(rj[k] * A4a**k for k in range(4))
-            direct = T[(4 * nu1.m) % 12, (-4 * nu1.m) % 12]
+            direct = T[(4 * nu1) % 12, (-4 * nu1) % 12]
             assert abs(assembled - direct) < 1e-8
 
 
@@ -399,12 +394,6 @@ def closed_contexts(f):
     for a in dict.fromkeys((1, f.g, f.q - 1)):
         yield make_context(f, a)
     yield make_context(f, f.g, conjugate_quartic=True)
-
-
-def assert_matches(got, expect):
-    got, expect = np.asarray(got), np.asarray(expect, dtype=complex)
-    assert got.shape == expect.shape
-    assert np.all(np.abs(got - expect) <= 1e-9 * (1 + np.abs(expect)))
 
 
 @pytest.mark.parametrize("p, n", [(5, 1), (3, 2), (13, 1), (17, 1)])

@@ -4,7 +4,8 @@ sum return the broadcast shape of their exponent arguments, do not change
 when an exponent moves by q-1, and agree with the scalar oracles.  The
 all-character 2F1 table is checked the same way over its (slope, offset)
 parameters, the cyclic convolution over the log index against its
-literal double sum, and the in-place DFT against the DFT into a new array."""
+literal double sum, the in-place DFT against the DFT into a new array, and
+the character evaluator MultChar against the scalar chi_val."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 import oracles  # noqa: E402
-from mixedsums import build_field, make_context  # noqa: E402
+from mixedsums import MultChar, build_field, make_context  # noqa: E402
 from mixedsums import mellin as ml  # noqa: E402
 from mixedsums.chars import convolve, dft  # noqa: E402
 from mixedsums.mellin import FourthPowerTrivial  # noqa: E402
@@ -172,3 +173,19 @@ def test_dft_out_is_the_dft_in_place(data):
     expect = dft(f, h.copy(), axes)
     assert dft(f, h, axes, out=h) is h
     assert np.array_equal(h, expect)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_multchar_evaluates_chi_m(data):
+    f = build_field(*data.draw(st.sampled_from(FIELDS)))
+    qm1 = f.q - 1
+    m = data.draw(st.integers(-3 * qm1, 3 * qm1))
+    xs = data.draw(hnp.arrays(np.int64, st.integers(1, 5), elements=st.integers(0, f.q - 1)))
+    chi = MultChar(f, m)
+    assert chi.m == m % qm1
+    got = chi(xs)
+    assert got.shape == xs.shape
+    assert np.array_equal(chi.values()[xs], got)
+    assert all(abs(v - oracles.chi_val(f, m, int(x))) <= 1e-12 for x, v in zip(xs, got))
+    assert chi(0) == 0
