@@ -226,33 +226,40 @@ class FieldTable:
         return f"FieldTable(q={self.q}, p={self.p}, n={self.n}, g={self.g})"
 
 
-def _digits_of(index: int, p: int, n: int) -> list[int]:
-    return [(index // p**i) % p for i in range(n)]
-
-
-def _index_of(digits: list[int], p: int) -> int:
-    return sum(c * p**i for i, c in enumerate(digits))
-
-
-def _mul_digits(u: list[int], v: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
+def _digit_product(modulus: tuple[int, ...], p: int):
+    """The product of F_p[x]/(modulus) on digit arrays of shape (..., n),
+    batched over the leading axes: the digits of u*v are
+    sum over i, j of u_i v_j R[i+j] mod p, where R[k] holds the digits of
+    x^k mod the modulus, k = 0..2n-2."""
     n = len(modulus) - 1
-    prod = [0] * (2 * n - 1)
-    for i, ci in enumerate(u):
-        if ci:
-            for j, cj in enumerate(v):
-                prod[i + j] = (prod[i + j] + ci * cj) % p
-    # reduce high coefficients using x^n = -(modulus minus lead)
-    for i in range(2 * n - 2, n - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for k in range(n):
-                prod[i - n + k] = (prod[i - n + k] - c * modulus[k]) % p
-    return prod[:n]
+    low = np.array(modulus[:n], dtype=np.int64)
+    R = np.zeros((2 * n - 1, n), dtype=np.int64)
+    R[:n] = np.eye(n, dtype=np.int64)
+    for k in range(n, 2 * n - 1):  # x^k = x * x^(k-1), with x^n = -low
+        R[k, 1:] = R[k - 1, :-1]
+        R[k] = (R[k] - R[k - 1, -1] * low) % p
+    M = R[np.add.outer(np.arange(n), np.arange(n))].reshape(n * n, n)
+
+    def mul(u, v):
+        uv = u[..., :, None] * v[..., None, :]
+        return uv.reshape(uv.shape[:-2] + (n * n,)) @ M % p
+
+    return mul
+
+
+# candidates per batch of the generator search: under MAX_Q the smallest
+# generator is below 64 for n = 1 and below p + 64 for n > 1 (indices below
+# p lie in F_p and never generate)
+_GENERATOR_CHUNK = 64
 
 
 def build_field(p: int, n: int) -> FieldTable:
-    """Construct F_{p^n} deterministically for p^n == 1 (mod 4), p^n <= 2^16."""
+    """Construct F_{p^n} deterministically for p^n == 1 (mod 4), p^n <= 2^16.
+
+    g is the smallest index of full order: a batch of candidates x is
+    raised to every cofactor (q-1)/r, r a prime factor of q-1, by
+    square-and-multiply on digit arrays. exp_table is built by doubling:
+    g^k * (g^0 .. g^(k-1)) is one batched product."""
     if n < 1:
         raise FieldError("extension degree must be positive")
     # size first (p >= 2, so n bounds q before p**n is formed): a huge p stalls is_prime
@@ -266,34 +273,33 @@ def build_field(p: int, n: int) -> FieldTable:
 
     modulus = smallest_irreducible(p, n)
     params = FieldParams(p=p, n=n, q=q, modulus=modulus)
-
-    def mul_idx(x: int, y: int) -> int:
-        return _index_of(_mul_digits(_digits_of(x, p, n), _digits_of(y, p, n), modulus, p), p)
-
-    def pow_idx(x: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = mul_idx(r, x)
-            x = mul_idx(x, x)
-            e >>= 1
-        return r
+    mul = _digit_product(modulus, p)
+    ppow = p ** np.arange(n, dtype=np.int64)
+    one = np.zeros(n, dtype=np.int64)
+    one[0] = 1
 
     cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
-    g = None
-    for cand in range(2, q):
-        if all(pow_idx(cand, c) != 1 for c in cofactors):
-            g = cand
+    for start in range(2, q, _GENERATOR_CHUNK):
+        cand = np.arange(start, min(start + _GENERATOR_CHUNK, q))
+        full_order = np.ones(len(cand), dtype=bool)
+        for c in cofactors:  # cand^c by square-and-multiply
+            x, r = (cand[:, None] // ppow) % p, one
+            while c:
+                if c & 1:
+                    r = mul(r, x)
+                x, c = mul(x, x), c >> 1
+            full_order &= np.any(r != one, axis=-1)
+        if full_order.any():
+            g = int(cand[np.argmax(full_order)])
             break
-    if g is None:
+    else:
         raise FieldError("no generator found; modulus not irreducible?")  # unreachable
 
-    exp_table = np.empty(q - 1, dtype=np.int64)
-    cur = 1
-    for t in range(q - 1):
-        exp_table[t] = cur
-        cur = mul_idx(cur, g)
-    if cur != 1:
-        raise FieldError("generator order mismatch")  # unreachable
-
-    return FieldTable(params, g, exp_table)
+    powers = np.empty((q - 1, n), dtype=np.int64)
+    powers[0] = one
+    gk, k = (g // ppow) % p, 1  # gk = g^k
+    while k < q - 1:
+        m = min(k, q - 1 - k)
+        powers[k:k + m] = mul(powers[:m], gk)
+        gk, k = mul(gk, gk), 2 * k
+    return FieldTable(params, g, powers @ ppow)

@@ -32,7 +32,7 @@ from . import mellin as ml
 
 SUITES = ("classical", "transforms", "main", "mellin")
 A_POLICIES = ("all", "sample")
-BRANCH_TOL = 1e-12  # tau_branch: flipping tau negates V exactly
+BRANCH_TOL = 1e-12  # tau_branch: V from either quartic character factors P
 
 
 class ConfigError(ValueError):
@@ -84,38 +84,66 @@ class CheckReport:
     passed: bool
 
 
+class Scratch:
+    """The work arrays of Checker.compare_arrays, shared by the checkers of
+    one suite call: a complex difference, its absolute value and a mask,
+    grown to the largest comparison seen and reused as views after that."""
+
+    DTYPES = (complex, float, bool)
+
+    def __init__(self):
+        self.diff, self.err, self.mask = (np.empty(0, dtype=t) for t in self.DTYPES)
+
+    def arrays(self, shape):
+        """(diff, err, mask) views of the given shape."""
+        n = math.prod(shape)
+        if n > self.diff.size:
+            self.diff, self.err, self.mask = (np.empty(n, dtype=t) for t in self.DTYPES)
+        return (a[:n].reshape(shape) for a in (self.diff, self.err, self.mask))
+
+
 class Checker:
     """Folds comparisons of whole arrays into one CheckReport."""
 
-    def __init__(self, check_id: str, field: FieldTable, a: int | None, tol: float):
+    def __init__(self, check_id: str, field: FieldTable, a: int | None, tol: float,
+                 scratch: Scratch | None = None):
         self.check_id = check_id
         self.q = field.q
         self.a = a
         self.tol = tol
+        self.scratch = Scratch() if scratch is None else scratch
         self.instances = 0
         self.max_abs_err = 0.0
         self.passed = True
 
     def compare_arrays(self, lhs, rhs):
         """Compare lhs with rhs elementwise after broadcasting them to one
-        shape. A NaN error is kept once seen, and a non-finite error always
-        fails."""
-        lhs, rhs = np.broadcast_arrays(np.atleast_1d(np.asarray(lhs, dtype=complex)),
-                                       np.atleast_1d(np.asarray(rhs, dtype=complex)))
-        self.instances += lhs.size
-        if not lhs.size:
+        shape, with |lhs - rhs| <= tol * (1 + max(|lhs|, |rhs|)) at every
+        entry. A NaN error is kept once seen, and a non-finite error always
+        fails. Every temporary of the size of the comparison is a view of
+        the scratch arrays."""
+        lhs, rhs = np.asarray(lhs), np.asarray(rhs)
+        shape = np.broadcast(lhs, rhs).shape or (1,)
+        diff, err, mask = self.scratch.arrays(shape)
+        self.instances += diff.size
+        if not diff.size:
             return
-        err = np.abs(lhs - rhs)
-        # tol * (1 + max(|lhs|, |rhs|)) in place: a q x q temporary is 3 MB at q=625
-        bound = np.abs(lhs)
-        np.maximum(bound, np.abs(rhs), out=bound)
-        bound += 1.0
-        bound *= self.tol
+        np.subtract(lhs, rhs, out=diff)
+        np.abs(diff, out=err)
         # max propagates NaN, so a finite max means every error is finite
         worst = float(err.max())
         if worst > self.max_abs_err or math.isnan(worst):
             self.max_abs_err = worst
-        if not (math.isfinite(worst) and np.all(err <= bound)):
+        if not math.isfinite(worst):
+            self.passed = False
+            return
+        # diff is spent: its memory holds the bound and |rhs|
+        bound, abs_rhs = diff.reshape(-1).view(float).reshape((2,) + shape)
+        np.abs(lhs, out=bound)
+        np.maximum(bound, np.abs(rhs, out=abs_rhs), out=bound)
+        bound += 1.0
+        bound *= self.tol
+        if not np.less_equal(err, bound, out=mask).all():
             self.passed = False
 
     compare = compare_arrays
@@ -126,14 +154,19 @@ class Checker:
 
 
 class Checks(dict):
-    """check_id -> Checker, each created on first use."""
+    """check_id -> Checker, each created on first use, all sharing one
+    Scratch."""
 
     def __init__(self, field: FieldTable, a: int | None, tol: float):
         super().__init__()
         self.field, self.a, self.tol = field, a, tol
+        self.scratch = Scratch()
 
     def __missing__(self, check_id: str) -> Checker:
-        c = self[check_id] = Checker(check_id, self.field, self.a, self.tol)
+        return self.add(check_id, self.tol)
+
+    def add(self, check_id: str, tol: float) -> Checker:
+        c = self[check_id] = Checker(check_id, self.field, self.a, tol, self.scratch)
         return c
 
     def reports(self) -> list[CheckReport]:
@@ -196,38 +229,42 @@ def run_transforms(field: FieldTable, tol: float = DEFAULT_TOL) -> list[CheckRep
 
 def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckReport]:
     """The flagship identity P(j,k) = V(j)V(k) and its structural
-    symmetries, plus the square-root branch robustness check.
+    symmetries, plus the branch check: P does not involve A4, so the V
+    built from the other quartic character, with its own tau, factors P
+    too.
 
     P is streamed in FieldTable.blocks row blocks: each block of rows, its
     transposed block of columns and its negated rows are read from the
-    squares table by their own slot computations, so no q x q array is
-    ever held."""
+    squares table by their own slot computations, into two block buffers
+    made once, so no q x q array is ever held."""
     f = ctx.field
     q = f.q
     V = state_vector(ctx)
-    flipped = make_context(f, ctx.a, conjugate_quartic=ctx.A4.m != (q - 1) // 4,
-                           flip_tau=True)
-    Vf = state_vector(flipped)
+    W = state_vector(make_context(f, ctx.a, conjugate_quartic=ctx.A4.m == (q - 1) // 4))
     jj = np.arange(q)
-    phi_neg_one = ctx.phi(f.neg_table[1])
     checks = Checks(f, ctx.a, tol)
     # created up front, so the report rows keep their order
     main, corner, zero_row, symmetry, negation, quarter, drift = (
         checks[c] for c in ("main_identity", "corner_value", "zero_row_factorization",
                             "mixed_symmetry", "negation_symmetry", "quarter_turn",
                             "imaginary_drift"))
-    branch = checks["tau_branch"] = Checker("tau_branch", f, ctx.a, BRANCH_TOL)
-    branch.compare_arrays(Vf, -V)
+    branch = checks.add("tau_branch", BRANCH_TOL)
+    branch.compare_arrays(W**2, V**2)  # W = +-V
 
+    rows = len(next(f.blocks(jj)))
+    block = np.empty((rows, q), dtype=complex)
+    other = np.empty(rows * q, dtype=complex)  # the block compared with P
     for jb in f.blocks(jj):
-        P = mixed_block(ctx, jb, jj)
-        VV = np.outer(V[jb], V)
-        main.compare_arrays(P, VV)
+        n = len(jb)
+        P = mixed_block(ctx, jb, jj, out=block[:n])
+        side = other[:n * q].reshape(n, q)
+        main.compare_arrays(P, np.outer(V[jb], V, out=side))
+        branch.compare_arrays(P, np.outer(W[jb], W, out=side))
         zero_row.compare_arrays(P[:, 0], V[0] * V[jb])
-        symmetry.compare_arrays(P, mixed_block(ctx, jj, jb).T)
-        negation.compare_arrays(mixed_block(ctx, f.neg_table[jb], jj), phi_neg_one * P)
+        symmetry.compare_arrays(P, mixed_block(ctx, jj, jb, out=side.reshape(q, n)).T)
+        # P(-j, k) = phi(-1) P(j, k), and phi(-1) = 1 since q = 1 (mod 4)
+        negation.compare_arrays(mixed_block(ctx, f.neg_table[jb], jj, out=side), P)
         drift.compare_arrays(P.imag, 0.0)
-        branch.compare_arrays(np.outer(Vf[jb], Vf), VV)
     expect = 2 + 2 * (gauss(ctx.A4) ** 2 / (q * ctx.A4(f.neg_table[ctx.a]))).real
     corner.compare_arrays(mixed_block(ctx, [0], [0])[0, 0], [expect, V[0] ** 2])
     j = f.units()

@@ -108,19 +108,25 @@ def _square_columns(field: FieldTable) -> np.ndarray:
     return field.cached("square_columns", build)
 
 
-def sum_square_slots(field: FieldTable, js, ks) -> np.ndarray:
+def sum_square_slots(field: FieldTable, js, ks, out=None) -> np.ndarray:
     """The squares-table column of (j+k)^2 for every j in js, k in ks, as a
-    (len(js), len(ks)) array.  For j, k != 0, j + k = g^lj (1 + g^(lk-lj)),
-    so log(j+k) = lj + Z[lk - lj] and the column is col[lj + Z[lk - lj]];
-    k = -j reads the Zech sentinel and gets column 0.  The row of j = 0 and
-    the column of k = 0 are the columns of k^2 and j^2."""
+    (len(js), len(ks)) int64 array, written into out if given.  For
+    j, k != 0, j + k = g^lj (1 + g^(lk-lj)), so log(j+k) = lj + Z[lk - lj]
+    and the column is col[lj + Z[lk - lj]]; k = -j reads the Zech sentinel
+    and gets column 0.  The row of j = 0 and the column of k = 0 are the
+    columns of k^2 and j^2.  Both gathers read and write the same array in
+    place; every index is in range by construction, and mode="clip" keeps
+    take from buffering out (mode="raise" always copies it)."""
     f = field
     col = _square_columns(f)
     js, ks = np.asarray(js), np.asarray(ks)
-    lj, lk = f.log_table[js], f.log_table[ks]
-    s = col[lj[:, None] + _zech_table(f)[(lk + (f.q - 1)) - lj[:, None]]]
+    lj, lk = f.log_table[js][:, None], f.log_table[ks]
+    s = np.subtract(lk + (f.q - 1), lj, out=out)
+    _zech_table(f).take(s, out=s, mode="clip")
+    s += lj
+    col.take(s, out=s, mode="clip")
     s[js == 0, :] = np.where(ks == 0, 0, col[lk])
-    s[:, ks == 0] = np.where(js == 0, 0, col[lj])[:, None]
+    s[:, ks == 0] = np.where(js == 0, 0, col[lj[:, 0]])[:, None]
     return s
 
 
@@ -167,20 +173,26 @@ def squares_table(ctx: MixedSumContext) -> np.ndarray:
     return S
 
 
-def mixed_block(ctx: MixedSumContext, js, ks) -> np.ndarray:
-    """P(j,k) for every j in js and k in ks, as a (len(js), len(ks)) array:
-    one gather from the squares table at the columns of (j+k)^2 and of
-    (j-k)^2 = (j+(-k))^2 (sum_square_slots).
+def mixed_block(ctx: MixedSumContext, js, ks, out=None) -> np.ndarray:
+    """P(j,k) for every j in js and k in ks, as a (len(js), len(ks)) array
+    written into out if given: one gather from the squares table at the
+    columns of (j+k)^2 and of (j-k)^2 = (j+(-k))^2 (sum_square_slots).
+    The second column array lives in out's memory until the gather
+    overwrites it.
 
     P(j,k) = delta(j,k) + phi(-1) delta(j,-k)
              + G(phi)^{-1} F((j+k)^2, (j-k)^2).
     """
     f = ctx.field
     S = squares_table(ctx)
+    js, ks = np.asarray(js), np.asarray(ks)
+    if out is None:
+        out = np.empty((len(js), len(ks)), dtype=complex)
     u = sum_square_slots(f, js, ks)
     u *= S.shape[1]
-    u += sum_square_slots(f, js, f.neg_table[ks])
-    return S.ravel()[u]
+    v = out.reshape(-1).view(np.int64)[:u.size].reshape(u.shape)
+    u += sum_square_slots(f, js, f.neg_table[ks], out=v)
+    return S.ravel().take(u, out=out, mode="clip")
 
 
 def mixed_table(ctx: MixedSumContext) -> np.ndarray:
@@ -196,7 +208,7 @@ def mixed_table(ctx: MixedSumContext) -> np.ndarray:
         jj = np.arange(f.q)
         P = np.empty((f.q, f.q), dtype=complex)
         for jb in f.blocks(jj):
-            P[jb] = mixed_block(ctx, jb, jj)
+            mixed_block(ctx, jb, jj, out=P[jb[0]:jb[-1] + 1])
         P.flags.writeable = False
         ctx._cache["mixed"] = P
     return P

@@ -196,3 +196,60 @@ def naive_pair_coeffs_gauss(ctx, nu1):
         out.append(chi_val(f, e, int(f.neg(1))) * total / f.q)
     return out
 
+
+# --- the field build, one element at a time ---
+
+
+def _digits_of(index, p, n):
+    return [(index // p**i) % p for i in range(n)]
+
+
+def _index_of(digits, p):
+    return sum(c * p**i for i, c in enumerate(digits))
+
+
+def _mul_digits(u, v, modulus, p):
+    n = len(modulus) - 1
+    prod = [0] * (2 * n - 1)
+    for i, ci in enumerate(u):
+        if ci:
+            for j, cj in enumerate(v):
+                prod[i + j] = (prod[i + j] + ci * cj) % p
+    # reduce high coefficients using x^n = -(modulus minus lead)
+    for i in range(2 * n - 2, n - 1, -1):
+        c = prod[i]
+        if c:
+            prod[i] = 0
+            for k in range(n):
+                prod[i - n + k] = (prod[i - n + k] - c * modulus[k]) % p
+    return prod[:n]
+
+
+def naive_field(p, n):
+    """(modulus, g, exp_table) of F_{p^n} built with scalar polynomial
+    arithmetic: g is the smallest index whose power at every cofactor
+    (q-1)/r, r a prime factor of q-1, is not 1, and exp_table[t] = g^t."""
+    from mixedsums.gf import prime_factors, smallest_irreducible
+
+    q = p**n
+    modulus = smallest_irreducible(p, n)
+
+    def mul_idx(x, y):
+        return _index_of(_mul_digits(_digits_of(x, p, n), _digits_of(y, p, n), modulus, p), p)
+
+    def pow_idx(x, e):
+        r = 1
+        while e:
+            if e & 1:
+                r = mul_idx(r, x)
+            x = mul_idx(x, x)
+            e >>= 1
+        return r
+
+    cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
+    g = next(c for c in range(2, q) if all(pow_idx(c, e) != 1 for e in cofactors))
+    exp_table = [1]
+    for _ in range(q - 2):
+        exp_table.append(mul_idx(exp_table[-1], g))
+    assert mul_idx(exp_table[-1], g) == 1
+    return modulus, g, exp_table

@@ -10,7 +10,8 @@ from mixedsums import (
     ZeroArgument,
     build_field,
 )
-from mixedsums.gf import smallest_irreducible
+from mixedsums.gf import is_prime, smallest_irreducible
+from oracles import naive_field
 
 
 def test_f5_generator_and_exp_table(f5):
@@ -128,3 +129,19 @@ def test_smallest_irreducible_is_minimal():
     # degree-2 over F_7: check against a brute-force root search
     c = smallest_irreducible(7, 2)
     assert all((r * r * c[2] + r * c[1] + c[0]) % 7 != 0 for r in range(7))
+
+
+# every q = 1 (mod 4) prime power up to 2,500, plus two larger fields with n > 1
+ORACLE_FIELDS = [(p, n) for p in range(3, 2501) if is_prime(p) for n in range(1, 8)
+                 if p**n <= 2500 and p**n % 4 == 1] + [(3, 8), (89, 2)]
+
+
+def test_build_field_matches_scalar_build():
+    # the batched digit arithmetic finds the same generator and powers as
+    # one polynomial product at a time
+    assert len(ORACLE_FIELDS) == 202
+    for p, n in ORACLE_FIELDS:
+        f = build_field(p, n)
+        modulus, g, exp_table = naive_field(p, n)
+        assert (f.params.modulus, f.g) == (modulus, g), (p, n)
+        assert f.exp_table.dtype == np.int64 and f.exp_table.tolist() == exp_table, (p, n)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from mixedsums import (CheckReport, ConfigError, SuiteConfig, build_field, emit_report,
-                       make_context, run, state_vector)
+                       make_context, quartic_char, run, state_vector)
+from mixedsums import harness
 from mixedsums.harness import (Checker, _factor_prime_power, _json_row, resolve_a_values,
                                run_main, run_mellin)
 from mixedsums.mellin import null_locus_sum
@@ -119,6 +121,42 @@ def test_mellin_suite_passes_over_several_row_blocks():
         assert all(r.passed for r in reports.values())
         assert reports["double_mellin"].instances == (f.q - 1) ** 2
         assert reports["product_assembly"].instances == (f.q - 1) ** 2
+
+
+def test_main_suite_passes_over_two_row_blocks():
+    # at q = 169 P comes in a full row block and a shorter last one, both
+    # read into the same buffers
+    f = build_field(13, 2)
+    assert len(list(f.blocks(np.arange(f.q)))) == 2
+    for a in (1, f.g):
+        reports = {r.check_id: r for r in run_main(make_context(f, a))}
+        assert all(r.passed for r in reports.values())
+        for cid in ("main_identity", "mixed_symmetry", "negation_symmetry", "imaginary_drift"):
+            assert reports[cid].instances == f.q**2
+        assert reports["zero_row_factorization"].instances == f.q
+        assert reports["tau_branch"].instances == f.q**2 + f.q
+
+
+def test_tau_branch_fails_with_the_other_characters_tau(monkeypatch):
+    # Built from the conjugate quartic character but with A4's tau, W is
+    # off by t = (its own tau) / (A4's tau), t^2 = conj(A4(-a)) / A4(-a),
+    # which is -1 when A4(-a) = +-i: then outer(W, W) = -P and W^2 = -V^2,
+    # and only tau_branch can see it.
+    f = build_field(13, 1)
+    A4 = quartic_char(f)
+    a = next(a for a in range(1, f.q) if abs(A4(f.neg(a)).imag) > 0.5)
+    make = harness.make_context
+
+    def wrong_tau(field, a, conjugate_quartic=False):
+        ctx = make(field, a, conjugate_quartic)
+        return dataclasses.replace(ctx, tau=make(field, a).tau)
+
+    assert all(r.passed for r in run_main(make(f, a)))
+    monkeypatch.setattr(harness, "make_context", wrong_tau)
+    reports = {r.check_id: r for r in run_main(make(f, a))}
+    assert not reports["tau_branch"].passed
+    assert reports["tau_branch"].max_abs_err > 1
+    assert all(r.passed for cid, r in reports.items() if cid != "tau_branch")
 
 
 def test_null_locus_is_found_in_row_blocks():

@@ -4,8 +4,11 @@ sum return the broadcast shape of their exponent arguments, do not change
 when an exponent moves by q-1, and agree with the scalar oracles.  The
 all-character 2F1 table is checked the same way over its (slope, offset)
 parameters, the cyclic convolution over the log index against its
-literal double sum, the in-place DFT against the DFT into a new array, and
-the character evaluator MultChar against the scalar chi_val."""
+literal double sum, the in-place DFT against the DFT into a new array, the
+character evaluator MultChar against the scalar chi_val, and a checker
+that reuses its scratch arrays against fresh checkers."""
+
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ import oracles  # noqa: E402
 from mixedsums import MultChar, build_field, make_context  # noqa: E402
 from mixedsums import mellin as ml  # noqa: E402
 from mixedsums.chars import convolve, dft  # noqa: E402
+from mixedsums.harness import Checker, Checks  # noqa: E402
 from mixedsums.mellin import FourthPowerTrivial  # noqa: E402
 from mixedsums.sums import hyp2f1_many, jacobi  # noqa: E402
 
@@ -189,3 +193,84 @@ def test_multchar_evaluates_chi_m(data):
     assert np.array_equal(chi.values()[xs], got)
     assert all(abs(v - oracles.chi_val(f, m, int(x))) <= 1e-12 for x, v in zip(xs, got))
     assert chi(0) == 0
+
+
+@st.composite
+def comparison_sequences(draw):
+    """(lhs, rhs) pairs in the forms the suites compare: a full row block,
+    then a shorter one, then any of another block, a float view (P.imag), a
+    transposed view and a scalar rhs; any pair may hold a NaN or inf."""
+    rows, width = draw(st.integers(2, 4)), draw(st.integers(1, 6))
+    values = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+    def block(r, c):
+        return draw(hnp.arrays(np.complex128, (r, c), elements=values))
+
+    def near(x):  # equal, off by about the tolerance of 1e-8, or far off
+        return x + draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-3])) * block(*x.shape)
+
+    def full(r=rows):
+        x = block(r, width)
+        return x, near(x)
+
+    def short():
+        return full(draw(st.integers(1, rows - 1)))
+
+    def imag():
+        return block(rows, width).imag, 0.0
+
+    def transposed():
+        y = block(width, rows)
+        return near(y.T), y.T
+
+    def scalar():
+        return block(1, width)[0], draw(values)
+
+    kinds = [full, short] + draw(st.lists(st.sampled_from([full, short, imag, transposed,
+                                                            scalar]), max_size=4))
+    pairs = []
+    for kind in kinds:
+        lhs, rhs = kind()
+        bad = draw(st.sampled_from([None, math.nan, math.inf, -math.inf]))
+        if bad is not None:
+            side = rhs if np.ndim(rhs) and draw(st.booleans()) else lhs
+            side[np.unravel_index(draw(st.integers(0, side.size - 1)), side.shape)] = bad
+        pairs.append((lhs, rhs))
+    return pairs
+
+
+def same_float(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+@PROPERTY
+@given(pairs=comparison_sequences())
+def test_compare_arrays_reuses_its_scratch(pairs):
+    # one checker of a Checks collection, whose scratch another checker
+    # grows between its calls, reports what fresh checkers of each
+    # comparison report together
+    f = build_field(5, 1)
+    checks = Checks(f, 1, 1e-8)
+    shared = checks["shared"]
+    fresh = []
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for i, (lhs, rhs) in enumerate(pairs):
+            shared.compare_arrays(lhs, rhs)
+            checks["other"].compare_arrays(np.ones(5 * i + 1), 1.0)
+            c = Checker("fresh", f, 1, 1e-8)
+            c.compare_arrays(lhs, rhs)
+            r = c.report()
+            err = np.abs(np.asarray(lhs, dtype=complex) - np.asarray(rhs, dtype=complex))
+            bound = 1e-8 * (1 + np.maximum(np.abs(lhs), np.abs(rhs)))
+            assert r.instances == err.size
+            assert same_float(r.max_abs_err, float(err.max()))
+            assert r.passed == bool(np.isfinite(err).all() and (err <= bound).all())
+            if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+                assert not r.passed
+            fresh.append(r)
+    got = shared.report()
+    errs = [r.max_abs_err for r in fresh]
+    assert got.instances == sum(r.instances for r in fresh)
+    assert same_float(got.max_abs_err, math.nan if any(map(math.isnan, errs)) else max(errs))
+    assert got.passed == all(r.passed for r in fresh)
+    assert checks["other"].report().passed
