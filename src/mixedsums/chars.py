@@ -21,6 +21,12 @@ def unit_roots(field: FieldTable) -> np.ndarray:
                         lambda f: np.exp(2j * np.pi * np.arange(f.q - 1) / (f.q - 1)))
 
 
+def char_at(field: FieldTable, m, x) -> np.ndarray:
+    """chi_m(x) for nonzero element indices x, elementwise over the
+    broadcast arrays m and x."""
+    return unit_roots(field)[np.mod(np.multiply(m, field.log_table[x]), field.q - 1)]
+
+
 def psi_table(field: FieldTable) -> np.ndarray:
     """Additive character values per element index."""
     return field.cached("psi", lambda f: np.exp(2j * np.pi * f.trace_table / f.p))
@@ -65,8 +71,7 @@ class MultChar:
     def __call__(self, x):
         """Character value at element index x (scalar or array)."""
         x = np.asarray(x)
-        vals = unit_roots(self.field)[(self.m * self.field.log_table[x]) % (self.field.q - 1)]
-        return np.where(x == 0, 0.0 + 0.0j, vals)[()]
+        return np.where(x == 0, 0.0 + 0.0j, char_at(self.field, self.m, x))[()]
 
     def values(self) -> np.ndarray:
         """Value vector over all q element indices."""

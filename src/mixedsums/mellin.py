@@ -3,9 +3,9 @@ Gauss and Jacobi sums, plus the helper sums used to relate the two and the
 inverse transform that reconstructs V from its character spectrum.
 
 Every "direct" function is a literal character sum; every "closed"
-function evaluates Gauss-sum expressions from the per-field cache.  The
-verification suites compare the two routes, so the pairs are kept strictly
-independent of each other.
+function evaluates Gauss- and Jacobi-sum expressions from per-field caches.
+The verification suites compare the two routes, so the pairs are kept
+strictly independent of each other.
 
 Characters enter as integer exponents (m stands for chi_m, reduced mod
 q-1), and the closed forms work elementwise over exponent arrays; only
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import FieldError, FieldTable, ZeroArgument
-from .chars import MultChar, dft, unit_roots
+from .chars import MultChar, char_at, dft, unit_roots
 from .mixed import MixedSumContext, mixed_table, state_vector
 from .sums import exponent_sweep, gauss_table, hyp2f1_many, jacobi
 
@@ -32,10 +32,11 @@ def _gauss(f: FieldTable, m) -> np.ndarray:
     return gauss_table(f)[np.mod(m, f.q - 1)]
 
 
-def _char_at(f: FieldTable, m, x) -> np.ndarray:
-    """chi_m(x) for nonzero element indices x, elementwise over the
-    broadcast arrays m and x."""
-    return unit_roots(f)[np.mod(np.multiply(m, f.log_table[x]), f.q - 1)]
+def _jacobi_phi(f: FieldTable, m) -> np.ndarray:
+    """J(chi_m, phi), elementwise over the exponent array m, read from one
+    sweep over every m, cached per field."""
+    qm1 = f.q - 1
+    return f.cached("jacobi_phi", lambda f: jacobi(f, (1, 0), (0, qm1 // 2)))[np.mod(m, qm1)]
 
 
 def _gauss_pairs(ctx: MixedSumContext, nu) -> list[np.ndarray]:
@@ -60,8 +61,8 @@ def _root_sum(ctx: MixedSumContext, nu) -> np.ndarray:
     the factor S(nu^4) and T(nu^4) share."""
     f, e = ctx.field, ctx.A4.m
     nu = np.asarray(nu)
-    total = sum(_char_at(f, (1 - k) * e, ctx.a) * g for k, g in enumerate(_gauss_pairs(ctx, nu)))
-    return _char_at(f, -nu, ctx.a) * total
+    total = sum(char_at(f, (1 - k) * e, ctx.a) * g for k, g in enumerate(_gauss_pairs(ctx, nu)))
+    return char_at(f, -nu, ctx.a) * total
 
 
 def mellin_v_closed_root(ctx: MixedSumContext, nu) -> np.ndarray:
@@ -89,10 +90,10 @@ def mellin_v_octic(ctx: MixedSumContext) -> complex:
         o = -o
     a = ctx.a
     total = (
-        _char_at(f, o, a) * _gauss(f, o) * _gauss(f, -o)
-        + _char_at(f, 5 * o, a) * _gauss(f, 3 * o) * _gauss(f, -3 * o)
-        + _char_at(f, 3 * o, a) * _gauss(f, -o) * _gauss(f, -3 * o)
-        + _char_at(f, -o, a) * _gauss(f, o) * _gauss(f, 3 * o)
+        char_at(f, o, a) * _gauss(f, o) * _gauss(f, -o)
+        + char_at(f, 5 * o, a) * _gauss(f, 3 * o) * _gauss(f, -3 * o)
+        + char_at(f, 3 * o, a) * _gauss(f, -o) * _gauss(f, -3 * o)
+        + char_at(f, -o, a) * _gauss(f, o) * _gauss(f, 3 * o)
     )
     return complex(total / ctx.tau)
 
@@ -118,8 +119,8 @@ def mellin_p0_closed_root(ctx: MixedSumContext, nu) -> np.ndarray:
     """Gauss-sum evaluation of T(nu^4) for explicit fourth roots nu
     (an exponent array)."""
     f, e = ctx.field, ctx.A4.m
-    prefac = (_char_at(f, -e, ctx.a) * _gauss(f, e) + _gauss(f, -e)) / f.q
-    return _char_at(f, e, f.neg_table[1]) * prefac * _root_sum(ctx, nu)
+    prefac = (char_at(f, -e, ctx.a) * _gauss(f, e) + _gauss(f, -e)) / f.q
+    return char_at(f, e, f.neg_table[1]) * prefac * _root_sum(ctx, nu)
 
 
 def mellin_p0_closed(ctx: MixedSumContext, m) -> np.ndarray:
@@ -139,7 +140,7 @@ def kummer_closed(ctx: MixedSumContext, nu) -> np.ndarray:
         raise FourthPowerTrivial("nu^4 must be nontrivial")
     e = ctx.A4.m
     h = (f.q - 1) // 2
-    num = _char_at(f, e, f.neg_table[1]) * _gauss(f, nu + e) * (
+    num = char_at(f, e, f.neg_table[1]) * _gauss(f, nu + e) * (
         _gauss(f, nu) * _gauss(f, e) + _gauss(f, nu + h) * _gauss(f, -e)
     )
     return num / (f.q * _gauss(f, h) * _gauss(f, 2 * nu))
@@ -153,7 +154,7 @@ def axis_sum(ctx: MixedSumContext, lam: int) -> complex:
     ax = f.mul(ctx.a, f.inv_table[x])
     on_axis = f.add(x, ax) == 0
     phi_vals = ctx.phi.values()[f.sub(x, ax)]
-    j_sum = np.sum(_char_at(f, lam + e, x) + _char_at(f, lam - e, x))
+    j_sum = np.sum(char_at(f, lam + e, x) + char_at(f, lam - e, x))
     return complex(np.sum(phi_vals[on_axis]) * j_sum)
 
 
@@ -225,7 +226,7 @@ def hyper_kernel_closed_row(ctx: MixedSumContext, js) -> np.ndarray:
     out = pref * hyp2f1_many(f, (1, 0), (1, e), (0, e), j4)
     out[:, 0] = -2.0 + f.q * (j2 == f.neg_table[1]) + 1.0 * (j2 == 1)
     quartic = [qm1 // 4, 3 * qm1 // 4]
-    out[:, quartic] = jacobi(f, quartic, h) - ctx.phi(f.sub(j4, 1))[:, None]
+    out[:, quartic] = _jacobi_phi(f, quartic) - ctx.phi(f.sub(j4, 1))[:, None]
     return out
 
 
@@ -251,8 +252,8 @@ def null_locus_closed(ctx: MixedSumContext, nu1) -> np.ndarray:
     """(A4(a) + conj(A4)(a)) * sum over m of J(nu1 A4^m, phi), for an
     exponent array nu1."""
     f, e = ctx.field, ctx.A4.m
-    jsum = sum(jacobi(f, np.add(nu1, k * e), ctx.phi.m) for k in range(4))
-    return (_char_at(f, e, ctx.a) + _char_at(f, -e, ctx.a)) * jsum
+    jsum = sum(_jacobi_phi(f, np.add(nu1, k * e)) for k in range(4))
+    return (char_at(f, e, ctx.a) + char_at(f, -e, ctx.a)) * jsum
 
 
 def cross_form_sum(ctx: MixedSumContext, lam1: int, lam2: int) -> complex:
@@ -264,7 +265,7 @@ def cross_form_sum(ctx: MixedSumContext, lam1: int, lam2: int) -> complex:
     ax = f.mul(ctx.a, f.inv_table[x])
     alpha = cross_form(ctx, j[:, None], x[None, :])
     vals = MultChar(f, -(lam1 + lam2)).values()[alpha]
-    w = _char_at(f, 2 * lam1 + ctx.phi.m, j)[:, None] * ctx.phi.values()[f.sub(x, ax)][None, :]
+    w = char_at(f, 2 * lam1 + ctx.phi.m, j)[:, None] * ctx.phi.values()[f.sub(x, ax)][None, :]
     return complex(np.sum(w * vals))
 
 
@@ -283,9 +284,9 @@ def double_mellin_closed(ctx: MixedSumContext, nu1, nu2) -> np.ndarray:
     f, e = ctx.field, ctx.A4.m
     mu = np.add(nu1, nu2)
     g1, g2 = _gauss_pairs(ctx, np.asarray(nu1)), _gauss_pairs(ctx, np.asarray(nu2))
-    total = sum(_char_at(f, -mu - (m + n) * e, ctx.a) * g1[n] * g2[m]
+    total = sum(char_at(f, -mu - (m + n) * e, ctx.a) * g1[n] * g2[m]
                 for m in range(4) for n in range(4))
-    return _char_at(f, e, f.neg_table[ctx.a]) * total / f.q
+    return char_at(f, e, f.neg_table[ctx.a]) * total / f.q
 
 
 def pair_coeffs(ctx: MixedSumContext, nu1) -> np.ndarray:
@@ -297,12 +298,12 @@ def pair_coeffs(ctx: MixedSumContext, nu1) -> np.ndarray:
     q, e, h = f.q, ctx.A4.m, ctx.phi.m
     nu1 = np.asarray(nu1)
     d = np.mod(4 * nu1, q - 1) == 0
-    jsum = sum(jacobi(f, nu1 + k * e, h) for k in range(4))
+    jsum = sum(_jacobi_phi(f, nu1 + k * e) for k in range(4))
     g_phi = _gauss(f, h)
     r0 = 4 * q - (2 * q - 2) * d
-    r1 = (q * jsum - d * (q - 1) * jacobi(f, -e, h)) / g_phi
-    r3 = (q * jsum - d * (q - 1) * jacobi(f, e, h)) / g_phi
-    r2 = sum(jacobi(f, -nu1 - (k + 1) * e, h) * jacobi(f, nu1 + k * e, h) for k in range(4))
+    r1 = (q * jsum - d * (q - 1) * _jacobi_phi(f, -e)) / g_phi
+    r3 = (q * jsum - d * (q - 1) * _jacobi_phi(f, e)) / g_phi
+    r2 = sum(_jacobi_phi(f, -nu1 - (k + 1) * e) * _jacobi_phi(f, nu1 + k * e) for k in range(4))
     return np.stack([r0, r1, r2, r3], axis=-1)
 
 
@@ -313,7 +314,7 @@ def pair_coeffs_gauss(ctx: MixedSumContext, nu1) -> np.ndarray:
     nu1 = np.asarray(nu1)
     g, gbar = _gauss_pairs(ctx, nu1), _gauss_pairs(ctx, -nu1)
     out = [sum(g[(1 - k - m) % 4] * gbar[m] for m in range(4)) for k in range(4)]
-    return _char_at(f, ctx.A4.m, f.neg_table[1]) * np.stack(out, axis=-1) / f.q
+    return char_at(f, ctx.A4.m, f.neg_table[1]) * np.stack(out, axis=-1) / f.q
 
 
 def inverse_mellin(field: FieldTable, spec, j) -> np.ndarray:

@@ -4,8 +4,8 @@ V(j) whose outer products reproduce it.
 A MixedSumContext fixes everything the sums depend on: the field, the
 parameter a in F_q*, the quartic character, the square root i of -1, and
 the normalizing constant tau with tau^2 = q * A4(-a).  The branch of the
-square root is fixed deterministically (see make_context); flipping it
-negates every V(j) and is exposed for the branch-robustness checks.
+square root is fixed deterministically (see make_context); the other
+branch would negate every V(j) and leave P = V(j)V(k) unchanged.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ class MixedSumContext:
         return quadratic_char(self.field)
 
 
-def make_context(field: FieldTable, a: int, conjugate_quartic: bool = False,
-                 flip_tau: bool = False) -> MixedSumContext:
+def make_context(field: FieldTable, a: int, conjugate_quartic: bool = False) -> MixedSumContext:
     """Fix (a, A4, tau) over the given field.
 
     tau is minus the principal square root of q * A4(-a): the quartic value
@@ -54,8 +53,6 @@ def make_context(field: FieldTable, a: int, conjugate_quartic: bool = False,
     A4 = MultChar(field, -quarter if conjugate_quartic else quarter)
     k = ((A4.m * field.log_table[field.neg_table[a]]) % (field.q - 1)) // quarter
     tau = -np.sqrt(field.q) * np.exp(1j * np.pi * k / 4)
-    if flip_tau:
-        tau = -tau
     return MixedSumContext(field=field, a=a, A4=A4, i_elem=field.i_elem, tau=complex(tau))
 
 

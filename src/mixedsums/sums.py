@@ -4,8 +4,8 @@ over F_q, the Hasse-Davenport product relation, and the quadratic
 
 Gauss sums for all q-1 characters are computed once per field (one DFT
 of the additive character over the log index) and cached; every
-closed-form evaluation reads the cache.  Jacobi sums for all pairs of
-characters are one 2-D DFT of a log-index histogram, cached the same way.
+closed-form evaluation reads the cache.  Jacobi sums and the 2F1 are
+literal sums over y, for every character at once in one exponent sweep.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import FieldError, FieldTable
-from .chars import MultChar, dft, psi_table, unit_roots
+from .chars import MultChar, char_at, dft, psi_table, unit_roots
 
 DEFAULT_TOL = 1e-8
 
@@ -32,24 +32,20 @@ def gauss(chi: MultChar) -> complex:
     return complex(gauss_table(chi.field)[chi.m])
 
 
-def jacobi(field: FieldTable, ma, mb) -> np.ndarray:
-    """J(chi_ma, chi_mb) = sum over y not in {0, 1} of chi_ma(y) chi_mb(1-y),
-    elementwise over the broadcast exponent arrays ma and mb, read from the
-    all-pairs table cached per field.
-
-    The table is the 2-D DFT of the histogram H[s, t] = #{y not in {0, 1} :
-    log y = s, log(1-y) = t}, so the sum never reads the Gauss sums it is
-    checked against.
+def jacobi(field: FieldTable, a, b) -> np.ndarray:
+    """J(chi_(sa m + ta), chi_(sb m + tb)) for every m, on a last axis of
+    length q-1 after the broadcast shape of the offsets, for the (slope,
+    offset) pairs a = (sa, ta) and b = (sb, tb): the literal sum over
+    y not in {0, 1} of chi_(sa m + ta)(y) chi_(sb m + tb)(1-y).  The
+    exponent of each term is m (sa log y + sb log(1-y)) plus a part free
+    of m, so one exponent_sweep covers every m.
     """
-    qm1 = field.q - 1
-    return field.cached("jacobi", _jacobi_table)[np.mod(ma, qm1), np.mod(mb, qm1)]
-
-
-def _jacobi_table(f: FieldTable) -> np.ndarray:
-    qm1 = f.q - 1
+    f = field
+    (sa, ta), (sb, tb) = a, b
     y = np.arange(2, f.q)  # index 0 is the zero element, index 1 the one
-    pairs = f.log_table[y] * qm1 + f.log_table[f.sub(1, y)]
-    return dft(f, np.bincount(pairs, minlength=qm1 * qm1).reshape(qm1, qm1), axes=(0, 1))
+    ly, ly1 = f.log_table[y], f.log_table[f.sub(1, y)]
+    t = np.multiply.outer(ta, ly) + np.multiply.outer(tb, ly1)
+    return exponent_sweep(f, sa * ly + sb * ly1, unit_roots(f)[np.mod(t, f.q - 1)])
 
 
 def exponent_sweep(field: FieldTable, k, w) -> np.ndarray:
@@ -99,7 +95,7 @@ def hasse_davenport_residual(field: FieldTable, m) -> np.ndarray:
     G = gauss_table(field)
     m = np.asarray(m)
     h = qm1 // 2
-    a_four = unit_roots(field)[np.mod(m * field.log_table[field.add(2, 2)], qm1)]
+    a_four = char_at(field, m, field.add(2, 2))
     lhs = a_four * G[np.mod(m, qm1)] * G[np.mod(m + h, qm1)]
     return np.abs(lhs - G[np.mod(2 * m, qm1)] * G[h])
 
@@ -122,8 +118,7 @@ def quad_transform(field: FieldTable, z) -> tuple[np.ndarray, np.ndarray]:
     lhs = hyp2f1_many(f, (1, 0), (1, e), (0, e), f.pow(z, 4))
     zm1 = f.sub(z, 1)
     ratio = f.mul(f.add(z, 1), f.inv_table[zm1])
-    m = np.arange(f.q - 1)
-    dbar4 = unit_roots(f)[np.mod(np.outer(-4 * f.log_table[zm1], m), f.q - 1)]
+    dbar4 = char_at(f, -4 * np.arange(f.q - 1), zm1[:, None])
     rhs = dbar4 * hyp2f1_many(f, (1, 0), (2, h), (1, h), f.neg(f.mul(ratio, ratio)))
     return lhs, rhs
 

@@ -6,6 +6,8 @@ prints a single pass/fail line; run with `pytest -s tests/test_acceptance.py`
 to see them.
 """
 
+import dataclasses
+
 import numpy as np
 
 from mixedsums import build_field, gauss, jacobi, make_context
@@ -219,7 +221,7 @@ def test_criterion_09_branch_robustness():
         for a in a_all(f):
             ctx = ctx_for(f, a)
             V = state_vector(ctx)
-            flipped = make_context(f, a, flip_tau=True)
+            flipped = dataclasses.replace(ctx, tau=-ctx.tau, _cache={})
             Vf = state_vector(flipped)
             c.check(Vf, -V, tol=1e-12)
             c.check(np.outer(Vf, Vf), np.outer(V, V), tol=1e-12)
@@ -254,16 +256,19 @@ def test_criterion_10_classical_layer():
         qm1 = f.q - 1
         G = gauss_table(f)
         neg_one = int(f.neg(1))
+        conjugate = jacobi(f, (1, 0), (-1, 0))  # J(chi_m, conj(chi_m)) for every m
+        with_trivial = jacobi(f, (0, 0), (1, 0))
+        table = jacobi(f, (0, np.arange(qm1)), (1, 0))  # J(chi_ma, chi_mb) at [ma, mb]
         c.check(G[0], -1.0)
-        c.check(jacobi(f, 0, 0), f.q - 2.0)
+        c.check(jacobi(f, (0, 0), (0, 0))[0], f.q - 2.0)
         for ma in range(1, qm1):
             a_neg_one = chi_val(f, ma, neg_one)
             c.check(G[ma] * G[-ma], a_neg_one * f.q)
-            c.check(jacobi(f, ma, -ma), -a_neg_one)
-            c.check(jacobi(f, 0, ma), -1.0)
+            c.check(conjugate[ma], -a_neg_one)
+            c.check(with_trivial[ma], -1.0)
         for ma in range(qm1):
             for mb in range(qm1):
                 if (ma + mb) % qm1 == 0:
                     continue
-                c.check(jacobi(f, ma, mb), G[ma] * G[mb] / G[(ma + mb) % qm1])
+                c.check(table[ma, mb], G[ma] * G[mb] / G[(ma + mb) % qm1])
     c.finish()

@@ -12,10 +12,12 @@ import pytest
 from mixedsums import (CheckReport, ConfigError, SuiteConfig, build_field, emit_report,
                        make_context, quartic_char, run, state_vector)
 from mixedsums import harness
+from mixedsums.chars import psi_table, unit_roots
 from mixedsums.harness import (Checker, _factor_prime_power, _json_row, resolve_a_values,
-                               run_main, run_mellin)
+                               run_classical, run_main, run_mellin, run_mellin_field)
 from mixedsums.mellin import null_locus_sum
 from mixedsums.mixed import mixed_table, squares_table
+from mixedsums.sums import gauss_table
 
 
 def test_config_validation():
@@ -111,6 +113,33 @@ def test_mellin_suite_holds_only_p_and_t():
     peak, reports = traced_peak(lambda: run_mellin(make_context(f, 3)))
     assert all(r.passed for r in reports)
     assert peak < 3 * 16 * f.q**2
+
+
+def warm_field(p, n):
+    """A field with its Gauss sums, unit roots and additive character built."""
+    f = build_field(p, n)
+    gauss_table(f)
+    unit_roots(f)
+    psi_table(f)
+    return f
+
+
+def test_mellin_field_suite_holds_no_jacobi_table():
+    # the Jacobi sums J(chi_m, phi) are one sweep of length q-1, so the
+    # suite holds nothing of size (q-1)^2
+    f = warm_field(5, 4)
+    peak, reports = traced_peak(lambda: run_mellin_field(f))
+    assert all(r.passed for r in reports)
+    assert peak < 16 * f.q**2
+
+
+def test_classical_suite_streams_the_jacobi_sums():
+    # jacobi_gauss_ratio sweeps one row block of Jacobi sums at a time;
+    # what remains is the (q-1) x (q-1) char_matrix of char_orthogonality
+    f = warm_field(5, 4)
+    peak, reports = traced_peak(lambda: run_classical(f))
+    assert all(r.passed for r in reports)
+    assert peak < 2 * 16 * f.q**2
 
 
 def test_mellin_suite_passes_over_several_row_blocks():

@@ -20,7 +20,7 @@ from oracles import (chi_val, naive_double_mellin, naive_hyper_kernel, naive_mel
 
 
 def test_direct_routes_never_read_gauss_sums(monkeypatch):
-    # a fresh field, so that the Jacobi table is built under the patch
+    # a fresh field, so that the cached J(chi_m, phi) sweep is built under the patch
     f = build_field(17, 1)
     ctx = make_context(f, 3)
 
@@ -32,7 +32,8 @@ def test_direct_routes_never_read_gauss_sums(monkeypatch):
     qm1 = f.q - 1
     m = np.arange(qm1)
     js = f.units()
-    assert jacobi(f, m[:, None], m).shape == (qm1, qm1)
+    assert jacobi(f, (0, m), (1, 0)).shape == (qm1, qm1)
+    assert ml._jacobi_phi(f, m).shape == (qm1,)
     assert exponent_sweep(f, m, np.ones(qm1)).shape == (qm1,)
     assert hyp2f1_many(f, (1, 0), (1, qm1 // 4), (0, qm1 // 4), js).shape == (qm1, qm1)
     assert ml.hyper_kernel_row(ctx, js).shape == (qm1, qm1)
@@ -108,16 +109,18 @@ def test_v_moment_sum_oracle(f13):
 def test_v_moment_jacobi_form(f13):
     # for lam = nu^2 conj(A4) with lam^2 nontrivial:
     # Y(lam) = conj(nu)(a) {A4(a) J(nu, nu conj(A4)) + conj(A4)(a) J(nu phi, nu A4)}
+    e, h = 3, 6  # the exponents of A4 and phi at q = 13
+    j_first = jacobi(f13, (1, 0), (1, -e))  # J(nu, nu conj(A4)) at index nu
+    j_second = jacobi(f13, (1, h), (1, e))  # J(nu phi, nu A4)
     for a in (1, 2, 5):
         ctx = make_context(f13, a)
-        e, h = ctx.A4.m, ctx.phi.m
+        assert (ctx.A4.m, ctx.phi.m) == (e, h)
         for nu in range(f13.q - 1):
             lam = 2 * nu - e
             if 2 * lam % 12 == 0:
                 continue
             rhs = chi_val(f13, -nu, a) * (
-                chi_val(f13, e, a) * jacobi(f13, nu, nu - e)
-                + chi_val(f13, -e, a) * jacobi(f13, nu + h, nu + e)
+                chi_val(f13, e, a) * j_first[nu] + chi_val(f13, -e, a) * j_second[nu]
             )
             assert abs(ml.v_moment_sum(ctx, lam) - rhs) < 1e-9
 
@@ -209,7 +212,8 @@ def test_hyper_kernel_special_values(f13):
     ctx = make_context(f13, 1)
     e, h = ctx.A4.m, ctx.phi.m
     assert abs(ml.hyper_kernel_closed(ctx, MultChar(f13, 0), f13.i_elem) - (13 - 2)) < 1e-10
-    assert abs(ml.hyper_kernel_closed(ctx, MultChar(f13, e), 1) - jacobi(f13, e, h)) < 1e-10
+    j_phi = jacobi(f13, (1, 0), (0, h))[e]  # J(A4, phi)
+    assert abs(ml.hyper_kernel_closed(ctx, MultChar(f13, e), 1) - j_phi) < 1e-10
     # the closed special values agree with the defining sum
     for m in (0, e, -e % 12):
         for j in range(1, 13):

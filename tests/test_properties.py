@@ -1,12 +1,13 @@
 """Property tests of the exponent-array layer: for random admissible fields,
-parameters a and integer exponent arrays, every closed form and the Jacobi
-sum return the broadcast shape of their exponent arguments, do not change
-when an exponent moves by q-1, and agree with the scalar oracles.  The
-all-character 2F1 table is checked the same way over its (slope, offset)
-parameters, the cyclic convolution over the log index against its
-literal double sum, the in-place DFT against the DFT into a new array, the
-character evaluator MultChar against the scalar chi_val, and a checker
-that reuses its scratch arrays against fresh checkers."""
+parameters a and integer exponent arrays, every closed form returns the
+broadcast shape of its exponent arguments, does not change when an
+exponent moves by q-1, and agrees with the scalar oracles.  The
+all-character Jacobi sums and 2F1 table are checked the same way over
+their (slope, offset) parameters, the cyclic convolution over the log
+index against its literal double sum, the in-place DFT against the DFT
+into a new array, the character evaluator MultChar against the scalar
+chi_val, and a checker that reuses its scratch arrays against fresh
+checkers."""
 
 import math
 
@@ -115,11 +116,14 @@ def test_double_mellin_closed_properties(data):
 def test_jacobi_properties(data):
     f = build_field(*data.draw(st.sampled_from(FIELDS)))
     qm1 = f.q - 1
+    sa, sb = (data.draw(st.integers(-2 * qm1, 2 * qm1)) for _ in range(2))
     (s1, s2), shape = data.draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=2,
                                                                    max_side=3))
-    ma, mb = exponents(data.draw, qm1, s1), exponents(data.draw, qm1, s2)
-    check(lambda a, b: jacobi(f, a, b), [ma, mb],
-          lambda a, b: oracles.naive_jacobi(f, a, b), shape, qm1, data.draw)
+    ta, tb = exponents(data.draw, qm1, s1), exponents(data.draw, qm1, s2)
+    m = range(qm1)
+    check(lambda a, b: jacobi(f, (sa, a), (sb, b)), [ta, tb],
+          lambda a, b: [oracles.naive_jacobi(f, sa * k + a, sb * k + b) for k in m],
+          shape + (qm1,), qm1, data.draw)
 
 
 @PROPERTY

@@ -48,17 +48,18 @@ def test_gauss_norm_relation(f13, f25):
 
 
 def test_jacobi_values(f13):
-    assert abs(jacobi(f13, 0, 0) - 11) < 1e-10
+    # both slopes 0: J(eps, eps) in every entry
+    assert_matches(jacobi(f13, (0, 0), (0, 0)), np.full(f13.q - 1, 11.0))
     ms = np.arange(1, f13.q - 1)
-    assert_matches(jacobi(f13, 0, ms), np.full(len(ms), -1.0))
-    assert_matches(jacobi(f13, ms, -ms), -a_at_minus_one(f13, ms))
+    assert_matches(jacobi(f13, (0, 0), (1, 0))[ms], np.full(len(ms), -1.0))
+    assert_matches(jacobi(f13, (1, 0), (-1, 0))[ms], -a_at_minus_one(f13, ms))
 
 
 def test_jacobi_matches_oracle(f5, f9, f13):
-    # the full (q-1) x (q-1) table in one call
+    # the full (q-1) x (q-1) table in one call: one offset per row
     for f in (f5, f9, f13):
         m = np.arange(f.q - 1)
-        got = jacobi(f, m[:, None], m)
+        got = jacobi(f, (0, m), (1, 0))
         assert got.shape == (f.q - 1, f.q - 1)
         for ma in m:
             for mb in m:
@@ -70,15 +71,17 @@ def test_jacobi_gauss_ratio(f13, f9):
         qm1 = f.q - 1
         G = gauss_table(f)
         ma, mb = np.nonzero((np.arange(qm1)[:, None] + np.arange(qm1)) % qm1)  # A*B nontrivial
-        assert_matches(jacobi(f, ma, mb), G[ma] * G[mb] / G[(ma + mb) % qm1])
+        table = jacobi(f, (0, np.arange(qm1)), (1, 0))
+        assert_matches(table[ma, mb], G[ma] * G[mb] / G[(ma + mb) % qm1])
 
 
 def test_jacobi_reflection(f13):
-    # J(A, conj(C)) = A(-1) J(A, conj(A) C) for C nontrivial
-    ma = np.arange(f13.q - 1)[:, None]
+    # J(A, conj(C)) = A(-1) J(A, conj(A) C) for C nontrivial, with A = chi_m
+    # on the sweep axis and C = chi_mc on the leading axis
+    m = np.arange(f13.q - 1)
     mc = np.arange(1, f13.q - 1)
-    assert_matches(jacobi(f13, ma, -mc),
-                   a_at_minus_one(f13, ma.ravel())[:, None] * jacobi(f13, ma, mc - ma))
+    assert_matches(jacobi(f13, (1, 0), (0, -mc)),
+                   a_at_minus_one(f13, m) * jacobi(f13, (1, 0), (-1, mc)))
 
 
 def test_hyp2f1_zero_argument(f13):
