@@ -164,9 +164,9 @@ class FieldTable:
         self.i_elem = int(exp_table[(q - 1) // 4])
         self._cache: dict = {}
 
-    def cached(self, key: str, build):
-        """The per-field table stored under key, built once as build(self)
-        and made read-only."""
+    def cached(self, key, build):
+        """The table stored under key in this object's cache, built once as
+        build(self) and made read-only (MixedSumContext shares this)."""
         tab = self._cache.get(key)
         if tab is None:
             tab = self._cache[key] = build(self)
@@ -217,9 +217,10 @@ class FieldTable:
         return np.arange(1, self.q, dtype=np.int64)
 
     def blocks(self, xs: np.ndarray):
-        """Consecutive slices of xs of at most max(1, 2**14 // q) entries, so
-        that each (len(block), q-1) table of a sweep stays near 2**14 values."""
-        step = max(1, 2**14 // self.q)
+        """Consecutive slices of xs of at most max(16, 2**14 // q) entries, so
+        that each (len(block), q-1) table of a sweep stays near 2**14 values,
+        and at q > 1024 a block keeps 16 rows, so per-call costs stay small."""
+        step = max(16, 2**14 // self.q)
         return (xs[i:i + step] for i in range(0, len(xs), step))
 
     def __repr__(self):

@@ -120,7 +120,9 @@ class Checker:
         """Compare lhs with rhs elementwise after broadcasting them to one
         shape, with |lhs - rhs| <= tol * (1 + max(|lhs|, |rhs|)) at every
         entry. A NaN error is kept once seen, and a non-finite error always
-        fails. Every temporary of the size of the comparison is a view of
+        fails. A finite worst error of at most tol passes with no bound
+        computed: every bound is tol * (1 + max(...)) >= tol in floating
+        point. Every temporary of the size of the comparison is a view of
         the scratch arrays."""
         lhs, rhs = np.asarray(lhs), np.asarray(rhs)
         shape = np.broadcast(lhs, rhs).shape or (1,)
@@ -136,6 +138,8 @@ class Checker:
             self.max_abs_err = worst
         if not math.isfinite(worst):
             self.passed = False
+            return
+        if worst <= self.tol:
             return
         # diff is spent: its memory holds the bound and |rhs|
         bound, abs_rhs = diff.reshape(-1).view(float).reshape((2,) + shape)
@@ -408,19 +412,20 @@ def emit_report(reports: list[CheckReport], format: str, path: str,
     """Write the report atomically (temp file + rename).
 
     JSON output is a list of {field: {...}, runs: [...]} groups, one per
-    field, in execution order; CSV is one row per check.
+    field, in execution order, with one run per line: each line is encoded
+    with no indent, which runs the C encoder (an indent selects the
+    pure-Python one). CSV is one row per check.
     """
     if format == "json":
+        encode = json.JSONEncoder(allow_nan=False).encode
         groups = []
         if fields is None:
             fields = [_factor_prime_power(q) for q in dict.fromkeys(r.q for r in reports)]
         for p, n in fields:
             q = p**n
-            groups.append({
-                "field": _field_header(p, n),
-                "runs": [_json_row(r) for r in reports if r.q == q],
-            })
-        payload = json.dumps(groups, indent=2, allow_nan=False)
+            runs = ",\n".join(encode(_json_row(r)) for r in reports if r.q == q)
+            groups.append(f'{{"field": {encode(_field_header(p, n))}, "runs": [\n{runs}\n]}}')
+        payload = "[\n" + ",\n".join(groups) + "\n]\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)

@@ -20,7 +20,7 @@ import numpy as np
 from .gf import FieldError, FieldTable, ZeroArgument
 from .chars import MultChar, char_at, dft, unit_roots
 from .mixed import MixedSumContext, mixed_table, state_vector
-from .sums import exponent_sweep, gauss_table, hyp2f1_many, jacobi
+from .sums import exponent_sweep, gauss_table, hyp2f1_many, jacobi, one_minus_table
 
 
 class FourthPowerTrivial(FieldError):
@@ -39,11 +39,16 @@ def _jacobi_phi(f: FieldTable, m) -> np.ndarray:
     return f.cached("jacobi_phi", lambda f: jacobi(f, (1, 0), (0, qm1 // 2)))[np.mod(m, qm1)]
 
 
-def _gauss_pairs(ctx: MixedSumContext, nu) -> list[np.ndarray]:
-    """[G(nu A4^(k-1)) G(nu A4^k) for k = 0..3], elementwise over the
-    exponent array nu: the Gauss-sum pairs every closed form is built of."""
+def _gauss_pairs(ctx: MixedSumContext, nu) -> np.ndarray:
+    """G(nu A4^(k-1)) G(nu A4^k) for k = 0..3 on a leading axis, elementwise
+    over the exponent array nu: the Gauss-sum pairs every closed form is
+    built of, read from one (4, q-1) table cached per field and quartic
+    exponent (run_main's W uses conj(A4))."""
     f, e = ctx.field, ctx.A4.m
-    return [_gauss(f, nu + (k - 1) * e) * _gauss(f, nu + k * e) for k in range(4)]
+    n = np.arange(f.q - 1)
+    pairs = f.cached(("gauss_pairs", e), lambda f: np.stack(
+        [_gauss(f, n + (k - 1) * e) * _gauss(f, n + k * e) for k in range(4)]))
+    return pairs[:, np.mod(nu, f.q - 1)]
 
 
 # --- Mellin transform of V ---
@@ -58,11 +63,13 @@ def mellin_v_all(ctx: MixedSumContext) -> np.ndarray:
 
 def _root_sum(ctx: MixedSumContext, nu) -> np.ndarray:
     """conj(nu)(a) sum over k of conj(A4)^(k-1)(a) G(nu A4^(k-1)) G(nu A4^k),
-    the factor S(nu^4) and T(nu^4) share."""
-    f, e = ctx.field, ctx.A4.m
-    nu = np.asarray(nu)
-    total = sum(char_at(f, (1 - k) * e, ctx.a) * g for k, g in enumerate(_gauss_pairs(ctx, nu)))
-    return char_at(f, -nu, ctx.a) * total
+    the factor S(nu^4) and T(nu^4) share, elementwise over the exponent
+    array nu, read from one length-(q-1) vector cached per context."""
+    def build(ctx):
+        f, e, n = ctx.field, ctx.A4.m, np.arange(ctx.field.q - 1)
+        total = sum(char_at(f, (1 - k) * e, ctx.a) * g for k, g in enumerate(_gauss_pairs(ctx, n)))
+        return char_at(f, -n, ctx.a) * total
+    return ctx.cached("root_sum", build)[np.mod(nu, ctx.field.q - 1)]
 
 
 def mellin_v_closed_root(ctx: MixedSumContext, nu) -> np.ndarray:
@@ -196,11 +203,11 @@ def hyper_kernel_row(ctx: MixedSumContext, js) -> np.ndarray:
     if np.any(js == 0):
         raise ZeroArgument("j must be nonzero")
     x = np.arange(2, f.q)  # phi(1-x) vanishes at x = 1
-    jp = f.add(js, 1)
-    jm = f.sub(js, 1)
+    one_minus = one_minus_table(f)
+    jp, jm = one_minus[f.neg_table[js]], one_minus[js]  # 1 + j and 1 - j, (1-j)^2 = (j-1)^2
     args = f.add(f.mul(x, f.mul(jp, jp)[:, None]), f.mul(jm, jm)[:, None])
     lx, largs = f.log_table[x], f.log_table[args]
-    w = unit_roots(f)[np.mod(ctx.phi.m * (f.log_table[f.sub(1, x)] + largs), qm1)]
+    w = unit_roots(f)[np.mod(ctx.phi.m * (f.log_table[one_minus[x]] + largs), qm1)]
     w[args == 0] = 0.0
     return exponent_sweep(f, lx - 2 * largs, w)
 
@@ -233,18 +240,20 @@ def hyper_kernel_closed_row(ctx: MixedSumContext, js) -> np.ndarray:
 def null_locus_sum(ctx: MixedSumContext, lam1) -> np.ndarray:
     """Sum of chi1(j) phi(x - a/x) over the zero locus of the cross form,
     where chi1 = lam1^2 phi, for an exponent array lam1.  The locus is
-    found once, in FieldTable.blocks rows of j, and chi1(j) =
-    zeta^(lam1 2 log j) phi(j), so one exponent sweep covers every lam1."""
+    solved, not searched: x^2 (j+1)^2 = -a (j-1)^2 has no x at j = +-1, and
+    else x = +-r (j-1)/(j+1) with r^2 = -a, so it is empty unless -a is a
+    square.  chi1(j) = zeta^(lam1 2 log j) phi(j), so one exponent sweep
+    covers every lam1."""
     f = ctx.field
-    x = f.units()
-    ax = f.mul(ctx.a, f.inv_table[x])
-    js, xs = [], []
-    for jb in f.blocks(f.units()):  # at most two x per j, so the locus is O(q)
-        jl, xl = np.nonzero(cross_form(ctx, jb[:, None], x) == 0)
-        js.append(jb[jl])
-        xs.append(xl)
-    j, xl = np.concatenate(js), np.concatenate(xs)
-    w = ctx.phi.values()[f.sub(x, ax)][xl] * ctx.phi(j)
+    log_r2 = f.log_table[f.neg_table[ctx.a]]  # log(-a)
+    j = np.arange(2, f.q) if log_r2 % 2 == 0 else np.arange(0)  # j != 0, 1; no r: no locus
+    j = j[j != f.neg_table[1]]
+    one_minus = one_minus_table(f)  # j - 1 = -(1 - j), j + 1 = 1 - (-j)
+    x = f.mul(f.exp_table[log_r2 // 2],  # r (j-1)/(j+1)
+              f.mul(f.neg_table[one_minus[j]], f.inv_table[one_minus[f.neg_table[j]]]))
+    x = np.sort(np.stack([x, f.neg_table[x]], axis=-1), axis=-1).ravel()  # each j's x ascending
+    j = np.repeat(j, 2)
+    w = ctx.phi(f.sub(x, f.mul(ctx.a, f.inv_table[x]))) * ctx.phi(j)
     return exponent_sweep(f, 2 * f.log_table[j], w)[np.mod(lam1, f.q - 1)]
 
 
@@ -282,10 +291,11 @@ def double_mellin_closed(ctx: MixedSumContext, nu1, nu2) -> np.ndarray:
     """Gauss-sum evaluation of T(nu1^4, nu2^4), elementwise over the
     broadcast exponent arrays nu1 and nu2."""
     f, e = ctx.field, ctx.A4.m
-    mu = np.add(nu1, nu2)
-    g1, g2 = _gauss_pairs(ctx, np.asarray(nu1)), _gauss_pairs(ctx, np.asarray(nu2))
-    total = sum(char_at(f, -mu - (m + n) * e, ctx.a) * g1[n] * g2[m]
-                for m in range(4) for n in range(4))
+    mu = np.mod(np.add(nu1, nu2), f.q - 1)
+    g1, g2 = _gauss_pairs(ctx, nu1), _gauss_pairs(ctx, nu2)
+    # chi(-mu - s e)(a) takes 7 distinct values per mu, s = m + n = 0..6
+    c = char_at(f, -np.arange(f.q - 1) - e * np.arange(7)[:, None], ctx.a)
+    total = sum(c[m + n][mu] * g1[n] * g2[m] for m in range(4) for n in range(4))
     return char_at(f, e, f.neg_table[ctx.a]) * total / f.q
 
 

@@ -36,6 +36,8 @@ class MixedSumContext:
     def phi(self) -> MultChar:
         return quadratic_char(self.field)
 
+    cached = FieldTable.cached  # a per-context table, built once and read-only
+
 
 def make_context(field: FieldTable, a: int, conjugate_quartic: bool = False) -> MixedSumContext:
     """Fix (a, A4, tau) over the given field.
@@ -66,20 +68,18 @@ def state_vector(ctx: MixedSumContext) -> np.ndarray:
     c = g^r the x-sum is the cyclic convolution over log x
         K[r] = sum_s A4(g^s) psi(g^s) psi(g^(r-s)),
     one FFT product for every c at once, and tau V(j) = K[log a + 4 log j].
+    K does not depend on a, so it is cached per field and quartic exponent.
     """
-    v = ctx._cache.get("state")
-    if v is None:
+    def build(ctx):
         f = ctx.field
-        x = f.exp_table  # x = g^s
-        psi = psi_table(f)[x]
-        K = convolve(f, ctx.A4(x) * psi, psi)
+        K = f.cached(("state_kernel", ctx.A4.m), lambda f: convolve(  # x = g^s
+            f, ctx.A4(f.exp_table) * psi_table(f)[f.exp_table], psi_table(f)[f.exp_table]))
         v = np.empty(f.q, dtype=complex)
         v[1:] = K[(f.log_table[ctx.a] + 4 * f.log_table[1:]) % (f.q - 1)] / ctx.tau
         g4 = gauss(ctx.A4)
         v[0] = g4 / ctx.tau + ctx.tau / g4
-        v.flags.writeable = False
-        ctx._cache["state"] = v
-    return v
+        return v
+    return ctx.cached("state", build)
 
 
 def _zech_table(field: FieldTable) -> np.ndarray:
@@ -143,8 +143,7 @@ def squares_table(ctx: MixedSumContext) -> np.ndarray:
     (j-k)^2 = 0 exactly when j = k and (j+k)^2 = 0 exactly when j = -k, so
     the two delta terms of P are column 0 and row 0 of S.
     """
-    S = ctx._cache.get("squares")
-    if S is None:
+    def build(ctx):
         f = ctx.field
         n = f.q - 1
         half = n // 2
@@ -165,9 +164,8 @@ def squares_table(ctx: MixedSumContext) -> np.ndarray:
         S /= gauss(ctx.phi)
         S[:, 0] += 1.0
         S[0, :] += ctx.phi(f.neg_table[1])
-        S.flags.writeable = False
-        ctx._cache["squares"] = S
-    return S
+        return S
+    return ctx.cached("squares", build)
 
 
 def mixed_block(ctx: MixedSumContext, js, ks, out=None) -> np.ndarray:
@@ -199,14 +197,12 @@ def mixed_table(ctx: MixedSumContext) -> np.ndarray:
     no q x q slot array is built.  The main suite streams row blocks of
     mixed_block instead and never holds this table.
     """
-    P = ctx._cache.get("mixed")
-    if P is None:
+    def build(ctx):
         f = ctx.field
         jj = np.arange(f.q)
         P = np.empty((f.q, f.q), dtype=complex)
         for jb in f.blocks(jj):
             mixed_block(ctx, jb, jj, out=P[jb[0]:jb[-1] + 1])
-        P.flags.writeable = False
-        ctx._cache["mixed"] = P
-    return P
+        return P
+    return ctx.cached("mixed", build)
 

@@ -6,6 +6,11 @@ expected values are computed independently of the vectorized library path.
 
 import cmath
 
+import numpy as np
+
+from mixedsums.mellin import cross_form
+from mixedsums.sums import exponent_sweep
+
 
 def chi_val(f, m, x):
     if x == 0:
@@ -154,6 +159,22 @@ def naive_null_locus_closed(ctx, nu1):
     h = (f.q - 1) // 2
     jsum = sum(naive_jacobi(f, nu1 + k * e, h) for k in range(4))
     return (chi_val(f, e, a) + chi_val(f, -e, a)) * jsum
+
+
+def naive_null_locus_sum(ctx, lam1):
+    """null_locus_sum by search: the zeros of the cross form are found by
+    testing every (j, x) in F_q* x F_q*, in row blocks of j, and summed in
+    the same (j, x) order."""
+    f = ctx.field
+    x = np.arange(1, f.q)
+    js, xs = [], []
+    for jb in f.blocks(x):
+        jl, xl = np.nonzero(cross_form(ctx, jb[:, None], x) == 0)
+        js.append(jb[jl])
+        xs.append(x[xl])
+    j, xz = np.concatenate(js), np.concatenate(xs)
+    w = ctx.phi(f.sub(xz, f.mul(ctx.a, f.inv_table[xz]))) * ctx.phi(j)
+    return exponent_sweep(f, 2 * f.log_table[j], w)[np.mod(lam1, f.q - 1)]
 
 
 def naive_double_mellin_closed(ctx, nu1, nu2):

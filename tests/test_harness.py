@@ -15,9 +15,9 @@ from mixedsums import harness
 from mixedsums.chars import psi_table, unit_roots
 from mixedsums.harness import (Checker, _factor_prime_power, _json_row, resolve_a_values,
                                run_classical, run_main, run_mellin, run_mellin_field)
-from mixedsums.mellin import null_locus_sum
+from mixedsums.mellin import mellin_v_closed, null_locus_sum
 from mixedsums.mixed import mixed_table, squares_table
-from mixedsums.sums import gauss_table
+from mixedsums.sums import gauss_table, jacobi
 
 
 def test_config_validation():
@@ -196,6 +196,36 @@ def test_null_locus_is_found_in_row_blocks():
     assert peak < 16 * f.q**2
 
 
+@pytest.mark.parametrize("p, n", [(5, 4), (7, 4)])
+def test_null_locus_sum_memory_is_linear_in_q(p, n):
+    # the locus is solved, so nothing of the size of F_q* x F_q*, or of a
+    # row block of it, is made; at a = 1 the locus is not empty
+    f = build_field(p, n)
+    ctx = make_context(f, 1)
+    peak, _ = traced_peak(lambda: null_locus_sum(ctx, np.arange(f.q - 1)))
+    assert peak < 1024 * f.q
+
+
+def test_tables_free_of_a_are_read_only_and_keyed_by_quartic_exponent():
+    f = build_field(13, 1)
+    m = np.arange(f.q - 1)
+    e, e_bar = (f.q - 1) // 4, 3 * (f.q - 1) // 4
+    for conj in (False, True):
+        for a in (2, 5):
+            ctx = make_context(f, a, conjugate_quartic=conj)
+            state_vector(ctx)
+            mellin_v_closed(ctx, m)
+            assert all(not t.flags.writeable for t in ctx._cache.values())
+    jacobi(f, (1, 0), (0, 0))
+    assert all(not t.flags.writeable for t in f._cache.values())
+    with pytest.raises(ValueError):
+        f._cache["one_minus"][0] = 0
+    # one table per quartic exponent, shared by every a, not the same for A4 and conj(A4)
+    for name in ("state_kernel", "gauss_pairs"):
+        assert {k for k in f._cache if k[0] == name} == {(name, e), (name, e_bar)}
+        assert not np.allclose(f._cache[(name, e)], f._cache[(name, e_bar)])
+
+
 def test_mixed_table_is_filled_in_row_blocks():
     # with the squares table built, filling P holds no q x q slot array
     ctx = make_context(build_field(5, 4), 3)
@@ -211,6 +241,17 @@ def test_instances_are_counted_after_broadcasting(f5):
     c.compare_arrays([], [])
     assert c.report().instances == 14
     assert Checker.compare is Checker.compare_arrays
+
+
+def test_error_above_tol_is_judged_by_the_bound(f5):
+    # tol < err: the worst error alone cannot pass the comparison, so the
+    # bound tol * (1 + max(|lhs|, |rhs|)) decides
+    c = Checker("demo", f5, None, 1e-8)
+    c.compare_arrays([1e6, 0.0], [1e6 + 1e-3, 0.0])  # err 1e-3, bound 1e-2
+    assert c.passed and c.max_abs_err > c.tol
+    c.compare_arrays([0.0, 2.0], [0.0, 2.0 + 4e-8])  # err 4e-8, bound 3e-8
+    assert not c.passed
+    assert c.report().instances == 4
 
 
 def test_factor_prime_power():
@@ -289,6 +330,25 @@ def test_json_row_is_asdict():
     nan = CheckReport("demo", 5, None, 3, math.nan, 1e-8, False)
     assert _json_row(nan) == {**asdict(nan), "max_abs_err": "nan"}
     assert list(_json_row(nan)) == list(asdict(nan))
+
+
+def test_json_and_csv_rows_of_one_run_agree(tmp_path):
+    fields = [(5, 1), (3, 2)]
+    reports = run(SuiteConfig(fields=fields, a_policy="sample"))
+    emit_report(reports, "json", str(tmp_path / "r.json"), fields)
+    emit_report(reports, "csv", str(tmp_path / "r.csv"))
+    text = (tmp_path / "r.json").read_text()
+    json_rows = [r for g in json.loads(text) for r in g["runs"]]
+    csv_rows = list(csv.DictReader((tmp_path / "r.csv").open()))
+    assert len(json_rows) == len(csv_rows) == len(reports)
+    for j, c in zip(json_rows, csv_rows):
+        a = "" if j["a"] is None else str(j["a"])
+        assert (j["check_id"], str(j["q"]), a, str(j["instances"])) == (
+            c["check_id"], c["q"], c["a"], c["instances"])
+        assert (j["max_abs_err"], j["tol"]) == (float(c["max_abs_err"]), float(c["tol"]))
+        assert str(j["passed"]).lower() == c["pass"]
+    # one run per line
+    assert sum(line.startswith('{"check_id": ') for line in text.splitlines()) == len(reports)
 
 
 def test_emit_empty_report(tmp_path):

@@ -269,7 +269,7 @@ def test_null_locus_sum(f13):
 
 
 def test_null_locus_sum_over_several_blocks():
-    # at q = 169 the locus is found in several row blocks of j
+    # q = 169, a field of degree 2, at a = 1 and a = g
     f = build_field(13, 2)
     m = np.arange(f.q - 1)
     for a in (1, f.g):
@@ -277,6 +277,24 @@ def test_null_locus_sum_over_several_blocks():
         chi1 = (2 * m + ctx.phi.m) % (f.q - 1)
         expect = np.where(chi1 % 4 == 0, ml.null_locus_closed(ctx, chi1 // 4), 0.0)
         assert np.abs(ml.null_locus_sum(ctx, m) - expect).max() < 1e-9
+
+
+@pytest.mark.parametrize("p, n", [(5, 1), (3, 2), (13, 1), (5, 2), (29, 1), (7, 2), (3, 4)])
+def test_null_locus_sum_matches_the_scan(p, n):
+    # the solved locus against a search of every (j, x), for every a: the
+    # same terms in the same order, so the same floats; the locus is empty,
+    # and the sum 0, exactly when -a is not a square
+    f = build_field(p, n)
+    m = np.arange(f.q - 1)
+    nonsquare = 0
+    for a in range(1, f.q):
+        ctx = make_context(f, a)
+        got = ml.null_locus_sum(ctx, m)
+        np.testing.assert_array_equal(got, oracles.naive_null_locus_sum(ctx, m))
+        if f.log_table[f.neg(a)] % 2:
+            nonsquare += 1
+            assert not got.any()
+    assert nonsquare == (f.q - 1) // 2
 
 
 def test_cross_form_sum_oracle_q5(f5):
