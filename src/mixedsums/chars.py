@@ -45,16 +45,17 @@ def dft(field: FieldTable, h, axes=(-1,), out=None) -> np.ndarray:
     return np.fft.ifftn(h, axes=axes, norm="forward", out=out)
 
 
-def convolve(field: FieldTable, h, k) -> np.ndarray:
+def convolve(field: FieldTable, h, k, out=None) -> np.ndarray:
     """out[..., r] = sum over s of h[..., s] k[(r - s) mod (q-1)], the cyclic
     convolution on the last axis (of length q-1), as one FFT product.  For
     h and k indexed by the log index of x = g^s this is the sum over
-    x y = g^r of h(x) k(y), for every r at once."""
+    x y = g^r of h(x) k(y), for every r at once.  A complex array of the
+    result's shape passed as out receives it (out=h convolves in place)."""
     h, k = np.asarray(h), np.asarray(k)
     if h.shape[-1] != field.q - 1 or k.shape[-1] != field.q - 1:
         raise ValueError(f"convolve operands of shapes {h.shape} and {k.shape} "
                          "do not end in an axis of length q-1")
-    out = np.fft.fft(h) * np.fft.fft(k)
+    out = np.multiply(np.fft.fft(h, out=out), np.fft.fft(k), out=out)
     return np.fft.ifft(out, out=out)
 
 

@@ -10,7 +10,6 @@ or numpy arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -72,46 +71,37 @@ class FieldParams:
     modulus: tuple[int, ...]  # monic, degree n, coefficients low-degree first
 
 
-# --- polynomial helpers over F_p (coefficient lists, low-degree first) ---
-
-
-def _poly_rem(u: list[int], v: list[int], p: int) -> list[int]:
-    """Remainder of u modulo v (lead coefficient of v invertible)."""
-    u = [c % p for c in u]
-    dv = len(v) - 1
-    inv_lead = pow(v[-1], -1, p)
-    for i in range(len(u) - 1, dv - 1, -1):
-        c = u[i]
-        if c:
-            f = c * inv_lead % p
-            for k in range(dv + 1):
-                u[i - dv + k] = (u[i - dv + k] - f * v[k]) % p
-    return u[:dv]
-
-
-def _is_irreducible(coeffs: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    n = len(coeffs) - 1
-    if n == 1:
-        return True
-    for d in range(1, n // 2 + 1):
-        for low in product(range(p), repeat=d):
-            divisor = list(low) + [1]
-            if not any(_poly_rem(coeffs, divisor, p)):
-                return False
-    return True
+# candidates per batch of the modulus and generator searches: under MAX_Q
+# the smallest generator is below 64 for n = 1 and below p + 64 for n > 1
+# (indices below p lie in F_p and never generate)
+_CHUNK = 64
 
 
 def smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree n over F_p.
 
     Coefficient vectors are compared low-degree first, so the field modulus
-    is reproducible without any external polynomial table.
+    is reproducible without any external polynomial table.  A batch of
+    candidates is divided by every monic polynomial of each degree
+    d <= n/2 at once, by long division on coefficient arrays, and keeps the
+    candidates with no zero remainder: the first one left is irreducible.
     """
-    for low in product(range(p), repeat=n):
-        coeffs = list(low) + [1]
-        if _is_irreducible(coeffs, p):
-            return tuple(coeffs)
+    def monic(i, degree):  # the i-th monic polynomials, coefficients low-degree first
+        digits = i[:, None] // p ** np.arange(degree - 1, -1, -1) % p
+        return np.concatenate((digits, np.ones((len(i), 1), dtype=digits.dtype)), axis=1)
+
+    divisors = [monic(np.arange(p**d), d) for d in range(1, n // 2 + 1)]
+    # a constant term of 0 is divisible by x, so for n > 1 the search starts at 1
+    for start in range(p ** (n - 1) if n > 1 else 0, p**n, _CHUNK):
+        cand = monic(np.arange(start, min(start + _CHUNK, p**n)), n)
+        for d, div in enumerate(divisors, 1):  # keep what no divisor of degree d divides
+            r = np.repeat(cand[:, None, :], len(div), axis=1)  # [candidate, divisor, coefficient]
+            for top in range(n, d - 1, -1):
+                r[..., top - d:top + 1] -= r[..., top, None] * div
+                r[..., top - d:top + 1] %= p
+            cand = cand[~np.all(r[..., :d] == 0, axis=-1).any(axis=-1)]
+        if len(cand):
+            return tuple(int(c) for c in cand[0])
     raise FieldError(f"no irreducible polynomial of degree {n} over F_{p}")  # unreachable
 
 
@@ -248,12 +238,6 @@ def _digit_product(modulus: tuple[int, ...], p: int):
     return mul
 
 
-# candidates per batch of the generator search: under MAX_Q the smallest
-# generator is below 64 for n = 1 and below p + 64 for n > 1 (indices below
-# p lie in F_p and never generate)
-_GENERATOR_CHUNK = 64
-
-
 def build_field(p: int, n: int) -> FieldTable:
     """Construct F_{p^n} deterministically for p^n == 1 (mod 4), p^n <= 2^16.
 
@@ -280,8 +264,8 @@ def build_field(p: int, n: int) -> FieldTable:
     one[0] = 1
 
     cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
-    for start in range(2, q, _GENERATOR_CHUNK):
-        cand = np.arange(start, min(start + _GENERATOR_CHUNK, q))
+    for start in range(2, q, _CHUNK):
+        cand = np.arange(start, min(start + _CHUNK, q))
         full_order = np.ones(len(cand), dtype=bool)
         for c in cofactors:  # cand^c by square-and-multiply
             x, r = (cand[:, None] // ppow) % p, one

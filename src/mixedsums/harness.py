@@ -13,6 +13,7 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import gf
 from .gf import FieldTable, build_field
@@ -27,7 +28,8 @@ from .sums import (
     jacobi,
     quad_transform,
 )
-from .mixed import MixedSumContext, make_context, mixed_block, state_vector
+from .mixed import (MixedSumContext, make_context, mixed_block, read_squares, slot_base,
+                    square_slots, state_vector)
 from . import mellin as ml
 
 SUITES = ("classical", "transforms", "main", "mellin")
@@ -123,15 +125,16 @@ class Checker:
         fails. A finite worst error of at most tol passes with no bound
         computed: every bound is tol * (1 + max(...)) >= tol in floating
         point. Every temporary of the size of the comparison is a view of
-        the scratch arrays."""
+        the scratch arrays; when lhs and rhs are both real, the difference
+        is taken in err, with no complex difference."""
         lhs, rhs = np.asarray(lhs), np.asarray(rhs)
         shape = np.broadcast(lhs, rhs).shape or (1,)
         diff, err, mask = self.scratch.arrays(shape)
         self.instances += diff.size
         if not diff.size:
             return
-        np.subtract(lhs, rhs, out=diff)
-        np.abs(diff, out=err)
+        real = not (np.iscomplexobj(lhs) or np.iscomplexobj(rhs))
+        np.abs(np.subtract(lhs, rhs, out=err if real else diff), out=err)
         # max propagates NaN, so a finite max means every error is finite
         worst = float(err.max())
         if worst > self.max_abs_err or math.isnan(worst):
@@ -237,15 +240,17 @@ def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckReport
     built from the other quartic character, with its own tau, factors P
     too.
 
-    P is streamed in FieldTable.blocks row blocks: each block of rows, its
-    transposed block of columns and its negated rows are read from the
-    squares table by their own slot computations, into two block buffers
-    made once, so no q x q array is ever held."""
+    P is streamed in log order, in FieldTable.blocks row blocks: row r is
+    j = g^r and column c is k = g^(r+c), with j = 0 in row q-1 and k = 0 in
+    column q-1.  So the slot offsets of a row do not depend on the row
+    (mixed.slot_base), and V(k) along a row is a window of V in log order.
+    The negated rows read the swapped slot pair, and P(k, j) reads its own
+    offsets, log(k +- j) - log j = d + log(1 +- g^(-d)).  Every block lives
+    in buffers made once, so no q x q array is ever held."""
     f = ctx.field
-    q = f.q
+    q, n = f.q, f.q - 1
     V = state_vector(ctx)
-    W = state_vector(make_context(f, ctx.a, conjugate_quartic=ctx.A4.m == (q - 1) // 4))
-    jj = np.arange(q)
+    W = state_vector(make_context(f, ctx.a, conjugate_quartic=ctx.A4.m == n // 4))
     checks = Checks(f, ctx.a, tol)
     # created up front, so the report rows keep their order
     main, corner, zero_row, symmetry, negation, quarter, drift = (
@@ -255,20 +260,36 @@ def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckReport
     branch = checks.add("tau_branch", BRANCH_TOL)
     branch.compare_arrays(W**2, V**2)  # W = +-V
 
-    rows = len(next(f.blocks(jj)))
-    block = np.empty((rows, q), dtype=complex)
-    other = np.empty(rows * q, dtype=complex)  # the block compared with P
-    for jb in f.blocks(jj):
-        n = len(jb)
-        P = mixed_block(ctx, jb, jj, out=block[:n])
-        side = other[:n * q].reshape(n, q)
-        main.compare_arrays(P, np.outer(V[jb], V, out=side))
-        branch.compare_arrays(P, np.outer(W[jb], W, out=side))
-        zero_row.compare_arrays(P[:, 0], V[0] * V[jb])
-        symmetry.compare_arrays(P, mixed_block(ctx, jj, jb, out=side.reshape(q, n)).T)
-        # P(-j, k) = phi(-1) P(j, k), and phi(-1) = 1 since q = 1 (mod 4)
-        negation.compare_arrays(mixed_block(ctx, f.neg_table[jb], jj, out=side), P)
+    elems = np.append(f.exp_table, 0)  # the j of each row, and the k of row q-1
+    base = slot_base(f)[0]
+    offsets = base[:, n:2 * n + 1]  # column c: offset column q-1 + c
+    d = np.arange(n)
+    flipped = np.append(d + base[:, n - d], offsets[:, n:], axis=1)  # P(k, j)
+    # V(j) of row r, and V(k) along it: window r of V in log order, doubled
+    # (window q-1 is window 0); V(0) is column q-1
+    sides = [(X[elems], sliding_window_view(np.tile(X[f.exp_table], 2), n), check)
+             for X, check in ((V, main), (W, branch))]
+    m = len(next(f.blocks(elems)))
+    block, other = np.empty((2, m, q), dtype=complex)
+    slots = np.empty((2, m, q), dtype=np.int64)
+    for rs in f.blocks(np.arange(q)):
+        b, s = len(rs), rs[:, None]
+        side, (u, v) = other[:b], slots[:, :b]
+        # P's flat index lives in side's memory until V(j)V(k) overwrites it
+        index = side.reshape(-1).view(np.int64)[:b * q].reshape(b, q)
+        P = read_squares(ctx, *square_slots(f, s, offsets, elems, out=(u, v)),
+                         out=block[:b], index=index)
+        for xj, xk, check in sides:
+            np.multiply(xj[s], xk[rs[0]:rs[-1] + 1], out=side[:, :n])
+            np.multiply(xj[rs], xj[n], out=side[:, n])
+            check.compare_arrays(P, side)
+        zero_row.compare_arrays(P[:, n], V[0] * V[elems[rs]])
         drift.compare_arrays(P.imag, 0.0)
+        # P(-j, k) = phi(-1) P(j, k), phi(-1) = 1 since q = 1 (mod 4), and
+        # (-j +- k)^2 = (j -+ k)^2: the swapped slot pair
+        negation.compare_arrays(read_squares(ctx, v, u, out=side, index=v), P)
+        symmetry.compare_arrays(P, read_squares(
+            ctx, *square_slots(f, s, flipped, elems, out=(u, v)), out=side, index=u))
     expect = 2 + 2 * (gauss(ctx.A4) ** 2 / (q * ctx.A4(f.neg_table[ctx.a]))).real
     corner.compare_arrays(mixed_block(ctx, [0], [0])[0, 0], [expect, V[0] ** 2])
     j = f.units()

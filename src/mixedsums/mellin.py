@@ -303,28 +303,33 @@ def pair_coeffs(ctx: MixedSumContext, nu1) -> np.ndarray:
     """Coefficients (R0, R1, R2, R3) of the quartic-value expansion
     T(chi1, conj(chi1)) = sum_k R_k A4(a)^k, chi1 = nu1^4, in Jacobi-sum
     form, on a last axis of length 4 after the shape of the exponent array
-    nu1."""
+    nu1, read from one (q-1, 4) table cached per field and quartic
+    exponent: the coefficients do not depend on a."""
+    def build(f):
+        q, e, h = f.q, ctx.A4.m, ctx.phi.m
+        nu = np.arange(q - 1)
+        d = np.mod(4 * nu, q - 1) == 0
+        jsum = sum(_jacobi_phi(f, nu + k * e) for k in range(4))
+        g_phi = _gauss(f, h)
+        r0 = 4 * q - (2 * q - 2) * d
+        r1 = (q * jsum - d * (q - 1) * _jacobi_phi(f, -e)) / g_phi
+        r3 = (q * jsum - d * (q - 1) * _jacobi_phi(f, e)) / g_phi
+        r2 = sum(_jacobi_phi(f, -nu - (k + 1) * e) * _jacobi_phi(f, nu + k * e) for k in range(4))
+        return np.stack([r0, r1, r2, r3], axis=-1)
     f = ctx.field
-    q, e, h = f.q, ctx.A4.m, ctx.phi.m
-    nu1 = np.asarray(nu1)
-    d = np.mod(4 * nu1, q - 1) == 0
-    jsum = sum(_jacobi_phi(f, nu1 + k * e) for k in range(4))
-    g_phi = _gauss(f, h)
-    r0 = 4 * q - (2 * q - 2) * d
-    r1 = (q * jsum - d * (q - 1) * _jacobi_phi(f, -e)) / g_phi
-    r3 = (q * jsum - d * (q - 1) * _jacobi_phi(f, e)) / g_phi
-    r2 = sum(_jacobi_phi(f, -nu1 - (k + 1) * e) * _jacobi_phi(f, nu1 + k * e) for k in range(4))
-    return np.stack([r0, r1, r2, r3], axis=-1)
+    return f.cached(("pair_coeffs", ctx.A4.m), build)[np.mod(nu1, f.q - 1)]
 
 
 def pair_coeffs_gauss(ctx: MixedSumContext, nu1) -> np.ndarray:
     """The same coefficients as quadruple Gauss-sum sums restricted to
-    m + n == 1 - k (mod 4), on a last axis of length 4."""
+    m + n == 1 - k (mod 4), on a last axis of length 4, cached likewise."""
+    def build(f):
+        nu = np.arange(f.q - 1)
+        g, gbar = _gauss_pairs(ctx, nu), _gauss_pairs(ctx, -nu)
+        out = [sum(g[(1 - k - m) % 4] * gbar[m] for m in range(4)) for k in range(4)]
+        return char_at(f, ctx.A4.m, f.neg_table[1]) * np.stack(out, axis=-1) / f.q
     f = ctx.field
-    nu1 = np.asarray(nu1)
-    g, gbar = _gauss_pairs(ctx, nu1), _gauss_pairs(ctx, -nu1)
-    out = [sum(g[(1 - k - m) % 4] * gbar[m] for m in range(4)) for k in range(4)]
-    return char_at(f, ctx.A4.m, f.neg_table[1]) * np.stack(out, axis=-1) / f.q
+    return f.cached(("pair_coeffs_gauss", ctx.A4.m), build)[np.mod(nu1, f.q - 1)]
 
 
 def inverse_mellin(field: FieldTable, spec, j) -> np.ndarray:

@@ -82,49 +82,58 @@ def state_vector(ctx: MixedSumContext) -> np.ndarray:
     return ctx.cached("state", build)
 
 
-def _zech_table(field: FieldTable) -> np.ndarray:
-    """The Zech logarithms Z[d] = log(1 + g^d), d = 0..q-2, stored twice
-    over so that Z[lk - lj + q - 1] needs no reduction mod q-1; cached per
-    field.  1 + g^d = 0 at d = (q-1)/2, whose entry is the sentinel 2(q-1):
-    it lands past the end of _square_columns' periodic part, on a 0."""
-    def build(f):
-        z = f.log_table[f.add(1, f.exp_table)]
-        z[(f.q - 1) // 2] = 2 * (f.q - 1)
-        return np.tile(z, 2)
-    return field.cached("zech", build)
+def slot_base(field: FieldTable) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, col), the tables that place P(j,k) in the squares table,
+    cached per field.  For j = g^s and k = g^(s+d), j +- k = g^s (1 +- g^d),
+    so the columns of (j+k)^2 and (j-k)^2 are col[s + A[d]] and
+    col[s + B[d]]: A[d] = log(1 + g^d) is the Zech logarithm,
+    B[d] = log(1 - g^d) = A[d + (q-1)/2], and col[t] = 1 + (t mod (q-1)/2)
+    is the column of (g^t)^2.  Column q-1 + d of offsets is (A[d], B[d])
+    for -(q-1) <= d < q-1, so a difference of logs needs no reduction;
+    columns 2(q-1) to 3(q-1) are 0, where k = 0 lands with its log read as
+    2(q-1), since (j +- 0)^2 = j^2.  Where the sum is 0 (A at d = (q-1)/2,
+    B at d = 0) the offset is the sentinel 3(q-1): col is periodic below
+    3(q-1) and 0, the column of 0, up to 5(q-1), so s + d + offset is in
+    range for every s, d < q."""
+    def offsets(f):
+        n = f.q - 1
+        A = f.log_table[f.add(1, f.exp_table)]
+        A[n // 2] = 3 * n
+        out = np.zeros((2, 3 * n + 1), dtype=np.int64)
+        out[:, :2 * n] = np.tile([A, np.roll(A, -(n // 2))], 2)
+        return out
+
+    def columns(f):
+        t = np.arange(5 * (f.q - 1))
+        return np.where(t < 3 * (f.q - 1), 1 + t % ((f.q - 1) // 2), 0)
+    return field.cached("slot_offsets", offsets), field.cached("square_columns", columns)
 
 
-def _square_columns(field: FieldTable) -> np.ndarray:
-    """col[t] = 1 + (t mod (q-1)/2), the column of (g^t)^2 in the squares
-    table, for t < 2(q-1) (a sum of two logs); col[t] = 0, the column of 0,
-    for the q-1 entries after that, which the Zech sentinel reads.  Cached
-    per field."""
-    def build(f):
-        t = np.arange(2 * (f.q - 1))
-        return np.concatenate((1 + t % ((f.q - 1) // 2), np.zeros(f.q - 1, dtype=t.dtype)))
-    return field.cached("square_columns", build)
+def square_slots(field: FieldTable, s, offsets, ks, out=None):
+    """(u, v) = (col[s + offsets[0]], col[s + offsets[1]]): the
+    squares-table columns of (j+k)^2 and (j-k)^2 for the column of row logs
+    s and a pair of offset arrays read from slot_base, written into the
+    int64 pair out if given (out may be offsets itself).  A row s = q-1 is
+    j = 0, where (j +- k)^2 = k^2: both slots read the column of k^2 for
+    ks, the k of each column.  Each slot is one broadcast add and one take
+    from col, in place; every index is in range by construction, and
+    mode="clip" keeps take from buffering out (mode="raise" copies it)."""
+    col = slot_base(field)[1]
+    sums = (np.add(s, o, out=b) for o, b in zip(offsets, out or (None, None)))
+    u, v = (col.take(t, out=t, mode="clip") for t in sums)
+    zero = s[:, 0] == field.q - 1
+    if zero.any():
+        u[zero] = v[zero] = np.where(np.asarray(ks) == 0, 0, col[field.log_table[ks]])
+    return u, v
 
 
-def sum_square_slots(field: FieldTable, js, ks, out=None) -> np.ndarray:
-    """The squares-table column of (j+k)^2 for every j in js, k in ks, as a
-    (len(js), len(ks)) int64 array, written into out if given.  For
-    j, k != 0, j + k = g^lj (1 + g^(lk-lj)), so log(j+k) = lj + Z[lk - lj]
-    and the column is col[lj + Z[lk - lj]]; k = -j reads the Zech sentinel
-    and gets column 0.  The row of j = 0 and the column of k = 0 are the
-    columns of k^2 and j^2.  Both gathers read and write the same array in
-    place; every index is in range by construction, and mode="clip" keeps
-    take from buffering out (mode="raise" always copies it)."""
-    f = field
-    col = _square_columns(f)
-    js, ks = np.asarray(js), np.asarray(ks)
-    lj, lk = f.log_table[js][:, None], f.log_table[ks]
-    s = np.subtract(lk + (f.q - 1), lj, out=out)
-    _zech_table(f).take(s, out=s, mode="clip")
-    s += lj
-    col.take(s, out=s, mode="clip")
-    s[js == 0, :] = np.where(ks == 0, 0, col[lk])
-    s[:, ks == 0] = np.where(js == 0, 0, col[lj[:, 0]])[:, None]
-    return s
+def read_squares(ctx: MixedSumContext, u, v, out=None, index=None) -> np.ndarray:
+    """S[u, v] for slot arrays u and v: one gather from the squares table
+    into out, through a flat index built in index (u itself may serve)."""
+    S = squares_table(ctx)
+    i = np.multiply(u, S.shape[1], out=index)
+    i += v
+    return S.ravel().take(i, out=out, mode="clip")
 
 
 def squares_table(ctx: MixedSumContext) -> np.ndarray:
@@ -139,7 +148,8 @@ def squares_table(ctx: MixedSumContext) -> np.ndarray:
         F(u, g^r) = sum_s [w(g^s) psi(g^(s+2t))] psi(a g^(r-s)),
     w(x) = phi(a/x - x), read at even r; F(u, 0) is the plain sum of the
     bracket, and the row u = 0 convolves w alone.  Rows are built in
-    FieldTable.blocks steps, so nothing but S grows as q^2.
+    FieldTable.blocks steps, in one reused block buffer, so nothing but S
+    grows as q^2.
     (j-k)^2 = 0 exactly when j = k and (j+k)^2 = 0 exactly when j = -k, so
     the two delta terms of P are column 0 and row 0 of S.
     """
@@ -156,11 +166,15 @@ def squares_table(ctx: MixedSumContext) -> np.ndarray:
         psi_ux = np.concatenate((np.tile(psi[x], 2), np.ones(n)))
         start = np.concatenate(([2 * n], 2 * np.arange(half)))  # row r of S
         S = np.empty((half + 1, half + 1), dtype=complex)
-        for rows in f.blocks(np.arange(half + 1)):
-            h = psi_ux[start[rows, None] + np.arange(n)]
+        blocks = list(f.blocks(np.arange(half + 1)))
+        buf = np.empty((len(blocks[0]), n), dtype=complex)
+        index = np.empty(buf.shape, dtype=np.int64)
+        for rows in blocks:
+            i = np.add(start[rows, None], np.arange(n), out=index[:len(rows)])
+            h = psi_ux.take(i, out=buf[:len(rows)], mode="clip")
             h *= w
             S[rows, 0] = h.sum(axis=1)
-            S[rows, 1:] = convolve(f, h, k)[:, ::2]
+            S[rows, 1:] = convolve(f, h, k, out=h)[:, ::2]
         S /= gauss(ctx.phi)
         S[:, 0] += 1.0
         S[0, :] += ctx.phi(f.neg_table[1])
@@ -170,32 +184,34 @@ def squares_table(ctx: MixedSumContext) -> np.ndarray:
 
 def mixed_block(ctx: MixedSumContext, js, ks, out=None) -> np.ndarray:
     """P(j,k) for every j in js and k in ks, as a (len(js), len(ks)) array
-    written into out if given: one gather from the squares table at the
-    columns of (j+k)^2 and of (j-k)^2 = (j+(-k))^2 (sum_square_slots).
-    The second column array lives in out's memory until the gather
-    overwrites it.
+    written into out if given: the general, index-order read of the slot
+    tables, with s = log j (q-1 for j = 0) and offset column
+    e = q-1 + log k - s (log 0 read as 2(q-1)).  The second slot array
+    lives in out's memory until the gather overwrites it.
 
     P(j,k) = delta(j,k) + phi(-1) delta(j,-k)
              + G(phi)^{-1} F((j+k)^2, (j-k)^2).
     """
     f = ctx.field
-    S = squares_table(ctx)
+    n = f.q - 1
     js, ks = np.asarray(js), np.asarray(ks)
+    s = np.where(js == 0, n, f.log_table[js])[:, None]
+    e = np.subtract(np.where(ks == 0, 3 * n, f.log_table[ks] + n), s)
     if out is None:
-        out = np.empty((len(js), len(ks)), dtype=complex)
-    u = sum_square_slots(f, js, ks)
-    u *= S.shape[1]
-    v = out.reshape(-1).view(np.int64)[:u.size].reshape(u.shape)
-    u += sum_square_slots(f, js, f.neg_table[ks], out=v)
-    return S.ravel().take(u, out=out, mode="clip")
+        out = np.empty(e.shape, dtype=complex)
+    offsets = slot_base(f)[0]
+    v = offsets[1].take(e, out=out.reshape(-1).view(np.int64)[:e.size].reshape(e.shape),
+                        mode="clip")
+    u = offsets[0].take(e, out=e, mode="clip")
+    return read_squares(ctx, *square_slots(f, s, (u, v), ks, out=(u, v)), out=out, index=u)
 
 
 def mixed_table(ctx: MixedSumContext) -> np.ndarray:
     """The full q x q table of P(j,k), cached: mixed_block over every
     column, filled in FieldTable.blocks row blocks, so each entry is one
-    read of the squares table at columns found through the Zech table and
-    no q x q slot array is built.  The main suite streams row blocks of
-    mixed_block instead and never holds this table.
+    read of the squares table at columns found through the slot tables and
+    no q x q slot array is built.  The main suite streams P in log order
+    instead and never holds this table.
     """
     def build(ctx):
         f = ctx.field

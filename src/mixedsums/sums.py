@@ -55,17 +55,20 @@ def jacobi(field: FieldTable, a, b) -> np.ndarray:
 
 def exponent_sweep(field: FieldTable, k, w) -> np.ndarray:
     """out[..., m] = sum over y of w[..., y] zeta^(m k[..., y]) for every m,
-    zeta = exp(2 pi i/(q-1)): each row of w is histogrammed by k mod q-1
-    (one bincount per real and imaginary part) and all histograms go
-    through one dft call."""
+    zeta = exp(2 pi i/(q-1)): one bincount of the weights as interleaved
+    (real, imaginary) pairs, by row and k mod q-1, fills a float histogram
+    read as complex, and one dft call transforms it in place."""
     qm1 = field.q - 1
     k, w = np.broadcast_arrays(np.mod(k, qm1), np.asarray(w, dtype=complex))
     lead = k.shape[:-1]
     rows = int(np.prod(lead))
-    bins = (np.arange(rows)[:, None] * qm1 + k.reshape(rows, -1)).ravel()
-    size = rows * qm1
-    hist = np.bincount(bins, w.real.ravel(), size) + 1j * np.bincount(bins, w.imag.ravel(), size)
-    return dft(field, hist.reshape(lead + (qm1,)))
+    size = 2 * rows * qm1
+    bins = np.empty((rows, k.shape[-1], 2), dtype=np.int64)  # the bins of each pair
+    real = np.add(np.arange(0, size, 2 * qm1)[:, None], 2 * k.reshape(rows, -1), out=bins[..., 0])
+    np.add(real, 1, out=bins[..., 1])
+    hist = np.bincount(bins.ravel(), np.ascontiguousarray(w).view(float).ravel(), size)
+    hist = hist.view(complex).reshape(lead + (qm1,))
+    return dft(field, hist, out=hist)
 
 
 def hyp2f1_many(field: FieldTable, a, b, c, xs) -> np.ndarray:

@@ -5,6 +5,7 @@ expected values are computed independently of the vectorized library path.
 """
 
 import cmath
+from itertools import product
 
 import numpy as np
 
@@ -229,6 +230,44 @@ def _index_of(digits, p):
     return sum(c * p**i for i, c in enumerate(digits))
 
 
+def _poly_rem(u: list[int], v: list[int], p: int) -> list[int]:
+    """Remainder of u modulo v (lead coefficient of v invertible)."""
+    u = [c % p for c in u]
+    dv = len(v) - 1
+    inv_lead = pow(v[-1], -1, p)
+    for i in range(len(u) - 1, dv - 1, -1):
+        c = u[i]
+        if c:
+            f = c * inv_lead % p
+            for k in range(dv + 1):
+                u[i - dv + k] = (u[i - dv + k] - f * v[k]) % p
+    return u[:dv]
+
+
+def _is_irreducible(coeffs: list[int], p: int) -> bool:
+    """Trial division by every monic polynomial of degree <= deg/2."""
+    n = len(coeffs) - 1
+    if n == 1:
+        return True
+    for d in range(1, n // 2 + 1):
+        for low in product(range(p), repeat=d):
+            divisor = list(low) + [1]
+            if not any(_poly_rem(coeffs, divisor, p)):
+                return False
+    return True
+
+
+def naive_smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
+    """Lexicographically smallest monic irreducible of degree n over F_p,
+    coefficient vectors compared low-degree first: one candidate and one
+    trial divisor at a time."""
+    for low in product(range(p), repeat=n):
+        coeffs = list(low) + [1]
+        if _is_irreducible(coeffs, p):
+            return tuple(coeffs)
+    raise AssertionError(f"no irreducible polynomial of degree {n} over F_{p}")
+
+
 def _mul_digits(u, v, modulus, p):
     n = len(modulus) - 1
     prod = [0] * (2 * n - 1)
@@ -250,10 +289,10 @@ def naive_field(p, n):
     """(modulus, g, exp_table) of F_{p^n} built with scalar polynomial
     arithmetic: g is the smallest index whose power at every cofactor
     (q-1)/r, r a prime factor of q-1, is not 1, and exp_table[t] = g^t."""
-    from mixedsums.gf import prime_factors, smallest_irreducible
+    from mixedsums.gf import prime_factors
 
     q = p**n
-    modulus = smallest_irreducible(p, n)
+    modulus = naive_smallest_irreducible(p, n)
 
     def mul_idx(x, y):
         return _index_of(_mul_digits(_digits_of(x, p, n), _digits_of(y, p, n), modulus, p), p)

@@ -16,7 +16,7 @@ from mixedsums.chars import psi_table, unit_roots
 from mixedsums.harness import (Checker, _factor_prime_power, _json_row, resolve_a_values,
                                run_classical, run_main, run_mellin, run_mellin_field)
 from mixedsums.mellin import mellin_v_closed, null_locus_sum
-from mixedsums.mixed import mixed_table, squares_table
+from mixedsums.mixed import mixed_table, slot_base, squares_table
 from mixedsums.sums import gauss_table, jacobi
 
 
@@ -186,6 +186,52 @@ def test_tau_branch_fails_with_the_other_characters_tau(monkeypatch):
     assert not reports["tau_branch"].passed
     assert reports["tau_branch"].max_abs_err > 1
     assert all(r.passed for cid, r in reports.items() if cid != "tau_branch")
+
+
+def test_slot_and_square_faults_fail_their_checks(monkeypatch):
+    # Shifting the Zech logarithm A by one in the cached slot base moves P
+    # off V(j)V(k), and main_identity fails.  negation_symmetry reads S at
+    # the swapped slot pair, so it tests that S is symmetric, whatever the
+    # slots: it passes under the slot fault and fails when one entry of S
+    # off its diagonal is perturbed.
+    f = build_field(13, 1)
+    n = f.q - 1
+    base = slot_base(f)[0]
+    shifted = base.copy()
+    shifted[0, :2 * n] += 1
+    with monkeypatch.context() as m:
+        m.setitem(f._cache, "slot_offsets", shifted)
+        for a in (1, 2, f.g):
+            reports = {r.check_id: r for r in run_main(make_context(f, a))}
+            assert not reports["main_identity"].passed
+            assert reports["main_identity"].max_abs_err > 1
+            assert reports["negation_symmetry"].passed
+    assert slot_base(f)[0] is base
+    ctx = make_context(f, 2)
+    S = squares_table(ctx).copy()
+    S[1, 2] += 1.0
+    ctx._cache["squares"] = S
+    reports = {r.check_id: r for r in run_main(ctx)}
+    assert not reports["negation_symmetry"].passed
+    assert not reports["main_identity"].passed
+
+
+def test_real_comparison_reports_as_the_complex_one(f5):
+    # real lhs and rhs are compared in the float scratch; the report is the
+    # one the same values give as complex arrays, bit for bit, through the
+    # fast path, the bound pass and a non-finite error
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(7, 9))
+    cases = [(x, x + 1e-9 * rng.normal(size=x.shape)), (x[:, 0], 0.0),
+             ([1e6, 0.0], [1e6 + 1e-3, 0.0]), ([0.0, 2.0], [0.0, 2.0 + 4e-8]),
+             (np.arange(6), np.arange(6) + 1), ([np.inf, 1.0], [1.0, 1.0])]
+    for lhs, rhs in cases:
+        real, cplx = (Checker("demo", f5, None, 1e-8) for _ in range(2))
+        real.compare_arrays(lhs, rhs)
+        cplx.compare_arrays(np.asarray(lhs, dtype=complex), rhs)
+        r, c = real.report(), cplx.report()
+        assert (r.instances, r.passed) == (c.instances, c.passed)
+        assert repr(r.max_abs_err) == repr(c.max_abs_err)
 
 
 def test_null_locus_is_found_in_row_blocks():

@@ -15,7 +15,8 @@ from mixedsums import (
     quartic_char,
     state_vector,
 )
-from mixedsums.mixed import sum_square_slots
+from mixedsums import harness
+from mixedsums.mixed import slot_base, square_slots
 from oracles import naive_mixed_sum, naive_state_value
 
 
@@ -148,14 +149,57 @@ def test_conjugate_quartic_context(f13):
         assert np.abs(P - np.outer(V, V)).max() < 1e-10
 
 
+def log_grid(f):
+    """(elems, ks, offsets) of the log-order layout of P, where row r is
+    j = g^r and column c is k = g^(r+c), with j = 0 in row q-1 and k = 0 in
+    column q-1: elems holds each row's j, which is also the k of each
+    column of row q-1, ks the k of every entry, and offsets the slot
+    offsets of every row (slot_base)."""
+    n = f.q - 1
+    elems = np.append(f.exp_table, 0)
+    r, c = np.arange(f.q)[:, None], np.arange(f.q)
+    ks = np.where(c == n, 0, f.exp_table[(np.where(r == n, 0, r) + c) % n])
+    return elems, ks, slot_base(f)[0][:, n:2 * n + 1]
+
+
 @pytest.mark.parametrize("pn", [(5, 1), (3, 2), (13, 1), (5, 2), (7, 2), (3, 4), (5, 3)])
 def test_zech_slots_match_field_addition(pn):
-    # the column of (j+k)^2 through the Zech table equals the column of the
-    # square of f.add(j, k), over the full grid
+    # the columns of (j+k)^2 and (j-k)^2 read through the slot tables, in
+    # log order and in index order, equal the columns of the squares of
+    # f.add(j, k) and f.add(j, -k), over the full grid
     f = build_field(*pn)
+    slot = np.where(np.arange(f.q) == 0, 0, 1 + f.log_table % ((f.q - 1) // 2))
+    elems, ks, offsets = log_grid(f)
+    u, v = square_slots(f, np.arange(f.q)[:, None], offsets, elems)
+    assert np.array_equal(u, slot[f.add(elems[:, None], ks)])
+    assert np.array_equal(v, slot[f.add(elems[:, None], f.neg_table[ks])])
     jj = np.arange(f.q)
-    slot = np.where(jj == 0, 0, 1 + f.log_table % ((f.q - 1) // 2))
-    assert np.array_equal(sum_square_slots(f, jj, jj), slot[f.add(jj[:, None], jj)])
+    s = np.where(jj == 0, f.q - 1, f.log_table)[:, None]
+    e = np.where(jj == 0, 3 * (f.q - 1), f.log_table + f.q - 1) - s
+    u, v = square_slots(f, s, slot_base(f)[0][:, e], jj)
+    assert np.array_equal(u, slot[f.add(jj[:, None], jj)])
+    assert np.array_equal(v, slot[f.add(jj[:, None], f.neg_table[jj])])
+
+
+@pytest.mark.parametrize("pn", [(5, 1), (3, 2), (13, 1), (13, 2), (5, 4)])
+def test_log_order_rows_are_mixed_table(pn, monkeypatch):
+    # run_main's P, streamed in log order with the k = 0 column and the
+    # j = 0 row in the same blocks, is mixed_table at (g^s, g^(s+d)) bit for
+    # bit; at q = 169 it comes in two blocks
+    f = build_field(*pn)
+    ctx = make_context(f, 3)
+    P, rows = mixed_table(ctx), []
+    compare = harness.Checker.compare_arrays
+
+    def keep_p(self, lhs, rhs):
+        if self.check_id == "main_identity":
+            rows.append(np.array(lhs))
+        compare(self, lhs, rhs)
+    monkeypatch.setattr(harness.Checker, "compare_arrays", keep_p)
+    assert all(r.passed for r in harness.run_main(ctx))
+    elems, ks, _ = log_grid(f)
+    assert len(rows) == len(list(f.blocks(elems)))
+    assert np.concatenate(rows).tobytes() == P[elems[:, None], ks].tobytes()
 
 
 def test_mixed_table_is_mixed_block_over_every_row():
@@ -199,7 +243,10 @@ def test_mixed_block_into_reused_buffers():
             got = mixed_block(ctx, js, ks, out=out)
             assert got is out
             assert got.tobytes() == mixed_block(ctx, js, ks).tobytes()
-    slots = np.empty((96, f.q), dtype=np.int64)
-    for jb in blocks:
-        got = sum_square_slots(f, jb, jj, out=slots[:len(jb)])
-        assert np.array_equal(got, sum_square_slots(f, jb, jj))
+    elems, _, offsets = log_grid(f)
+    slots = np.empty((2, 96, f.q), dtype=np.int64)
+    for rs in blocks:
+        out = tuple(slots[:, :len(rs)])
+        got = square_slots(f, rs[:, None], offsets, elems, out=out)
+        assert all(x is y for x, y in zip(got, out))
+        assert np.array_equal(got, square_slots(f, rs[:, None], offsets, elems))

@@ -11,7 +11,7 @@ from mixedsums import (
     jacobi,
     quadratic_char,
 )
-from mixedsums.chars import unit_roots
+from mixedsums.chars import dft, unit_roots
 from mixedsums.harness import Checker
 from mixedsums.sums import exponent_sweep, gauss_table, hyp2f1_many, quad_transform
 from oracles import chi_val, naive_gauss, naive_hyp2f1, naive_jacobi
@@ -164,6 +164,29 @@ def test_exponent_sweep_sign_convention(f13, f9):
         assert np.allclose(out[0], (2 + 1j) * unit_roots(f), atol=1e-12)
         assert np.allclose(out[1], unit_roots(f)[3 * np.arange(f.q - 1) % (f.q - 1)] + 1,
                            atol=1e-12)
+
+
+def test_exponent_sweep_is_a_bincount_per_row(f13, f9):
+    # the one interleaved bincount and the in-place dft give, bit for bit,
+    # one bincount per row and per real and imaginary part, then the dft;
+    # with no terms (as null_locus_sum has when -a is not a square) it is 0
+    rng = np.random.default_rng(3)
+    for f in (f13, f9):
+        qm1 = f.q - 1
+        for kshape, wshape in [((0,), (0,)), ((5,), (5,)), ((3, 7), (3, 7)),
+                               ((2, 3, 4), (2, 3, 4)), ((4, 6), ()), ((6,), (3, 6))]:
+            k = rng.integers(-40, 40, size=kshape)
+            w = rng.normal(size=wshape) + 1j * rng.normal(size=wshape)
+            kb, wb = np.broadcast_arrays(k, w)
+            expect = np.empty(kb.shape[:-1] + (qm1,), dtype=complex)
+            for idx in np.ndindex(kb.shape[:-1]):
+                row = kb[idx] % qm1
+                hist = (np.bincount(row, wb[idx].real, qm1)
+                        + 1j * np.bincount(row, wb[idx].imag, qm1))
+                expect[idx] = dft(f, hist)
+            got = exponent_sweep(f, k, w)
+            assert got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes()
 
 
 def test_hasse_davenport(f13, f9):
