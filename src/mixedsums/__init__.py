@@ -20,7 +20,6 @@ from .mixed import (
     MixedSumContext,
     ParameterOutOfRange,
     make_context,
-    mixed_block,
     mixed_table,
     state_vector,
 )
@@ -32,8 +31,8 @@ __all__ = [
     "WrongResidue", "ZeroArgument", "build_field",
     "MultChar", "quadratic_char", "quartic_char",
     "DEFAULT_TOL", "BadArgument", "gauss", "hasse_davenport_residual", "jacobi",
-    "MixedSumContext", "ParameterOutOfRange", "make_context", "mixed_block",
-    "mixed_table", "state_vector",
+    "MixedSumContext", "ParameterOutOfRange", "make_context", "mixed_table",
+    "state_vector",
     "CheckReport", "ConfigError", "SuiteConfig", "emit_report", "run",
     "mellin",
 ]

@@ -38,14 +38,7 @@ class ZeroArgument(FieldError):
 
 
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
+    return prime_factors(m) == [m]
 
 
 def prime_factors(m: int) -> list[int]:

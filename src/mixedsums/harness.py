@@ -28,8 +28,7 @@ from .sums import (
     jacobi,
     quad_transform,
 )
-from .mixed import (MixedSumContext, make_context, mixed_block, read_squares, slot_base,
-                    square_slots, state_vector)
+from .mixed import MixedSumContext, log_rows, make_context, read_squares, slot_base, state_vector
 from . import mellin as ml
 
 SUITES = ("classical", "transforms", "main", "mellin")
@@ -240,13 +239,12 @@ def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckReport
     built from the other quartic character, with its own tau, factors P
     too.
 
-    P is streamed in log order, in FieldTable.blocks row blocks: row r is
-    j = g^r and column c is k = g^(r+c), with j = 0 in row q-1 and k = 0 in
-    column q-1.  So the slot offsets of a row do not depend on the row
-    (mixed.slot_base), and V(k) along a row is a window of V in log order.
-    The negated rows read the swapped slot pair, and P(k, j) reads its own
-    offsets, log(k +- j) - log j = d + log(1 +- g^(-d)).  Every block lives
-    in buffers made once, so no q x q array is ever held."""
+    P is streamed in log order (mixed.log_rows), in FieldTable.blocks row
+    blocks: row r is j = g^r and column c is k = g^(r+c), with j = 0 in row
+    q-1 and k = 0 in column q-1.  So V(k) along a row is a window of V in
+    log order.  The negated rows read the swapped slot pair, and P(k, j)
+    reads its own offsets (mixed.slot_base).  Every block lives in buffers
+    made once, so no q x q array is ever held."""
     f = ctx.field
     q, n = f.q, f.q - 1
     V = state_vector(ctx)
@@ -260,38 +258,31 @@ def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckReport
     branch = checks.add("tau_branch", BRANCH_TOL)
     branch.compare_arrays(W**2, V**2)  # W = +-V
 
-    elems = np.append(f.exp_table, 0)  # the j of each row, and the k of row q-1
-    base = slot_base(f)[0]
-    offsets = base[:, n:2 * n + 1]  # column c: offset column q-1 + c
-    d = np.arange(n)
-    flipped = np.append(d + base[:, n - d], offsets[:, n:], axis=1)  # P(k, j)
+    elems = np.append(f.exp_table, 0)  # the j of each row
     # V(j) of row r, and V(k) along it: window r of V in log order, doubled
     # (window q-1 is window 0); V(0) is column q-1
     sides = [(X[elems], sliding_window_view(np.tile(X[f.exp_table], 2), n), check)
              for X, check in ((V, main), (W, branch))]
     m = len(next(f.blocks(elems)))
     block, other = np.empty((2, m, q), dtype=complex)
-    slots = np.empty((2, m, q), dtype=np.int64)
+    work = np.empty((3, m, q), dtype=np.int64)
     for rs in f.blocks(np.arange(q)):
-        b, s = len(rs), rs[:, None]
-        side, (u, v) = other[:b], slots[:, :b]
-        # P's flat index lives in side's memory until V(j)V(k) overwrites it
-        index = side.reshape(-1).view(np.int64)[:b * q].reshape(b, q)
-        P = read_squares(ctx, *square_slots(f, s, offsets, elems, out=(u, v)),
-                         out=block[:b], index=index)
+        b = len(rs)
+        side, slots = other[:b], work[:, :b]
+        P = log_rows(ctx, rs, slot_base(f).jk, slots, block[:b])
         for xj, xk, check in sides:
-            np.multiply(xj[s], xk[rs[0]:rs[-1] + 1], out=side[:, :n])
+            np.multiply(xj[rs, None], xk[rs[0]:rs[-1] + 1], out=side[:, :n])
             np.multiply(xj[rs], xj[n], out=side[:, n])
             check.compare_arrays(P, side)
         zero_row.compare_arrays(P[:, n], V[0] * V[elems[rs]])
         drift.compare_arrays(P.imag, 0.0)
         # P(-j, k) = phi(-1) P(j, k), phi(-1) = 1 since q = 1 (mod 4), and
         # (-j +- k)^2 = (j -+ k)^2: the swapped slot pair
-        negation.compare_arrays(read_squares(ctx, v, u, out=side, index=v), P)
-        symmetry.compare_arrays(P, read_squares(
-            ctx, *square_slots(f, s, flipped, elems, out=(u, v)), out=side, index=u))
+        u, v, index = slots
+        negation.compare_arrays(read_squares(ctx, v, u, side, index), P)
+        symmetry.compare_arrays(P, log_rows(ctx, rs, slot_base(f).kj, slots, side))
     expect = 2 + 2 * (gauss(ctx.A4) ** 2 / (q * ctx.A4(f.neg_table[ctx.a]))).real
-    corner.compare_arrays(mixed_block(ctx, [0], [0])[0, 0], [expect, V[0] ** 2])
+    corner.compare_arrays(P[-1, -1], [expect, V[0] ** 2])  # j = k = 0: the last row and column
     j = f.units()
     quarter.compare_arrays(V[f.mul(j, ctx.i_elem)], V[j])
     return checks.reports()
@@ -429,19 +420,17 @@ def _json_row(r: CheckReport) -> dict:
 
 
 def emit_report(reports: list[CheckReport], format: str, path: str,
-                fields: list[tuple[int, int]] | None = None) -> None:
+                fields: list[tuple[int, int]]) -> None:
     """Write the report atomically (temp file + rename).
 
     JSON output is a list of {field: {...}, runs: [...]} groups, one per
-    field, in execution order, with one run per line: each line is encoded
-    with no indent, which runs the C encoder (an indent selects the
+    (p, n) in fields, in that order, with one run per line: each line is
+    encoded with no indent, which runs the C encoder (an indent selects the
     pure-Python one). CSV is one row per check.
     """
     if format == "json":
         encode = json.JSONEncoder(allow_nan=False).encode
         groups = []
-        if fields is None:
-            fields = [_factor_prime_power(q) for q in dict.fromkeys(r.q for r in reports)]
         for p, n in fields:
             q = p**n
             runs = ",\n".join(encode(_json_row(r)) for r in reports if r.q == q)

@@ -10,6 +10,7 @@ branch would negate every V(j) and leave P = V(j)V(k) unchanged.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -82,52 +83,66 @@ def state_vector(ctx: MixedSumContext) -> np.ndarray:
     return ctx.cached("state", build)
 
 
-def slot_base(field: FieldTable) -> tuple[np.ndarray, np.ndarray]:
-    """(offsets, col), the tables that place P(j,k) in the squares table,
-    cached per field.  For j = g^s and k = g^(s+d), j +- k = g^s (1 +- g^d),
-    so the columns of (j+k)^2 and (j-k)^2 are col[s + A[d]] and
-    col[s + B[d]]: A[d] = log(1 + g^d) is the Zech logarithm,
-    B[d] = log(1 - g^d) = A[d + (q-1)/2], and col[t] = 1 + (t mod (q-1)/2)
-    is the column of (g^t)^2.  Column q-1 + d of offsets is (A[d], B[d])
-    for -(q-1) <= d < q-1, so a difference of logs needs no reduction;
-    columns 2(q-1) to 3(q-1) are 0, where k = 0 lands with its log read as
-    2(q-1), since (j +- 0)^2 = j^2.  Where the sum is 0 (A at d = (q-1)/2,
-    B at d = 0) the offset is the sentinel 3(q-1): col is periodic below
-    3(q-1) and 0, the column of 0, up to 5(q-1), so s + d + offset is in
-    range for every s, d < q."""
+SlotBase = namedtuple("SlotBase", "jk kj col")
+
+
+def slot_base(field: FieldTable) -> SlotBase:
+    """(jk, kj, col), the tables that place P in the squares table in log
+    order, cached per field.  For j = g^r and k = g^(r+c), j +- k =
+    g^r (1 +- g^c), so the columns of (j+k)^2 and (j-k)^2 are col[r + A[c]]
+    and col[r + B[c]], with the Zech logarithm A[c] = log(1 + g^c),
+    B[c] = log(1 - g^c) = A[c + (q-1)/2] and col[t] = 1 + (t mod (q-1)/2),
+    the column of (g^t)^2.  Column c of jk is (A[c], B[c]), and 0 at
+    c = q-1, where k = 0 lands: (j +- 0)^2 = j^2.  Column c of kj is
+    c + (A[-c], B[-c]), the offsets of P(k, j), since log(k +- j) - log j =
+    c + log(1 +- g^(-c)).  A sum of 0 (A at c = (q-1)/2, B at c = 0) has
+    the offset 3(q-1): col is periodic below 3(q-1) and 0, the column of 0,
+    up to 5(q-1), so r + offset is in range for every r < q.  As
+    g^c (1 + g^(-c)) = 1 + g^c and g^c (1 - g^(-c)) = -(1 - g^c), kj is
+    congruent to jk mod (q-1)/2, sentinels included: P(k, j) reads P(j, k)'s
+    own slots, so the main suite's mixed_symmetry check is structural."""
     def offsets(f):
         n = f.q - 1
+        c = np.arange(n)
         A = f.log_table[f.add(1, f.exp_table)]
         A[n // 2] = 3 * n
-        out = np.zeros((2, 3 * n + 1), dtype=np.int64)
-        out[:, :2 * n] = np.tile([A, np.roll(A, -(n // 2))], 2)
+        AB = np.array([A, np.roll(A, -(n // 2))])
+        out = np.zeros((2, 2, f.q), dtype=np.int64)
+        out[:, :, :n] = AB, c + AB[:, -c]
         return out
 
     def columns(f):
         t = np.arange(5 * (f.q - 1))
         return np.where(t < 3 * (f.q - 1), 1 + t % ((f.q - 1) // 2), 0)
-    return field.cached("slot_offsets", offsets), field.cached("square_columns", columns)
+    jk, kj = field.cached("slot_offsets", offsets)
+    return SlotBase(jk, kj, field.cached("square_columns", columns))
 
 
-def square_slots(field: FieldTable, s, offsets, ks, out=None):
-    """(u, v) = (col[s + offsets[0]], col[s + offsets[1]]): the
-    squares-table columns of (j+k)^2 and (j-k)^2 for the column of row logs
-    s and a pair of offset arrays read from slot_base, written into the
-    int64 pair out if given (out may be offsets itself).  A row s = q-1 is
-    j = 0, where (j +- k)^2 = k^2: both slots read the column of k^2 for
-    ks, the k of each column.  Each slot is one broadcast add and one take
-    from col, in place; every index is in range by construction, and
-    mode="clip" keeps take from buffering out (mode="raise" copies it)."""
-    col = slot_base(field)[1]
-    sums = (np.add(s, o, out=b) for o, b in zip(offsets, out or (None, None)))
-    u, v = (col.take(t, out=t, mode="clip") for t in sums)
-    zero = s[:, 0] == field.q - 1
-    if zero.any():
-        u[zero] = v[zero] = np.where(np.asarray(ks) == 0, 0, col[field.log_table[ks]])
-    return u, v
+def log_rows(ctx: MixedSumContext, rs, offsets, slots, out) -> np.ndarray:
+    """P in log order for the rows rs, written into out, a (len(rs), q)
+    complex array: row r is j = g^r and column c is k = g^(r+c), with j = 0
+    in row q-1 and k = 0 in column q-1.  offsets is slot_base's jk, or kj
+    for P(k, j).  The columns (u, v) of (j+k)^2 and (j-k)^2 and the flat
+    index of the gather are left in slots, the caller's int64
+    (3, len(rs), q) work array.  Row q-1 is j = 0: both slots read the
+    column of k^2.  Each slot is one add and one take from col in place;
+    every index is in range by construction, and mode="clip" keeps take
+    from buffering out (mode="raise" copies it).
+
+    P(j,k) = delta(j,k) + phi(-1) delta(j,-k)
+             + G(phi)^{-1} F((j+k)^2, (j-k)^2).
+    """
+    n = ctx.field.q - 1
+    col = slot_base(ctx.field).col
+    u, v, index = slots
+    for o, t in zip(offsets, (u, v)):
+        col.take(np.add(rs[:, None], o, out=t), out=t, mode="clip")
+    zero = rs == n
+    u[zero] = v[zero] = np.append(col[:n], 0)
+    return read_squares(ctx, u, v, out, index)
 
 
-def read_squares(ctx: MixedSumContext, u, v, out=None, index=None) -> np.ndarray:
+def read_squares(ctx: MixedSumContext, u, v, out, index) -> np.ndarray:
     """S[u, v] for slot arrays u and v: one gather from the squares table
     into out, through a flat index built in index (u itself may serve)."""
     S = squares_table(ctx)
@@ -182,43 +197,22 @@ def squares_table(ctx: MixedSumContext) -> np.ndarray:
     return ctx.cached("squares", build)
 
 
-def mixed_block(ctx: MixedSumContext, js, ks, out=None) -> np.ndarray:
-    """P(j,k) for every j in js and k in ks, as a (len(js), len(ks)) array
-    written into out if given: the general, index-order read of the slot
-    tables, with s = log j (q-1 for j = 0) and offset column
-    e = q-1 + log k - s (log 0 read as 2(q-1)).  The second slot array
-    lives in out's memory until the gather overwrites it.
-
-    P(j,k) = delta(j,k) + phi(-1) delta(j,-k)
-             + G(phi)^{-1} F((j+k)^2, (j-k)^2).
-    """
-    f = ctx.field
-    n = f.q - 1
-    js, ks = np.asarray(js), np.asarray(ks)
-    s = np.where(js == 0, n, f.log_table[js])[:, None]
-    e = np.subtract(np.where(ks == 0, 3 * n, f.log_table[ks] + n), s)
-    if out is None:
-        out = np.empty(e.shape, dtype=complex)
-    offsets = slot_base(f)[0]
-    v = offsets[1].take(e, out=out.reshape(-1).view(np.int64)[:e.size].reshape(e.shape),
-                        mode="clip")
-    u = offsets[0].take(e, out=e, mode="clip")
-    return read_squares(ctx, *square_slots(f, s, (u, v), ks, out=(u, v)), out=out, index=u)
-
-
 def mixed_table(ctx: MixedSumContext) -> np.ndarray:
-    """The full q x q table of P(j,k), cached: mixed_block over every
-    column, filled in FieldTable.blocks row blocks, so each entry is one
-    read of the squares table at columns found through the slot tables and
-    no q x q slot array is built.  The main suite streams P in log order
-    instead and never holds this table.
+    """The full q x q table of P(j,k) in index order, cached: log_rows in
+    FieldTable.blocks row blocks, each scattered to its (j, k) =
+    (g^r, g^(r+c)), with k = 0 in the last column, so no q x q slot array
+    is built.  The main suite streams the log-order rows instead and never
+    holds this table.
     """
     def build(ctx):
         f = ctx.field
-        jj = np.arange(f.q)
-        P = np.empty((f.q, f.q), dtype=complex)
-        for jb in f.blocks(jj):
-            mixed_block(ctx, jb, jj, out=P[jb[0]:jb[-1] + 1])
+        q, n = f.q, f.q - 1
+        elems = np.append(f.exp_table, 0)  # g^r, and 0 at r = q-1
+        c = np.arange(q)
+        P = np.empty((q, q), dtype=complex)
+        for rs in f.blocks(c):
+            slots = np.empty((3, len(rs), q), dtype=np.int64)
+            rows = log_rows(ctx, rs, slot_base(f).jk, slots, np.empty(slots.shape[1:], complex))
+            P[elems[rs, None], elems[np.where(c == n, n, (rs[:, None] + c) % n)]] = rows
         return P
     return ctx.cached("mixed", build)
-

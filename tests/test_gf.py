@@ -53,6 +53,11 @@ def test_build_rejects_bad_parameters():
         build_field(3, 10**8)  # rejected before 3**n is formed
 
 
+def test_is_prime_at_small_and_nonpositive_m():
+    primes = [m for m in range(2, 60) if all(m % d for d in range(2, m))]
+    assert [m for m in range(-5, 60) if is_prime(m)] == primes
+
+
 def test_trace_examples(f5, f9):
     # alpha = x (index 3) satisfies alpha^2 = -1 in F_9, so alpha^3 = -alpha
     # and trace(alpha) = alpha - alpha = 0

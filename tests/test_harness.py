@@ -196,9 +196,10 @@ def test_slot_and_square_faults_fail_their_checks(monkeypatch):
     # off its diagonal is perturbed.
     f = build_field(13, 1)
     n = f.q - 1
-    base = slot_base(f)[0]
-    shifted = base.copy()
-    shifted[0, :2 * n] += 1
+    slot_base(f)
+    cached = f._cache["slot_offsets"]  # the P(j,k) and P(k,j) offsets
+    shifted = cached.copy()
+    shifted[:, 0, :n] += 1
     with monkeypatch.context() as m:
         m.setitem(f._cache, "slot_offsets", shifted)
         for a in (1, 2, f.g):
@@ -206,7 +207,7 @@ def test_slot_and_square_faults_fail_their_checks(monkeypatch):
             assert not reports["main_identity"].passed
             assert reports["main_identity"].max_abs_err > 1
             assert reports["negation_symmetry"].passed
-    assert slot_base(f)[0] is base
+    assert f._cache["slot_offsets"] is cached
     ctx = make_context(f, 2)
     S = squares_table(ctx).copy()
     S[1, 2] += 1.0
@@ -360,7 +361,7 @@ def test_emit_csv(tmp_path):
         CheckReport("demo", 5, 1, 10, 1.2345678901234567e-11, 1e-8, True),
         CheckReport("demo2", 5, None, 3, 0.0, 1e-8, False),
     ]
-    emit_report(reports, "csv", str(path))
+    emit_report(reports, "csv", str(path), [(5, 1)])
     rows = list(csv.reader(path.open()))
     assert rows[0] == ["check_id", "q", "a", "instances", "max_abs_err", "tol", "pass"]
     assert len(rows) == 3
@@ -382,7 +383,7 @@ def test_json_and_csv_rows_of_one_run_agree(tmp_path):
     fields = [(5, 1), (3, 2)]
     reports = run(SuiteConfig(fields=fields, a_policy="sample"))
     emit_report(reports, "json", str(tmp_path / "r.json"), fields)
-    emit_report(reports, "csv", str(tmp_path / "r.csv"))
+    emit_report(reports, "csv", str(tmp_path / "r.csv"), fields)
     text = (tmp_path / "r.json").read_text()
     json_rows = [r for g in json.loads(text) for r in g["runs"]]
     csv_rows = list(csv.DictReader((tmp_path / "r.csv").open()))
@@ -399,7 +400,7 @@ def test_json_and_csv_rows_of_one_run_agree(tmp_path):
 
 def test_emit_empty_report(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_report([], "csv", str(path))
+    emit_report([], "csv", str(path), [])
     rows = list(csv.reader(path.open()))
     assert rows == [["check_id", "q", "a", "instances", "max_abs_err", "tol", "pass"]]
 
@@ -429,7 +430,7 @@ def test_non_finite_error_fails_and_is_reported(tmp_path, f5, lhs, rhs, shown):
         r = c.report()
         assert not r.passed
         assert repr(r.max_abs_err) == shown
-        emit_report([r], "json", str(path))
+        emit_report([r], "json", str(path), [(5, 1)])
         row = json.loads(path.read_text(), parse_constant=_reject_constant)[0]["runs"][0]
         assert row["max_abs_err"] == shown
         assert row["passed"] is False

@@ -10,13 +10,12 @@ from mixedsums import (
     build_field,
     gauss,
     make_context,
-    mixed_block,
     mixed_table,
     quartic_char,
     state_vector,
 )
 from mixedsums import harness
-from mixedsums.mixed import slot_base, square_slots
+from mixedsums.mixed import log_rows, slot_base, squares_table
 from oracles import naive_mixed_sum, naive_state_value
 
 
@@ -150,35 +149,47 @@ def test_conjugate_quartic_context(f13):
 
 
 def log_grid(f):
-    """(elems, ks, offsets) of the log-order layout of P, where row r is
-    j = g^r and column c is k = g^(r+c), with j = 0 in row q-1 and k = 0 in
-    column q-1: elems holds each row's j, which is also the k of each
-    column of row q-1, ks the k of every entry, and offsets the slot
-    offsets of every row (slot_base)."""
+    """(elems, ks) of the log-order layout of P, where row r is j = g^r and
+    column c is k = g^(r+c), with j = 0 in row q-1 and k = 0 in column q-1:
+    elems holds each row's j, which is also the k of each column of row
+    q-1, and ks the k of every entry."""
     n = f.q - 1
     elems = np.append(f.exp_table, 0)
     r, c = np.arange(f.q)[:, None], np.arange(f.q)
     ks = np.where(c == n, 0, f.exp_table[(np.where(r == n, 0, r) + c) % n])
-    return elems, ks, slot_base(f)[0][:, n:2 * n + 1]
+    return elems, ks
+
+
+def fresh_log_rows(ctx, rs, offsets):
+    """log_rows into new arrays: (P rows, slots)."""
+    slots = np.empty((3, len(rs), ctx.field.q), dtype=np.int64)
+    out = np.empty((len(rs), ctx.field.q), dtype=complex)
+    return log_rows(ctx, np.asarray(rs), offsets, slots, out), slots
+
+
+def square_column(f):
+    """The squares-table column of x^2 for every x in F_q."""
+    return np.where(np.arange(f.q) == 0, 0, 1 + f.log_table % ((f.q - 1) // 2))
 
 
 @pytest.mark.parametrize("pn", [(5, 1), (3, 2), (13, 1), (5, 2), (7, 2), (3, 4), (5, 3)])
 def test_zech_slots_match_field_addition(pn):
-    # the columns of (j+k)^2 and (j-k)^2 read through the slot tables, in
-    # log order and in index order, equal the columns of the squares of
-    # f.add(j, k) and f.add(j, -k), over the full grid
+    # the columns of (j+k)^2 and (j-k)^2 that log_rows leaves in its slots
+    # equal the columns of the squares of f.add(j, k) and f.sub(j, k), over
+    # the full log-order grid; the P(k, j) offsets read the columns of
+    # (k+j)^2 and (k-j)^2, the same ones
     f = build_field(*pn)
-    slot = np.where(np.arange(f.q) == 0, 0, 1 + f.log_table % ((f.q - 1) // 2))
-    elems, ks, offsets = log_grid(f)
-    u, v = square_slots(f, np.arange(f.q)[:, None], offsets, elems)
-    assert np.array_equal(u, slot[f.add(elems[:, None], ks)])
-    assert np.array_equal(v, slot[f.add(elems[:, None], f.neg_table[ks])])
-    jj = np.arange(f.q)
-    s = np.where(jj == 0, f.q - 1, f.log_table)[:, None]
-    e = np.where(jj == 0, 3 * (f.q - 1), f.log_table + f.q - 1) - s
-    u, v = square_slots(f, s, slot_base(f)[0][:, e], jj)
-    assert np.array_equal(u, slot[f.add(jj[:, None], jj)])
-    assert np.array_equal(v, slot[f.add(jj[:, None], f.neg_table[jj])])
+    ctx = make_context(f, 1)
+    slot = square_column(f)
+    elems, ks = log_grid(f)
+    js, rs = elems[:, None], np.arange(f.q)
+    base = slot_base(f)
+    for offsets, (x, y) in ((base.jk, (js, ks)), (base.kj, (ks, js))):
+        _, (u, v, index) = fresh_log_rows(ctx, rs, offsets)
+        assert np.array_equal(u, slot[f.add(x, y)])
+        assert np.array_equal(v, slot[f.sub(x, y)])
+        assert np.array_equal(index, u * squares_table(ctx).shape[1] + v)
+    assert np.array_equal(base.kj % ((f.q - 1) // 2), base.jk % ((f.q - 1) // 2))
 
 
 @pytest.mark.parametrize("pn", [(5, 1), (3, 2), (13, 1), (13, 2), (5, 4)])
@@ -197,56 +208,72 @@ def test_log_order_rows_are_mixed_table(pn, monkeypatch):
         compare(self, lhs, rhs)
     monkeypatch.setattr(harness.Checker, "compare_arrays", keep_p)
     assert all(r.passed for r in harness.run_main(ctx))
-    elems, ks, _ = log_grid(f)
+    elems, ks = log_grid(f)
     assert len(rows) == len(list(f.blocks(elems)))
     assert np.concatenate(rows).tobytes() == P[elems[:, None], ks].tobytes()
 
 
-def test_mixed_table_is_mixed_block_over_every_row():
-    # at q = 169 the table is filled in several row blocks
+def test_mixed_table_reads_squares_at_field_sums():
+    # over the full grid at q = 169, filled in two row blocks, P(j,k) is
+    # the squares table at the columns of (j+k)^2 and (j-k)^2 found by
+    # field addition, bit for bit
     f = build_field(13, 2)
     ctx = make_context(f, 3)
     jj = np.arange(f.q)
     P = mixed_table(ctx)
-    assert len(list(f.blocks(jj))) > 1
-    assert np.array_equal(P, mixed_block(ctx, jj, jj))
+    assert len(list(f.blocks(jj))) == 2
+    slot = square_column(f)
+    S = squares_table(ctx)
+    expect = S[slot[f.add(jj[:, None], jj)], slot[f.sub(jj[:, None], jj)]]
+    assert P.tobytes() == expect.tobytes()
     assert not P.flags.writeable
 
 
 @pytest.mark.parametrize("pn, a", [((13, 1), 2), ((5, 2), 3), ((3, 2), 8)])
-def test_mixed_block_matches_oracle(pn, a):
+def test_log_rows_match_oracle(pn, a):
+    # any rows, in any order and repeated, the j = 0 row among them
     f = build_field(*pn)
     ctx = make_context(f, a)
-    j = 2
-    js = [0, j, int(f.neg(j)), 1, 0]
-    for ks in ([int(f.neg(j)), 0, j, f.q - 1, 1], [j], [0]):
-        block = mixed_block(ctx, js, ks)
-        assert block.shape == (len(js), len(ks))
-        expect = [[naive_mixed_sum(f, a, x, y) for y in ks] for x in js]
+    n = f.q - 1
+    rs = [n, 2, n // 2 + 2, 0, n]
+    elems = np.append(f.exp_table, 0)
+    base = slot_base(f)
+    for offsets, swap in ((base.jk, False), (base.kj, True)):
+        block, _ = fresh_log_rows(ctx, rs, offsets)
+        assert block.shape == (len(rs), f.q)
+        expect = [[naive_mixed_sum(f, a, *((k, j) if swap else (j, k)))
+                   for k in np.append(f.exp_table[(r % n + np.arange(n)) % n], 0)]
+                  for j, r in zip(elems[rs], rs)]
         assert np.abs(block - expect).max() < 1e-10
 
 
-def test_mixed_block_into_reused_buffers():
+def test_log_rows_into_reused_buffers():
     # at q = 169 the rows come in a full block and a shorter last one; the
-    # gathers into views of one block-sized buffer equal the fresh arrays bit
-    # for bit
+    # reads into views of one block-sized buffer and one slot array equal
+    # the fresh arrays bit for bit, for P and for P(k, j)
     f = build_field(13, 2)
     ctx = make_context(f, 3)
-    jj = np.arange(f.q)
-    blocks = list(f.blocks(jj))
+    blocks = list(f.blocks(np.arange(f.q)))
     assert [len(b) for b in blocks] == [96, 73]
-    buf = np.empty(96 * f.q, dtype=complex)
-    for jb in blocks:
-        n = len(jb)
-        for js, ks in ((jb, jj), (jj, jb), (f.neg_table[jb], jj)):
-            out = buf[:n * f.q].reshape(len(js), len(ks))
-            got = mixed_block(ctx, js, ks, out=out)
-            assert got is out
-            assert got.tobytes() == mixed_block(ctx, js, ks).tobytes()
-    elems, _, offsets = log_grid(f)
-    slots = np.empty((2, 96, f.q), dtype=np.int64)
+    buf = np.empty((96, f.q), dtype=complex)
+    work = np.empty((3, 96, f.q), dtype=np.int64)
+    base = slot_base(f)
     for rs in blocks:
-        out = tuple(slots[:, :len(rs)])
-        got = square_slots(f, rs[:, None], offsets, elems, out=out)
-        assert all(x is y for x, y in zip(got, out))
-        assert np.array_equal(got, square_slots(f, rs[:, None], offsets, elems))
+        b = len(rs)
+        for offsets in (base.jk, base.kj):
+            out, slots = buf[:b], work[:, :b]
+            got = log_rows(ctx, rs, offsets, slots, out)
+            assert got is out
+            fresh, fresh_slots = fresh_log_rows(ctx, rs, offsets)
+            assert got.tobytes() == fresh.tobytes()
+            assert slots.tobytes() == fresh_slots.tobytes()
+
+
+@pytest.mark.parametrize("pn", [(5, 1), (13, 1), (13, 2)])
+def test_flipped_log_rows_are_the_transpose(pn):
+    # the P(k, j) rows are mixed_table.T in log order, bit for bit
+    f = build_field(*pn)
+    ctx = make_context(f, 2)
+    elems, ks = log_grid(f)
+    flipped, _ = fresh_log_rows(ctx, np.arange(f.q), slot_base(f).kj)
+    assert flipped.tobytes() == mixed_table(ctx).T[elems[:, None], ks].tobytes()
