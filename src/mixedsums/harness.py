@@ -13,7 +13,6 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import gf
 from .gf import FieldTable, build_field
@@ -28,7 +27,8 @@ from .sums import (
     jacobi,
     quad_transform,
 )
-from .mixed import MixedSumContext, log_rows, make_context, read_squares, slot_base, state_vector
+from .mixed import (MixedSumContext, cell_logs, log_order, make_context, square_rows,
+                    squares_table, state_vector)
 from . import mellin as ml
 
 SUITES = ("classical", "transforms", "main", "mellin")
@@ -117,19 +117,21 @@ class Checker:
         self.max_abs_err = 0.0
         self.passed = True
 
-    def compare_arrays(self, lhs, rhs):
+    def compare_arrays(self, lhs, rhs, count=None):
         """Compare lhs with rhs elementwise after broadcasting them to one
         shape, with |lhs - rhs| <= tol * (1 + max(|lhs|, |rhs|)) at every
-        entry. A NaN error is kept once seen, and a non-finite error always
-        fails. A finite worst error of at most tol passes with no bound
-        computed: every bound is tol * (1 + max(...)) >= tol in floating
-        point. Every temporary of the size of the comparison is a view of
-        the scratch arrays; when lhs and rhs are both real, the difference
-        is taken in err, with no complex difference."""
+        entry, counted as count instances (by default one per entry; an
+        entry may stand for several instances). A NaN error is kept once
+        seen, and a non-finite error always fails. A finite worst error of
+        at most tol passes with no bound computed: every bound is
+        tol * (1 + max(...)) >= tol in floating point. Every temporary of
+        the size of the comparison is a view of the scratch arrays; when lhs
+        and rhs are both real, the difference is taken in err, with no
+        complex difference."""
         lhs, rhs = np.asarray(lhs), np.asarray(rhs)
         shape = np.broadcast(lhs, rhs).shape or (1,)
         diff, err, mask = self.scratch.arrays(shape)
-        self.instances += diff.size
+        self.instances += diff.size if count is None else count
         if not diff.size:
             return
         real = not (np.iscomplexobj(lhs) or np.iscomplexobj(rhs))
@@ -239,14 +241,22 @@ def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckReport
     built from the other quartic character, with its own tau, factors P
     too.
 
-    P is streamed in log order (mixed.log_rows), in FieldTable.blocks row
-    blocks: row r is j = g^r and column c is k = g^(r+c), with j = 0 in row
-    q-1 and k = 0 in column q-1.  So V(k) along a row is a window of V in
-    log order.  The negated rows read the swapped slot pair, and P(k, j)
-    reads its own offsets (mixed.slot_base).  Every block lives in buffers
-    made once, so no q x q array is ever held."""
+    P(j,k) depends on (j,k) only through ((j+k)^2, (j-k)^2), and V(j) only
+    through j^4, so each cell of the squares table S stands for the pairs
+    (j,k), (k,j), (-j,-k) and (-k,-j): 4 of them, 2 on the row u = 0 and on
+    the column v = 0, and 1 at (0,0).  S is streamed in row blocks
+    (mixed.square_rows), each compared once, with every cell counted with
+    its multiplicity, against V(j)V(k) read from V in log order at
+    mixed.cell_logs: a row of S but its first stands for 2q pairs, the
+    first for q.  So run_main never reads P and holds no S of its own:
+    square_rows reads S's rows from squares_table when it is already built,
+    as run builds it when the mellin suite follows, which holds S anyway.
+    The zero row
+    P(j, 0) is the diagonal u = v, P(k, j) is the cell itself, and P(-j, k)
+    is S(v, u), which the second route of square_rows computes."""
     f = ctx.field
     q, n = f.q, f.q - 1
+    half = n // 2
     V = state_vector(ctx)
     W = state_vector(make_context(f, ctx.a, conjugate_quartic=ctx.A4.m == n // 4))
     checks = Checks(f, ctx.a, tol)
@@ -258,31 +268,33 @@ def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckReport
     branch = checks.add("tau_branch", BRANCH_TOL)
     branch.compare_arrays(W**2, V**2)  # W = +-V
 
-    elems = np.append(f.exp_table, 0)  # the j of each row
-    # V(j) of row r, and V(k) along it: window r of V in log order, doubled
-    # (window q-1 is window 0); V(0) is column q-1
-    sides = [(X[elems], sliding_window_view(np.tile(X[f.exp_table], 2), n), check)
-             for X, check in ((V, main), (W, branch))]
-    m = len(next(f.blocks(elems)))
-    block, other = np.empty((2, m, q), dtype=complex)
-    work = np.empty((3, m, q), dtype=np.int64)
-    for rs in f.blocks(np.arange(q)):
-        b = len(rs)
-        side, slots = other[:b], work[:, :b]
-        P = log_rows(ctx, rs, slot_base(f).jk, slots, block[:b])
-        for xj, xk, check in sides:
-            np.multiply(xj[rs, None], xk[rs[0]:rs[-1] + 1], out=side[:, :n])
-            np.multiply(xj[rs], xj[n], out=side[:, n])
-            check.compare_arrays(P, side)
-        zero_row.compare_arrays(P[:, n], V[0] * V[elems[rs]])
-        drift.compare_arrays(P.imag, 0.0)
+    sides = [(log_order(f, X), check) for X, check in ((V, main), (W, branch))]
+    diagonal = np.append(V[0], V[f.exp_table[:half]])  # V(j) with j^2 = u, for each row u
+    m = len(next(f.blocks(diagonal)))
+    logs = np.empty((2, m, half + 1), dtype=np.int64)
+    other = np.empty((m, half + 1), dtype=complex)
+    for rows, S, T in square_rows(ctx, columns=True):
+        b = len(rows)
+        top = int(rows[0] == 0)
+        count = q * (2 * b - top)
         # P(-j, k) = phi(-1) P(j, k), phi(-1) = 1 since q = 1 (mod 4), and
-        # (-j +- k)^2 = (j -+ k)^2: the swapped slot pair
-        u, v, index = slots
-        negation.compare_arrays(read_squares(ctx, v, u, side, index), P)
-        symmetry.compare_arrays(P, log_rows(ctx, rs, slot_base(f).kj, slots, side))
-    expect = 2 + 2 * (gauss(ctx.A4) ** 2 / (q * ctx.A4(f.neg_table[ctx.a]))).real
-    corner.compare_arrays(P[-1, -1], [expect, V[0] ** 2])  # j = k = 0: the last row and column
+        # (-j +- k)^2 = (j -+ k)^2: S(v, u), by the second route
+        negation.compare_arrays(T, S, count)
+        symmetry.compare_arrays(S, S, count)
+        drift.compare_arrays(S.imag, 0.0, count)
+        zero_row.compare_arrays(S[np.arange(b), rows], V[0] * diagonal[rows], 2 * b - top)
+        if top:  # j = k = 0
+            expect = 2 + 2 * (gauss(ctx.A4) ** 2 / (q * ctx.A4(f.neg_table[ctx.a]))).real
+            corner.compare_arrays(S[0, 0], [expect, V[0] ** 2])
+        jk = cell_logs(f, rows, logs[:, :b])
+        for Xl, check in sides:  # T is spent: its buffer holds the products
+            Xk = Xl.take(jk[1], out=other[:b], mode="clip")
+            Xj = Xl.take(jk[0], out=T, mode="clip")
+            check.compare_arrays(S, np.multiply(Xj, Xk, out=T), count)
+            # the pairs (k, j) and (-k, -j) give X(k)X(j), which rounds
+            # apart from X(j)X(k) in its last bit
+            Xj = Xl.take(jk[0], out=T, mode="clip")
+            check.compare_arrays(S, np.multiply(Xk, Xj, out=T), 0)
     j = f.units()
     quarter.compare_arrays(V[f.mul(j, ctx.i_elem)], V[j])
     return checks.reports()
@@ -390,6 +402,8 @@ def run(config: SuiteConfig) -> list[CheckReport]:
         for a in resolve_a_values(field, config.a_policy):
             ctx = make_context(field, a)
             if "main" in config.suites:
+                if "mellin" in config.suites:  # mellin holds S: main reads its rows
+                    squares_table(ctx)
                 reports.extend(run_main(ctx, config.tol))
             if "mellin" in config.suites:
                 reports.extend(run_mellin(ctx, config.tol))

@@ -14,9 +14,10 @@ from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .gf import FieldError, FieldTable, ZeroArgument
-from .chars import MultChar, convolve, psi_table, quadratic_char
+from .chars import MultChar, convolve, convolver, psi_table, quadratic_char
 from .sums import gauss
 
 
@@ -83,48 +84,40 @@ def state_vector(ctx: MixedSumContext) -> np.ndarray:
     return ctx.cached("state", build)
 
 
-SlotBase = namedtuple("SlotBase", "jk kj col")
+SlotBase = namedtuple("SlotBase", "jk col")
 
 
 def slot_base(field: FieldTable) -> SlotBase:
-    """(jk, kj, col), the tables that place P in the squares table in log
+    """(jk, col), the tables that place P in the squares table in log
     order, cached per field.  For j = g^r and k = g^(r+c), j +- k =
     g^r (1 +- g^c), so the columns of (j+k)^2 and (j-k)^2 are col[r + A[c]]
     and col[r + B[c]], with the Zech logarithm A[c] = log(1 + g^c),
     B[c] = log(1 - g^c) = A[c + (q-1)/2] and col[t] = 1 + (t mod (q-1)/2),
     the column of (g^t)^2.  Column c of jk is (A[c], B[c]), and 0 at
-    c = q-1, where k = 0 lands: (j +- 0)^2 = j^2.  Column c of kj is
-    c + (A[-c], B[-c]), the offsets of P(k, j), since log(k +- j) - log j =
-    c + log(1 +- g^(-c)).  A sum of 0 (A at c = (q-1)/2, B at c = 0) has
-    the offset 3(q-1): col is periodic below 3(q-1) and 0, the column of 0,
-    up to 5(q-1), so r + offset is in range for every r < q.  As
-    g^c (1 + g^(-c)) = 1 + g^c and g^c (1 - g^(-c)) = -(1 - g^c), kj is
-    congruent to jk mod (q-1)/2, sentinels included: P(k, j) reads P(j, k)'s
-    own slots, so the main suite's mixed_symmetry check is structural."""
+    c = q-1, where k = 0 lands: (j +- 0)^2 = j^2.  A sum of 0 (A at
+    c = (q-1)/2, B at c = 0) has the offset 3(q-1): col is periodic below
+    3(q-1) and 0, the column of 0, up to 5(q-1), so r + offset is in range
+    for every r < q."""
     def offsets(f):
         n = f.q - 1
-        c = np.arange(n)
         A = f.log_table[f.add(1, f.exp_table)]
         A[n // 2] = 3 * n
-        AB = np.array([A, np.roll(A, -(n // 2))])
-        out = np.zeros((2, 2, f.q), dtype=np.int64)
-        out[:, :, :n] = AB, c + AB[:, -c]
+        out = np.zeros((2, f.q), dtype=np.int64)
+        out[:, :n] = A, np.roll(A, -(n // 2))
         return out
 
     def columns(f):
         t = np.arange(5 * (f.q - 1))
         return np.where(t < 3 * (f.q - 1), 1 + t % ((f.q - 1) // 2), 0)
-    jk, kj = field.cached("slot_offsets", offsets)
-    return SlotBase(jk, kj, field.cached("square_columns", columns))
+    return SlotBase(field.cached("slot_offsets", offsets), field.cached("square_columns", columns))
 
 
-def log_rows(ctx: MixedSumContext, rs, offsets, slots, out) -> np.ndarray:
+def log_rows(ctx: MixedSumContext, rs, slots, out) -> np.ndarray:
     """P in log order for the rows rs, written into out, a (len(rs), q)
     complex array: row r is j = g^r and column c is k = g^(r+c), with j = 0
-    in row q-1 and k = 0 in column q-1.  offsets is slot_base's jk, or kj
-    for P(k, j).  The columns (u, v) of (j+k)^2 and (j-k)^2 and the flat
-    index of the gather are left in slots, the caller's int64
-    (3, len(rs), q) work array.  Row q-1 is j = 0: both slots read the
+    in row q-1 and k = 0 in column q-1.  The columns (u, v) of (j+k)^2 and
+    (j-k)^2, read through slot_base, and the flat index of the gather are
+    left in slots, the caller's int64 (3, len(rs), q) work array.  Row q-1 is j = 0: both slots read the
     column of k^2.  Each slot is one add and one take from col in place;
     every index is in range by construction, and mode="clip" keeps take
     from buffering out (mode="raise" copies it).
@@ -133,9 +126,9 @@ def log_rows(ctx: MixedSumContext, rs, offsets, slots, out) -> np.ndarray:
              + G(phi)^{-1} F((j+k)^2, (j-k)^2).
     """
     n = ctx.field.q - 1
-    col = slot_base(ctx.field).col
+    jk, col = slot_base(ctx.field)
     u, v, index = slots
-    for o, t in zip(offsets, (u, v)):
+    for o, t in zip(jk, (u, v)):
         col.take(np.add(rs[:, None], o, out=t), out=t, mode="clip")
     zero = rs == n
     u[zero] = v[zero] = np.append(col[:n], 0)
@@ -151,58 +144,155 @@ def read_squares(ctx: MixedSumContext, u, v, out, index) -> np.ndarray:
     return S.ravel().take(i, out=out, mode="clip")
 
 
-def squares_table(ctx: MixedSumContext) -> np.ndarray:
-    """P as a function of the pair of squares ((j+k)^2, (j-k)^2), cached
-    per context: S(u, v) = F(u, v) / G(phi) + delta(v, 0) + phi(-1) delta(u, 0).
+Route = namedtuple("Route", "weight shift conv col0 row0")
 
-    F(u, v) = sum_{x != 0} phi(a/x - x) psi(x u + (a/x) v).
+
+def square_routes(ctx: MixedSumContext) -> tuple[Route, Route]:
+    """The two routes of square_rows, one Route(weight, shift, conv, col0,
+    row0) each: the first gives S(u, .) and the second S(., u), for the
+    same u.
+
     u and v run over the (q+1)/2 squares of F_q: column 0 is 0 and column
     1 + t is g^(2t), so the column of j^2 is 1 + (log(j) mod (q-1)/2).
+    F(u, v) = sum_{x != 0} w(x) psi(x u + (a/x) v), w(x) = phi(a/x - x).
     psi is additive, so with x = g^s, u = g^(2t) and v = g^r each row is
     the cyclic convolution over log x
         F(u, g^r) = sum_s [w(g^s) psi(g^(s+2t))] psi(a g^(r-s)),
-    w(x) = phi(a/x - x), read at even r; F(u, 0) is the plain sum of the
-    bracket, and the row u = 0 convolves w alone.  Rows are built in
-    FieldTable.blocks steps, in one reused block buffer, so nothing but S
-    grows as q^2.
-    (j-k)^2 = 0 exactly when j = k and (j+k)^2 = 0 exactly when j = -k, so
-    the two delta terms of P are column 0 and row 0 of S.
+    read at even r; F(u, 0) is the plain sum of the bracket, and the row
+    u = 0 convolves w alone.  The second route substitutes x -> a/x, which
+    gives F(v, u) = phi(-1) F(u, v), and computes F(v, u) over v as
+        F(g^r, u) = sum_s [w(g^(-s)) psi(g^(s+2t+log a))] psi(g^(r-s)),
+    whose kernel is free of a.  A route's bracket is weight times the
+    window of psi(g^s) that starts at 2t + shift, and conv convolves it
+    with the route's kernel, transformed once here.  S(u, v) =
+    F(u, v) / G(phi) + delta(v, 0) + phi(-1) delta(u, 0), so the first
+    route adds col0 = 1 to column 0 and row0 = phi(-1) to row 0, and the
+    second the other way round.
+    """
+    f = ctx.field
+    x = f.exp_table  # x = g^s
+    w = ctx.phi(f.sub(f.mul(ctx.a, f.inv_table[x]), x))
+    psi = psi_table(f)
+    phi_neg = ctx.phi(f.neg_table[1])
+    return (Route(w, 0, convolver(f, psi[f.mul(ctx.a, x)]), 1.0, phi_neg),
+            Route(w[-np.arange(f.q - 1)], f.log_table[ctx.a], convolver(f, psi[x]), phi_neg, 1.0))
+
+
+def square_rows(ctx: MixedSumContext, columns: bool = False):
+    """The squares table S in FieldTable.blocks row blocks, each from one
+    convolution per row: yields (rows, block, cols) with block = S[rows],
+    and cols None, or with columns, cols[i, v] = S(v, rows[i]) from the
+    second of square_routes.  block and cols are views of buffers that the
+    next step overwrites, so no array but S's row blocks grows as q^2.
+    When squares_table is already built, block is read from it and only
+    the second route is computed.
+    """
+    f = ctx.field
+    n = f.q - 1
+    half = n // 2
+    held = ctx._cache.get("squares")
+    skip = int(held is not None)  # S is built: its rows are read, not computed
+    routes = square_routes(ctx)[skip:1 + columns]
+    # psi(u x) over s is a window of psi(g^s) taken over three periods,
+    # starting at 2t + shift < 2(q-1) for u = g^(2t), so the windows of
+    # consecutive rows are one strided view; psi(0 x) is all ones
+    windows = sliding_window_view(np.tile(psi_table(f)[f.exp_table], 3), n)
+    g_phi = gauss(ctx.phi)
+    blocks = list(f.blocks(np.arange(half + 1)))
+    h = np.empty((len(blocks[0]), n), dtype=complex)
+    out = np.empty((1 + columns, len(h), half + 1), dtype=complex)
+    for rows in blocks:
+        b = len(rows)
+        top = int(rows[0] == 0)
+        lo = 2 * (rows[top] - 1)  # 2t for the first row u = g^(2t)
+        hb = h[:b]
+        for route, o in zip(routes, out[skip:, :b]):
+            hb[:top] = 1.0
+            hb[top:] = windows[lo + route.shift:lo + route.shift + 2 * (b - top):2]
+            hb *= route.weight
+            o[:, 0] = hb.sum(axis=1)
+            o[:, 1:] = route.conv(hb, out=hb)[:, ::2]
+            o /= g_phi
+            o[:, 0] += route.col0
+            if top:
+                o[0] += route.row0
+        yield rows, held[rows] if skip else out[0, :b], out[1, :b] if columns else None
+
+
+def squares_table(ctx: MixedSumContext) -> np.ndarray:
+    """P as a function of the pair of squares ((j+k)^2, (j-k)^2), cached
+    per context: S(u, v) = F(u, v) / G(phi) + delta(v, 0) + phi(-1) delta(u, 0),
+    filled from square_rows.  (j-k)^2 = 0 exactly when j = k and
+    (j+k)^2 = 0 exactly when j = -k, so the two delta terms of P are
+    column 0 and row 0 of S.  The main suite streams square_rows instead,
+    which reads this table's rows only when it is already built.
     """
     def build(ctx):
-        f = ctx.field
-        n = f.q - 1
-        half = n // 2
-        x = f.exp_table  # x = g^s
-        w = ctx.phi(f.sub(f.mul(ctx.a, f.inv_table[x]), x))
-        psi = psi_table(f)
-        k = psi[f.mul(ctx.a, x)]  # psi(a g^s)
-        # psi(u x) over s is a window of psi(g^s) taken over two periods,
-        # starting at 2t for u = g^(2t); the window at 2n, all ones, is u = 0
-        psi_ux = np.concatenate((np.tile(psi[x], 2), np.ones(n)))
-        start = np.concatenate(([2 * n], 2 * np.arange(half)))  # row r of S
+        half = (ctx.field.q - 1) // 2
         S = np.empty((half + 1, half + 1), dtype=complex)
-        blocks = list(f.blocks(np.arange(half + 1)))
-        buf = np.empty((len(blocks[0]), n), dtype=complex)
-        index = np.empty(buf.shape, dtype=np.int64)
-        for rows in blocks:
-            i = np.add(start[rows, None], np.arange(n), out=index[:len(rows)])
-            h = psi_ux.take(i, out=buf[:len(rows)], mode="clip")
-            h *= w
-            S[rows, 0] = h.sum(axis=1)
-            S[rows, 1:] = convolve(f, h, k, out=h)[:, ::2]
-        S /= gauss(ctx.phi)
-        S[:, 0] += 1.0
-        S[0, :] += ctx.phi(f.neg_table[1])
+        for rows, block, _ in square_rows(ctx):
+            S[rows] = block
         return S
     return ctx.cached("squares", build)
+
+
+def log_order(field: FieldTable, X) -> np.ndarray:
+    """A function X on F_q (index order) laid out for cell_logs: X(g^s)
+    for s = 0..q-2, again for s = 0..(q-1)/2 - 1, then X(0) (q-1)/2
+    times, 2(q-1) entries."""
+    half = (field.q - 1) // 2
+    Xl = X[field.exp_table]
+    return np.concatenate((Xl, Xl[:half], np.full(half, X[0])))
+
+
+def cell_logs(field: FieldTable, rows, out) -> np.ndarray:
+    """Where log_order reads X(j) and X(k) for one pair (j, k) of each cell
+    of the squares-table rows `rows` (consecutive), written into out, an
+    int64 (2, len(rows), (q+1)/2) array.
+
+    For the cell (g^(2t), g^(2r)), take j + k = g^t and j - k = g^r: with
+    d = r - t, j = g^t (1 + g^d) / 2 and k = g^t (1 - g^d) / 2, so
+    log j = t + A[d] - log 2 and log k = t + B[d] - log 2, with A and B
+    slot_base's Zech logarithms.  The other pairs of the cell, (k, j),
+    (-j, -k) and (-k, -j), have the same X(j)X(k) when X depends on j
+    only through j^4.  |d| < (q-1)/2, so 1 + g^d is never 0, and
+    1 - g^d is 0 only at d = 0, where k = 0: its position is the first
+    X(0).  The column v = 0 is j = k = g^t/2, the row u = 0 is
+    j = -k = g^r/2, and the corner is j = k = 0.  The Zech offsets are
+    cached per field over d, and row t reads them at d = -t .. (q-1)/2 -
+    1 - t, a window of the table, so a block is one add.
+    """
+    def build(f):
+        n = f.q - 1
+        half = n // 2
+        jk = slot_base(f).jk[:, :n]
+        log2 = f.log_table[f.add(1, 1)]
+        d = np.arange(-half, half + 1)  # d = (q-1)/2 is read only for the row u = 0, then overwritten
+        z = (jk[:, d % n] - log2) % n
+        z[1, half] = n + half  # d = 0: k = 0
+        return z
+    n = field.q - 1
+    half = n // 2
+    z = field.cached("cell_logs", build)
+    c0 = n - field.log_table[field.add(1, 1)]  # log of 1/2, in 1..q-1
+    windows = sliding_window_view(z, half, axis=1)[:, ::-1]  # window t + 1 is row t
+    lo, hi = rows[0], rows[-1] + 1
+    t = np.arange(lo - 1, hi - 1)[:, None]
+    np.add(windows[:, lo:hi], t, out=out[:, :, 1:])
+    np.add(t, c0, out=out[:, :, :1])
+    if lo == 0:
+        out[:, 0, 0] = n + half
+        out[0, 0, 1:] = c0 + np.arange(half)
+        out[1, 0, 1:] = (out[0, 0, 1:] + half) % n  # k = -j
+    return out
 
 
 def mixed_table(ctx: MixedSumContext) -> np.ndarray:
     """The full q x q table of P(j,k) in index order, cached: log_rows in
     FieldTable.blocks row blocks, each scattered to its (j, k) =
     (g^r, g^(r+c)), with k = 0 in the last column, so no q x q slot array
-    is built.  The main suite streams the log-order rows instead and never
-    holds this table.
+    is built.  The main suite never holds this table: it streams
+    square_rows.
     """
     def build(ctx):
         f = ctx.field
@@ -212,7 +302,7 @@ def mixed_table(ctx: MixedSumContext) -> np.ndarray:
         P = np.empty((q, q), dtype=complex)
         for rs in f.blocks(c):
             slots = np.empty((3, len(rs), q), dtype=np.int64)
-            rows = log_rows(ctx, rs, slot_base(f).jk, slots, np.empty(slots.shape[1:], complex))
+            rows = log_rows(ctx, rs, slots, np.empty(slots.shape[1:], complex))
             P[elems[rs, None], elems[np.where(c == n, n, (rs[:, None] + c) % n)]] = rows
         return P
     return ctx.cached("mixed", build)

@@ -1,7 +1,8 @@
 """Scalar brute-force reference implementations used as test oracles.
 
 Everything here is written with plain Python loops and cmath so the
-expected values are computed independently of the vectorized library path.
+expected values are computed independently of the vectorized library path,
+but p_order_main, which replays the main suite on the full table of P.
 """
 
 import cmath
@@ -9,8 +10,10 @@ from itertools import product
 
 import numpy as np
 
+from mixedsums.harness import BRANCH_TOL, Checks
 from mixedsums.mellin import cross_form
-from mixedsums.sums import exponent_sweep
+from mixedsums.mixed import make_context, mixed_table, state_vector
+from mixedsums.sums import DEFAULT_TOL, exponent_sweep, gauss
 
 
 def chi_val(f, m, x):
@@ -72,6 +75,36 @@ def naive_mixed_sum(f, a, j, k):
     if j == f.neg(k):
         val += chi_val(f, phi_m, int(f.neg(1)))
     return val
+
+
+def p_order_main(ctx, tol=DEFAULT_TOL):
+    """The main suite as it ran when it read P entry by entry: each check
+    on the q x q table mixed_table in index order, one instance per entry,
+    with negation_symmetry reading P at (-j, k).  Its reports are those of
+    harness.run_main, which reads each cell of the squares table once."""
+    f = ctx.field
+    q, n = f.q, f.q - 1
+    P = mixed_table(ctx)
+    V = state_vector(ctx)
+    W = state_vector(make_context(f, ctx.a, conjugate_quartic=ctx.A4.m == n // 4))
+    checks = Checks(f, ctx.a, tol)
+    main, corner, zero_row, symmetry, negation, quarter, drift = (
+        checks[c] for c in ("main_identity", "corner_value", "zero_row_factorization",
+                            "mixed_symmetry", "negation_symmetry", "quarter_turn",
+                            "imaginary_drift"))
+    branch = checks.add("tau_branch", BRANCH_TOL)
+    branch.compare_arrays(W**2, V**2)
+    main.compare_arrays(P, np.outer(V, V))
+    branch.compare_arrays(P, np.outer(W, W))
+    zero_row.compare_arrays(P[:, 0], V[0] * V)
+    drift.compare_arrays(P.imag, 0.0)
+    negation.compare_arrays(P[f.neg_table], P)  # phi(-1) = 1
+    symmetry.compare_arrays(P, P.T)
+    expect = 2 + 2 * (gauss(ctx.A4) ** 2 / (q * ctx.A4(f.neg_table[ctx.a]))).real
+    corner.compare_arrays(P[0, 0], [expect, V[0] ** 2])
+    j = f.units()
+    quarter.compare_arrays(V[f.mul(j, ctx.i_elem)], V[j])
+    return checks.reports()
 
 
 def naive_state_value(f, a, tau, j, quartic_m):

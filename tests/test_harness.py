@@ -11,13 +11,14 @@ import pytest
 
 from mixedsums import (CheckReport, ConfigError, SuiteConfig, build_field, emit_report,
                        make_context, quartic_char, run, state_vector)
-from mixedsums import harness
+from mixedsums import harness, mixed
 from mixedsums.chars import psi_table, unit_roots
 from mixedsums.harness import (Checker, _factor_prime_power, _json_row, resolve_a_values,
                                run_classical, run_main, run_mellin, run_mellin_field)
 from mixedsums.mellin import mellin_v_closed, null_locus_sum
-from mixedsums.mixed import mixed_table, slot_base, squares_table
+from mixedsums.mixed import cell_logs, mixed_table, squares_table
 from mixedsums.sums import gauss_table, jacobi
+import oracles
 
 
 def test_config_validation():
@@ -79,15 +80,15 @@ def traced_peak(fn):
 
 
 def test_main_suite_holds_no_q_by_q_array():
-    # P is streamed in row blocks: with V and the squares table already
-    # built, run_main allocates less than one q x q complex array.
+    # S is streamed in row blocks, each compared once and dropped: on a
+    # cold context (V, W and the squares table not built) run_main
+    # allocates less than S alone, and leaves no squares table behind.
     f = build_field(5, 4)
     ctx = make_context(f, 3)
-    state_vector(ctx)
-    squares_table(ctx)
     peak, reports = traced_peak(lambda: run_main(ctx))
     assert all(r.passed for r in reports)
-    assert peak < 16 * f.q**2
+    assert peak < 16 * ((f.q + 1) // 2) ** 2
+    assert "squares" not in ctx._cache
 
 
 def test_squares_table_build_holds_no_factor_matrix():
@@ -153,10 +154,10 @@ def test_mellin_suite_passes_over_several_row_blocks():
 
 
 def test_main_suite_passes_over_two_row_blocks():
-    # at q = 169 P comes in a full row block and a shorter last one, both
-    # read into the same buffers
-    f = build_field(13, 2)
-    assert len(list(f.blocks(np.arange(f.q)))) == 2
+    # at q = 241 S comes in a full row block and a shorter last one, both
+    # computed in the same buffers
+    f = build_field(241, 1)
+    assert len(list(f.blocks(np.arange((f.q + 1) // 2)))) == 2
     for a in (1, f.g):
         reports = {r.check_id: r for r in run_main(make_context(f, a))}
         assert all(r.passed for r in reports.values())
@@ -164,6 +165,46 @@ def test_main_suite_passes_over_two_row_blocks():
             assert reports[cid].instances == f.q**2
         assert reports["zero_row_factorization"].instances == f.q
         assert reports["tau_branch"].instances == f.q**2 + f.q
+
+
+@pytest.mark.parametrize("pn", [(5, 1), (13, 1), (5, 2), (29, 1), (13, 2), (257, 1), (5, 4)])
+def test_main_stream_reports_as_the_p_order_suite(pn):
+    # each cell of S counted with its multiplicity gives the report of the
+    # suite that read all q^2 entries of P: the same rows in the same order
+    # with the same instances and verdicts, and the same max_abs_err bit
+    # for bit but negation_symmetry's, whose second side is now S(v, u) by
+    # the second route.  Complex products round apart in their last bit
+    # when the factors swap, as they do between the pairs (j, k) and (k, j)
+    # of one cell: at q = 29 and a = 10 that decides tau_branch's worst
+    # error.  The small fields take every a.
+    f = build_field(*pn)
+    sample = (1, f.g, int(f.mul(f.g, f.g)), int(f.neg_table[1]))
+    for a in f.units() if f.q < 30 else dict.fromkeys(sample):
+        got, expect = run_main(make_context(f, a)), oracles.p_order_main(make_context(f, a))
+        assert [(r.check_id, r.q, r.a, r.instances, r.tol, r.passed) for r in got] == [
+            (r.check_id, r.q, r.a, r.instances, r.tol, r.passed) for r in expect]
+        for r, e in zip(got, expect):
+            if r.check_id != "negation_symmetry":
+                assert repr(r.max_abs_err) == repr(e.max_abs_err), r.check_id
+
+
+def test_main_suite_reads_a_built_squares_table(monkeypatch):
+    # run builds S before main when mellin follows, which holds S anyway;
+    # run_main then reads S's rows from it and computes only the second
+    # route, and reports the same, bit for bit
+    f = build_field(13, 2)
+    for a in (1, f.g):
+        cold = run_main(make_context(f, a))
+        ctx = make_context(f, a)
+        S = squares_table(ctx)
+        assert run_main(ctx) == cold
+        assert ctx._cache["squares"] is S
+    built = []
+    monkeypatch.setattr(harness, "run_main",
+                        lambda ctx, tol: built.append("squares" in ctx._cache) or [])
+    run(SuiteConfig(fields=[(5, 1)], a_policy=[1], suites=("main",)))
+    run(SuiteConfig(fields=[(5, 1)], a_policy=[1], suites=("main", "mellin")))
+    assert built == [False, True]
 
 
 def test_tau_branch_fails_with_the_other_characters_tau(monkeypatch):
@@ -189,32 +230,43 @@ def test_tau_branch_fails_with_the_other_characters_tau(monkeypatch):
 
 
 def test_slot_and_square_faults_fail_their_checks(monkeypatch):
-    # Shifting the Zech logarithm A by one in the cached slot base moves P
-    # off V(j)V(k), and main_identity fails.  negation_symmetry reads S at
-    # the swapped slot pair, so it tests that S is symmetric, whatever the
-    # slots: it passes under the slot fault and fails when one entry of S
-    # off its diagonal is perturbed.
+    # A Zech entry shifted by one in the cached cell_logs table reads
+    # V(j)V(k) and W(j)W(k) at the wrong j, so main_identity and tau_branch
+    # fail and the squares-table checks do not.  Reading each row's window
+    # of psi one row late in either route of square_rows makes
+    # negation_symmetry fail, as the two routes no longer agree, and in the
+    # first route, which gives S, main_identity fails too.
     f = build_field(13, 1)
-    n = f.q - 1
-    slot_base(f)
-    cached = f._cache["slot_offsets"]  # the P(j,k) and P(k,j) offsets
+    half = (f.q - 1) // 2
+    ctx = make_context(f, 1)
+    cell_logs(f, np.arange(1), np.empty((2, 1, half + 1), dtype=np.int64))
+    cached = f._cache["cell_logs"]
     shifted = cached.copy()
-    shifted[:, 0, :n] += 1
+    shifted[0, half + 1] += 1  # log j at d = 1, read by every row but the last
     with monkeypatch.context() as m:
-        m.setitem(f._cache, "slot_offsets", shifted)
+        m.setitem(f._cache, "cell_logs", shifted)
         for a in (1, 2, f.g):
             reports = {r.check_id: r for r in run_main(make_context(f, a))}
-            assert not reports["main_identity"].passed
-            assert reports["main_identity"].max_abs_err > 1
+            for cid in ("main_identity", "tau_branch"):
+                assert not reports[cid].passed
+                assert reports[cid].max_abs_err > 0.1
             assert reports["negation_symmetry"].passed
-    assert f._cache["slot_offsets"] is cached
-    ctx = make_context(f, 2)
-    S = squares_table(ctx).copy()
-    S[1, 2] += 1.0
-    ctx._cache["squares"] = S
-    reports = {r.check_id: r for r in run_main(ctx)}
-    assert not reports["negation_symmetry"].passed
-    assert not reports["main_identity"].passed
+    assert f._cache["cell_logs"] is cached
+    assert all(r.passed for r in run_main(ctx))
+    routes = mixed.square_routes
+    for late, failing in ((1, {"negation_symmetry"}), (0, {"main_identity", "negation_symmetry"})):
+        def late_window(ctx):
+            rs = list(routes(ctx))
+            rs[late] = rs[late]._replace(shift=rs[late].shift + 2)
+            return tuple(rs)
+        with monkeypatch.context() as m:
+            m.setattr(mixed, "square_routes", late_window)
+            for a in (1, 2, f.g):
+                reports = run_main(make_context(f, a))
+                assert {r.check_id for r in reports if not r.passed} >= failing
+                assert all(r.max_abs_err > 0.1 for r in reports if r.check_id in failing)
+                if late:
+                    assert [r.check_id for r in reports if not r.passed] == ["negation_symmetry"]
 
 
 def test_real_comparison_reports_as_the_complex_one(f5):

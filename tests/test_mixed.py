@@ -15,7 +15,7 @@ from mixedsums import (
     state_vector,
 )
 from mixedsums import harness
-from mixedsums.mixed import log_rows, slot_base, squares_table
+from mixedsums.mixed import cell_logs, log_order, log_rows, square_rows, squares_table
 from oracles import naive_mixed_sum, naive_state_value
 
 
@@ -160,11 +160,11 @@ def log_grid(f):
     return elems, ks
 
 
-def fresh_log_rows(ctx, rs, offsets):
+def fresh_log_rows(ctx, rs):
     """log_rows into new arrays: (P rows, slots)."""
     slots = np.empty((3, len(rs), ctx.field.q), dtype=np.int64)
     out = np.empty((len(rs), ctx.field.q), dtype=complex)
-    return log_rows(ctx, np.asarray(rs), offsets, slots, out), slots
+    return log_rows(ctx, np.asarray(rs), slots, out), slots
 
 
 def square_column(f):
@@ -176,41 +176,87 @@ def square_column(f):
 def test_zech_slots_match_field_addition(pn):
     # the columns of (j+k)^2 and (j-k)^2 that log_rows leaves in its slots
     # equal the columns of the squares of f.add(j, k) and f.sub(j, k), over
-    # the full log-order grid; the P(k, j) offsets read the columns of
-    # (k+j)^2 and (k-j)^2, the same ones
+    # the full log-order grid
     f = build_field(*pn)
     ctx = make_context(f, 1)
     slot = square_column(f)
     elems, ks = log_grid(f)
-    js, rs = elems[:, None], np.arange(f.q)
-    base = slot_base(f)
-    for offsets, (x, y) in ((base.jk, (js, ks)), (base.kj, (ks, js))):
-        _, (u, v, index) = fresh_log_rows(ctx, rs, offsets)
-        assert np.array_equal(u, slot[f.add(x, y)])
-        assert np.array_equal(v, slot[f.sub(x, y)])
-        assert np.array_equal(index, u * squares_table(ctx).shape[1] + v)
-    assert np.array_equal(base.kj % ((f.q - 1) // 2), base.jk % ((f.q - 1) // 2))
+    js = elems[:, None]
+    _, (u, v, index) = fresh_log_rows(ctx, np.arange(f.q))
+    assert np.array_equal(u, slot[f.add(js, ks)])
+    assert np.array_equal(v, slot[f.sub(js, ks)])
+    assert np.array_equal(index, u * squares_table(ctx).shape[1] + v)
 
 
 @pytest.mark.parametrize("pn", [(5, 1), (3, 2), (13, 1), (13, 2), (5, 4)])
-def test_log_order_rows_are_mixed_table(pn, monkeypatch):
-    # run_main's P, streamed in log order with the k = 0 column and the
-    # j = 0 row in the same blocks, is mixed_table at (g^s, g^(s+d)) bit for
-    # bit; at q = 169 it comes in two blocks
+def test_log_order_rows_are_mixed_table(pn):
+    # log_rows over every row, in FieldTable.blocks steps into reused
+    # buffers, with the k = 0 column and the j = 0 row in the same blocks,
+    # is mixed_table at (g^s, g^(s+d)) bit for bit; at q = 169 it comes in
+    # two blocks
     f = build_field(*pn)
     ctx = make_context(f, 3)
-    P, rows = mixed_table(ctx), []
+    blocks = list(f.blocks(np.arange(f.q)))
+    buf = np.empty((len(blocks[0]), f.q), dtype=complex)
+    work = np.empty((3,) + buf.shape, dtype=np.int64)
+    rows = [log_rows(ctx, rs, work[:, :len(rs)], buf[:len(rs)]).copy() for rs in blocks]
+    elems, ks = log_grid(f)
+    assert np.concatenate(rows).tobytes() == mixed_table(ctx)[elems[:, None], ks].tobytes()
+
+
+@pytest.mark.parametrize("pn", [(5, 1), (3, 2), (13, 1), (5, 2), (13, 2), (5, 4)])
+def test_main_stream_is_squares_table(pn, monkeypatch):
+    # run_main reads each row block of S once, as square_rows yields it:
+    # the blocks its main_identity counts, in order, are squares_table bit
+    # for bit, and its negation_symmetry blocks, from the second route, are
+    # S's transpose to rounding; at q = 625 S comes in 13 blocks
+    f = build_field(*pn)
+    ctx = make_context(f, 3)
+    seen = {"main_identity": [], "negation_symmetry": []}
     compare = harness.Checker.compare_arrays
 
-    def keep_p(self, lhs, rhs):
-        if self.check_id == "main_identity":
-            rows.append(np.array(lhs))
-        compare(self, lhs, rhs)
-    monkeypatch.setattr(harness.Checker, "compare_arrays", keep_p)
+    def keep_lhs(self, lhs, rhs, count=None):
+        if self.check_id in seen and count:
+            seen[self.check_id].append(np.array(lhs))
+        compare(self, lhs, rhs, count)
+    monkeypatch.setattr(harness.Checker, "compare_arrays", keep_lhs)
     assert all(r.passed for r in harness.run_main(ctx))
-    elems, ks = log_grid(f)
-    assert len(rows) == len(list(f.blocks(elems)))
-    assert np.concatenate(rows).tobytes() == P[elems[:, None], ks].tobytes()
+    assert "squares" not in ctx._cache
+    S = squares_table(ctx)
+    assert len(seen["main_identity"]) == len(list(f.blocks(S[:, 0])))
+    assert np.concatenate(seen["main_identity"]).tobytes() == S.tobytes()
+    assert np.abs(np.concatenate(seen["negation_symmetry"]) - S.T).max() < 1e-12
+
+
+@pytest.mark.parametrize("pn", [(5, 1), (3, 2), (13, 1), (5, 2), (13, 2)])
+def test_cell_logs_place_each_cell_at_its_squares(pn):
+    # the (j, k) that cell_logs picks for each cell (u, v) of the squares
+    # table, read back from log_order of the element indices, has
+    # (j+k)^2 = u and (j-k)^2 = v by field arithmetic, over every cell and
+    # for row ranges that start at 0, in the middle and end at the last row
+    f = build_field(*pn)
+    half = (f.q - 1) // 2
+    elems = log_order(f, np.arange(f.q))
+    slot = square_column(f)
+    for lo, hi in ((0, half + 1), (0, 2), (1, half + 1), (half // 2, half + 1), (half, half + 1)):
+        rows = np.arange(lo, hi)
+        logs = cell_logs(f, rows, np.empty((2, len(rows), half + 1), dtype=np.int64))
+        j, k = elems[logs]
+        assert np.array_equal(slot[f.add(j, k)], np.broadcast_to(rows[:, None], j.shape))
+        assert np.array_equal(slot[f.sub(j, k)], np.broadcast_to(np.arange(half + 1), j.shape))
+
+
+@pytest.mark.parametrize("pn, a", [((13, 1), 2), ((5, 2), 3), ((29, 1), 1), ((13, 2), 5)])
+def test_square_rows_second_route_is_the_transpose(pn, a):
+    # the first route is squares_table bit for bit, and the second, through
+    # x -> a/x, a kernel free of a and windows shifted by log a, is S(., u)
+    f = build_field(*pn)
+    ctx = make_context(f, a)
+    S = squares_table(ctx)
+    for rows, block, cols in square_rows(ctx, columns=True):
+        assert block.tobytes() == S[rows].tobytes()
+        assert np.abs(cols - S[:, rows].T).max() < 1e-12
+    assert all(cols is None for _, _, cols in square_rows(ctx))
 
 
 def test_mixed_table_reads_squares_at_field_sums():
@@ -237,43 +283,29 @@ def test_log_rows_match_oracle(pn, a):
     n = f.q - 1
     rs = [n, 2, n // 2 + 2, 0, n]
     elems = np.append(f.exp_table, 0)
-    base = slot_base(f)
-    for offsets, swap in ((base.jk, False), (base.kj, True)):
-        block, _ = fresh_log_rows(ctx, rs, offsets)
-        assert block.shape == (len(rs), f.q)
-        expect = [[naive_mixed_sum(f, a, *((k, j) if swap else (j, k)))
-                   for k in np.append(f.exp_table[(r % n + np.arange(n)) % n], 0)]
-                  for j, r in zip(elems[rs], rs)]
-        assert np.abs(block - expect).max() < 1e-10
+    block, _ = fresh_log_rows(ctx, rs)
+    assert block.shape == (len(rs), f.q)
+    expect = [[naive_mixed_sum(f, a, j, k)
+               for k in np.append(f.exp_table[(r % n + np.arange(n)) % n], 0)]
+              for j, r in zip(elems[rs], rs)]
+    assert np.abs(block - expect).max() < 1e-10
 
 
 def test_log_rows_into_reused_buffers():
     # at q = 169 the rows come in a full block and a shorter last one; the
     # reads into views of one block-sized buffer and one slot array equal
-    # the fresh arrays bit for bit, for P and for P(k, j)
+    # the fresh arrays bit for bit
     f = build_field(13, 2)
     ctx = make_context(f, 3)
     blocks = list(f.blocks(np.arange(f.q)))
     assert [len(b) for b in blocks] == [96, 73]
     buf = np.empty((96, f.q), dtype=complex)
     work = np.empty((3, 96, f.q), dtype=np.int64)
-    base = slot_base(f)
     for rs in blocks:
         b = len(rs)
-        for offsets in (base.jk, base.kj):
-            out, slots = buf[:b], work[:, :b]
-            got = log_rows(ctx, rs, offsets, slots, out)
-            assert got is out
-            fresh, fresh_slots = fresh_log_rows(ctx, rs, offsets)
-            assert got.tobytes() == fresh.tobytes()
-            assert slots.tobytes() == fresh_slots.tobytes()
-
-
-@pytest.mark.parametrize("pn", [(5, 1), (13, 1), (13, 2)])
-def test_flipped_log_rows_are_the_transpose(pn):
-    # the P(k, j) rows are mixed_table.T in log order, bit for bit
-    f = build_field(*pn)
-    ctx = make_context(f, 2)
-    elems, ks = log_grid(f)
-    flipped, _ = fresh_log_rows(ctx, np.arange(f.q), slot_base(f).kj)
-    assert flipped.tobytes() == mixed_table(ctx).T[elems[:, None], ks].tobytes()
+        out, slots = buf[:b], work[:, :b]
+        got = log_rows(ctx, rs, slots, out)
+        assert got is out
+        fresh, fresh_slots = fresh_log_rows(ctx, rs)
+        assert got.tobytes() == fresh.tobytes()
+        assert slots.tobytes() == fresh_slots.tobytes()
