@@ -250,8 +250,8 @@ def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckReport
     mixed.cell_logs: a row of S but its first stands for 2q pairs, the
     first for q.  So run_main never reads P and holds no S of its own:
     square_rows reads S's rows from squares_table when it is already built,
-    as run builds it when the mellin suite follows, which holds S anyway.
-    The zero row
+    as run builds it when the mellin suite follows, whose P (mixed_table)
+    is scattered from the same S, so S is computed once.  The zero row
     P(j, 0) is the diagonal u = v, P(k, j) is the cell itself, and P(-j, k)
     is S(v, u), which the second route of square_rows computes."""
     f = ctx.field
@@ -402,7 +402,7 @@ def run(config: SuiteConfig) -> list[CheckReport]:
         for a in resolve_a_values(field, config.a_policy):
             ctx = make_context(field, a)
             if "main" in config.suites:
-                if "mellin" in config.suites:  # mellin holds S: main reads its rows
+                if "mellin" in config.suites:  # S is built once for main and P
                     squares_table(ctx)
                 reports.extend(run_main(ctx, config.tol))
             if "mellin" in config.suites:

@@ -84,66 +84,6 @@ def state_vector(ctx: MixedSumContext) -> np.ndarray:
     return ctx.cached("state", build)
 
 
-SlotBase = namedtuple("SlotBase", "jk col")
-
-
-def slot_base(field: FieldTable) -> SlotBase:
-    """(jk, col), the tables that place P in the squares table in log
-    order, cached per field.  For j = g^r and k = g^(r+c), j +- k =
-    g^r (1 +- g^c), so the columns of (j+k)^2 and (j-k)^2 are col[r + A[c]]
-    and col[r + B[c]], with the Zech logarithm A[c] = log(1 + g^c),
-    B[c] = log(1 - g^c) = A[c + (q-1)/2] and col[t] = 1 + (t mod (q-1)/2),
-    the column of (g^t)^2.  Column c of jk is (A[c], B[c]), and 0 at
-    c = q-1, where k = 0 lands: (j +- 0)^2 = j^2.  A sum of 0 (A at
-    c = (q-1)/2, B at c = 0) has the offset 3(q-1): col is periodic below
-    3(q-1) and 0, the column of 0, up to 5(q-1), so r + offset is in range
-    for every r < q."""
-    def offsets(f):
-        n = f.q - 1
-        A = f.log_table[f.add(1, f.exp_table)]
-        A[n // 2] = 3 * n
-        out = np.zeros((2, f.q), dtype=np.int64)
-        out[:, :n] = A, np.roll(A, -(n // 2))
-        return out
-
-    def columns(f):
-        t = np.arange(5 * (f.q - 1))
-        return np.where(t < 3 * (f.q - 1), 1 + t % ((f.q - 1) // 2), 0)
-    return SlotBase(field.cached("slot_offsets", offsets), field.cached("square_columns", columns))
-
-
-def log_rows(ctx: MixedSumContext, rs, slots, out) -> np.ndarray:
-    """P in log order for the rows rs, written into out, a (len(rs), q)
-    complex array: row r is j = g^r and column c is k = g^(r+c), with j = 0
-    in row q-1 and k = 0 in column q-1.  The columns (u, v) of (j+k)^2 and
-    (j-k)^2, read through slot_base, and the flat index of the gather are
-    left in slots, the caller's int64 (3, len(rs), q) work array.  Row q-1 is j = 0: both slots read the
-    column of k^2.  Each slot is one add and one take from col in place;
-    every index is in range by construction, and mode="clip" keeps take
-    from buffering out (mode="raise" copies it).
-
-    P(j,k) = delta(j,k) + phi(-1) delta(j,-k)
-             + G(phi)^{-1} F((j+k)^2, (j-k)^2).
-    """
-    n = ctx.field.q - 1
-    jk, col = slot_base(ctx.field)
-    u, v, index = slots
-    for o, t in zip(jk, (u, v)):
-        col.take(np.add(rs[:, None], o, out=t), out=t, mode="clip")
-    zero = rs == n
-    u[zero] = v[zero] = np.append(col[:n], 0)
-    return read_squares(ctx, u, v, out, index)
-
-
-def read_squares(ctx: MixedSumContext, u, v, out, index) -> np.ndarray:
-    """S[u, v] for slot arrays u and v: one gather from the squares table
-    into out, through a flat index built in index (u itself may serve)."""
-    S = squares_table(ctx)
-    i = np.multiply(u, S.shape[1], out=index)
-    i += v
-    return S.ravel().take(i, out=out, mode="clip")
-
-
 Route = namedtuple("Route", "weight shift conv col0 row0")
 
 
@@ -184,13 +124,16 @@ def square_rows(ctx: MixedSumContext, columns: bool = False):
     and cols None, or with columns, cols[i, v] = S(v, rows[i]) from the
     second of square_routes.  block and cols are views of buffers that the
     next step overwrites, so no array but S's row blocks grows as q^2.
-    When squares_table is already built, block is read from it and only
-    the second route is computed.
+    When squares_table is already built, block is read from it, and only
+    the second route is computed, when columns asks for it.
     """
     f = ctx.field
     n = f.q - 1
     half = n // 2
     held = ctx._cache.get("squares")
+    if held is not None and not columns:
+        yield from ((rows, held[rows], None) for rows in f.blocks(np.arange(half + 1)))
+        return
     skip = int(held is not None)  # S is built: its rows are read, not computed
     routes = square_routes(ctx)[skip:1 + columns]
     # psi(u x) over s is a window of psi(g^s) taken over three periods,
@@ -224,8 +167,9 @@ def squares_table(ctx: MixedSumContext) -> np.ndarray:
     per context: S(u, v) = F(u, v) / G(phi) + delta(v, 0) + phi(-1) delta(u, 0),
     filled from square_rows.  (j-k)^2 = 0 exactly when j = k and
     (j+k)^2 = 0 exactly when j = -k, so the two delta terms of P are
-    column 0 and row 0 of S.  The main suite streams square_rows instead,
-    which reads this table's rows only when it is already built.
+    column 0 and row 0 of S.  The main suite and mixed_table stream
+    square_rows instead, which reads this table's rows only when it is
+    already built.
     """
     def build(ctx):
         half = (ctx.field.q - 1) // 2
@@ -252,30 +196,30 @@ def cell_logs(field: FieldTable, rows, out) -> np.ndarray:
 
     For the cell (g^(2t), g^(2r)), take j + k = g^t and j - k = g^r: with
     d = r - t, j = g^t (1 + g^d) / 2 and k = g^t (1 - g^d) / 2, so
-    log j = t + A[d] - log 2 and log k = t + B[d] - log 2, with A and B
-    slot_base's Zech logarithms.  The other pairs of the cell, (k, j),
-    (-j, -k) and (-k, -j), have the same X(j)X(k) when X depends on j
-    only through j^4.  |d| < (q-1)/2, so 1 + g^d is never 0, and
+    log j = t + A[d] - log 2 and log k = t + B[d] - log 2, with the Zech
+    logarithms A[d] = log(1 + g^d) and B[d] = log(1 - g^d) = A[d + (q-1)/2].
+    The other pairs of the cell, (k, j), (-j, -k) and (-k, -j), have the
+    same X(j)X(k) when X depends on j only through j^4, and mixed_table
+    writes the cell at all four.  |d| < (q-1)/2, so 1 + g^d is never 0, and
     1 - g^d is 0 only at d = 0, where k = 0: its position is the first
     X(0).  The column v = 0 is j = k = g^t/2, the row u = 0 is
     j = -k = g^r/2, and the corner is j = k = 0.  The Zech offsets are
     cached per field over d, and row t reads them at d = -t .. (q-1)/2 -
-    1 - t, a window of the table, so a block is one add.
+    1 - t, a window of the table, so a block is one add.  The cache holds
+    these windows, window t + 1 for row t, as one strided view of the
+    table over d.
     """
-    def build(f):
-        n = f.q - 1
-        half = n // 2
-        jk = slot_base(f).jk[:, :n]
-        log2 = f.log_table[f.add(1, 1)]
-        d = np.arange(-half, half + 1)  # d = (q-1)/2 is read only for the row u = 0, then overwritten
-        z = (jk[:, d % n] - log2) % n
-        z[1, half] = n + half  # d = 0: k = 0
-        return z
     n = field.q - 1
     half = n // 2
-    z = field.cached("cell_logs", build)
-    c0 = n - field.log_table[field.add(1, 1)]  # log of 1/2, in 1..q-1
-    windows = sliding_window_view(z, half, axis=1)[:, ::-1]  # window t + 1 is row t
+
+    def build(f):
+        A = f.log_table[f.add(1, f.exp_table)]  # 1 + g^half = 0 reads the sentinel log 0
+        d = np.arange(-half, half + 1)  # d = (q-1)/2 is read only for the row u = 0, then overwritten
+        z = (np.stack((A[d % n], A[(d + half) % n])) - A[0]) % n  # A[0] = log 2
+        z[1, half] = n + half  # d = 0: k = 0
+        return sliding_window_view(z, half, axis=1)[:, ::-1]
+    windows = field.cached("cell_logs", build)
+    c0 = n - field.log_table[2]  # log of 1/2, in 1..q-1: 2 = 1 + 1 is the element index 2
     lo, hi = rows[0], rows[-1] + 1
     t = np.arange(lo - 1, hi - 1)[:, None]
     np.add(windows[:, lo:hi], t, out=out[:, :, 1:])
@@ -288,21 +232,25 @@ def cell_logs(field: FieldTable, rows, out) -> np.ndarray:
 
 
 def mixed_table(ctx: MixedSumContext) -> np.ndarray:
-    """The full q x q table of P(j,k) in index order, cached: log_rows in
-    FieldTable.blocks row blocks, each scattered to its (j, k) =
-    (g^r, g^(r+c)), with k = 0 in the last column, so no q x q slot array
-    is built.  The main suite never holds this table: it streams
-    square_rows.
+    """The full q x q table of P(j,k) in index order, cached, scattered from
+    the squares table: each row block of square_rows is written at the pair
+    (j, k) that cell_logs gives for each of its cells, and at (k, j),
+    (-j, -k) and (-k, -j).  These are all the pairs of the cell, so every
+    entry of P is a copy of one cell of S, and no q x q index array is
+    built.  S is streamed, or read when squares_table is already built, as
+    run builds it when the main suite also runs.  The main suite never
+    holds this table.
     """
     def build(ctx):
         f = ctx.field
-        q, n = f.q, f.q - 1
-        elems = np.append(f.exp_table, 0)  # g^r, and 0 at r = q-1
-        c = np.arange(q)
-        P = np.empty((q, q), dtype=complex)
-        for rs in f.blocks(c):
-            slots = np.empty((3, len(rs), q), dtype=np.int64)
-            rows = log_rows(ctx, rs, slots, np.empty(slots.shape[1:], complex))
-            P[elems[rs, None], elems[np.where(c == n, n, (rs[:, None] + c) % n)]] = rows
+        half = (f.q - 1) // 2
+        elems = log_order(f, np.arange(f.q))
+        P = np.empty((f.q, f.q), dtype=complex)
+        for rows, block, _ in square_rows(ctx):
+            jk = cell_logs(f, rows, np.empty((2, len(rows), half + 1), dtype=np.int64))
+            j, k = elems.take(jk, out=jk, mode="clip")  # in place: each entry reads only itself
+            nj, nk = f.neg_table[jk]
+            for x, y in ((j, k), (k, j), (nj, nk), (nk, nj)):
+                P[x, y] = block
         return P
     return ctx.cached("mixed", build)

@@ -242,7 +242,8 @@ def test_slot_and_square_faults_fail_their_checks(monkeypatch):
     cell_logs(f, np.arange(1), np.empty((2, 1, half + 1), dtype=np.int64))
     cached = f._cache["cell_logs"]
     shifted = cached.copy()
-    shifted[0, half + 1] += 1  # log j at d = 1, read by every row but the last
+    # log j at d = 1, in window t + 1 at position t + 1: read by every row but the last
+    shifted[0, np.arange(half), np.arange(half)] += 1
     with monkeypatch.context() as m:
         m.setitem(f._cache, "cell_logs", shifted)
         for a in (1, 2, f.g):
@@ -326,11 +327,12 @@ def test_tables_free_of_a_are_read_only_and_keyed_by_quartic_exponent():
 
 
 def test_mixed_table_is_filled_in_row_blocks():
-    # with the squares table built, filling P holds no q x q slot array
+    # on a cold context, P is scattered from S's row blocks as they are
+    # streamed: the build holds no q x q index array and leaves no S behind
     ctx = make_context(build_field(5, 4), 3)
-    squares_table(ctx)
     peak, P = traced_peak(lambda: mixed_table(ctx))
     assert peak < 1.25 * P.nbytes
+    assert "squares" not in ctx._cache
 
 
 def test_instances_are_counted_after_broadcasting(f5):

@@ -15,7 +15,7 @@ from mixedsums import (
     state_vector,
 )
 from mixedsums import harness
-from mixedsums.mixed import cell_logs, log_order, log_rows, square_rows, squares_table
+from mixedsums.mixed import cell_logs, log_order, square_rows, squares_table
 from oracles import naive_mixed_sum, naive_state_value
 
 
@@ -148,60 +148,9 @@ def test_conjugate_quartic_context(f13):
         assert np.abs(P - np.outer(V, V)).max() < 1e-10
 
 
-def log_grid(f):
-    """(elems, ks) of the log-order layout of P, where row r is j = g^r and
-    column c is k = g^(r+c), with j = 0 in row q-1 and k = 0 in column q-1:
-    elems holds each row's j, which is also the k of each column of row
-    q-1, and ks the k of every entry."""
-    n = f.q - 1
-    elems = np.append(f.exp_table, 0)
-    r, c = np.arange(f.q)[:, None], np.arange(f.q)
-    ks = np.where(c == n, 0, f.exp_table[(np.where(r == n, 0, r) + c) % n])
-    return elems, ks
-
-
-def fresh_log_rows(ctx, rs):
-    """log_rows into new arrays: (P rows, slots)."""
-    slots = np.empty((3, len(rs), ctx.field.q), dtype=np.int64)
-    out = np.empty((len(rs), ctx.field.q), dtype=complex)
-    return log_rows(ctx, np.asarray(rs), slots, out), slots
-
-
 def square_column(f):
     """The squares-table column of x^2 for every x in F_q."""
     return np.where(np.arange(f.q) == 0, 0, 1 + f.log_table % ((f.q - 1) // 2))
-
-
-@pytest.mark.parametrize("pn", [(5, 1), (3, 2), (13, 1), (5, 2), (7, 2), (3, 4), (5, 3)])
-def test_zech_slots_match_field_addition(pn):
-    # the columns of (j+k)^2 and (j-k)^2 that log_rows leaves in its slots
-    # equal the columns of the squares of f.add(j, k) and f.sub(j, k), over
-    # the full log-order grid
-    f = build_field(*pn)
-    ctx = make_context(f, 1)
-    slot = square_column(f)
-    elems, ks = log_grid(f)
-    js = elems[:, None]
-    _, (u, v, index) = fresh_log_rows(ctx, np.arange(f.q))
-    assert np.array_equal(u, slot[f.add(js, ks)])
-    assert np.array_equal(v, slot[f.sub(js, ks)])
-    assert np.array_equal(index, u * squares_table(ctx).shape[1] + v)
-
-
-@pytest.mark.parametrize("pn", [(5, 1), (3, 2), (13, 1), (13, 2), (5, 4)])
-def test_log_order_rows_are_mixed_table(pn):
-    # log_rows over every row, in FieldTable.blocks steps into reused
-    # buffers, with the k = 0 column and the j = 0 row in the same blocks,
-    # is mixed_table at (g^s, g^(s+d)) bit for bit; at q = 169 it comes in
-    # two blocks
-    f = build_field(*pn)
-    ctx = make_context(f, 3)
-    blocks = list(f.blocks(np.arange(f.q)))
-    buf = np.empty((len(blocks[0]), f.q), dtype=complex)
-    work = np.empty((3,) + buf.shape, dtype=np.int64)
-    rows = [log_rows(ctx, rs, work[:, :len(rs)], buf[:len(rs)]).copy() for rs in blocks]
-    elems, ks = log_grid(f)
-    assert np.concatenate(rows).tobytes() == mixed_table(ctx)[elems[:, None], ks].tobytes()
 
 
 @pytest.mark.parametrize("pn", [(5, 1), (3, 2), (13, 1), (5, 2), (13, 2), (5, 4)])
@@ -228,12 +177,13 @@ def test_main_stream_is_squares_table(pn, monkeypatch):
     assert np.abs(np.concatenate(seen["negation_symmetry"]) - S.T).max() < 1e-12
 
 
-@pytest.mark.parametrize("pn", [(5, 1), (3, 2), (13, 1), (5, 2), (13, 2)])
+@pytest.mark.parametrize("pn", [(5, 1), (3, 2), (13, 1), (5, 2), (13, 2), (7, 2), (3, 4), (5, 3)])
 def test_cell_logs_place_each_cell_at_its_squares(pn):
     # the (j, k) that cell_logs picks for each cell (u, v) of the squares
     # table, read back from log_order of the element indices, has
     # (j+k)^2 = u and (j-k)^2 = v by field arithmetic, over every cell and
-    # for row ranges that start at 0, in the middle and end at the last row
+    # for row ranges that start at 0, in the middle and end at the last row:
+    # its Zech offsets agree with field addition
     f = build_field(*pn)
     half = (f.q - 1) // 2
     elems = log_order(f, np.arange(f.q))
@@ -260,52 +210,18 @@ def test_square_rows_second_route_is_the_transpose(pn, a):
 
 
 def test_mixed_table_reads_squares_at_field_sums():
-    # over the full grid at q = 169, filled in two row blocks, P(j,k) is
-    # the squares table at the columns of (j+k)^2 and (j-k)^2 found by
-    # field addition, bit for bit
-    f = build_field(13, 2)
-    ctx = make_context(f, 3)
+    # over the full grid at q = 289, where S comes in three row blocks, P(j,k)
+    # is the squares table at the columns of (j+k)^2 and (j-k)^2 found by
+    # field addition, bit for bit, whether S is streamed or already built
+    f = build_field(17, 2)
     jj = np.arange(f.q)
-    P = mixed_table(ctx)
-    assert len(list(f.blocks(jj))) == 2
     slot = square_column(f)
-    S = squares_table(ctx)
-    expect = S[slot[f.add(jj[:, None], jj)], slot[f.sub(jj[:, None], jj)]]
-    assert P.tobytes() == expect.tobytes()
-    assert not P.flags.writeable
-
-
-@pytest.mark.parametrize("pn, a", [((13, 1), 2), ((5, 2), 3), ((3, 2), 8)])
-def test_log_rows_match_oracle(pn, a):
-    # any rows, in any order and repeated, the j = 0 row among them
-    f = build_field(*pn)
-    ctx = make_context(f, a)
-    n = f.q - 1
-    rs = [n, 2, n // 2 + 2, 0, n]
-    elems = np.append(f.exp_table, 0)
-    block, _ = fresh_log_rows(ctx, rs)
-    assert block.shape == (len(rs), f.q)
-    expect = [[naive_mixed_sum(f, a, j, k)
-               for k in np.append(f.exp_table[(r % n + np.arange(n)) % n], 0)]
-              for j, r in zip(elems[rs], rs)]
-    assert np.abs(block - expect).max() < 1e-10
-
-
-def test_log_rows_into_reused_buffers():
-    # at q = 169 the rows come in a full block and a shorter last one; the
-    # reads into views of one block-sized buffer and one slot array equal
-    # the fresh arrays bit for bit
-    f = build_field(13, 2)
-    ctx = make_context(f, 3)
-    blocks = list(f.blocks(np.arange(f.q)))
-    assert [len(b) for b in blocks] == [96, 73]
-    buf = np.empty((96, f.q), dtype=complex)
-    work = np.empty((3, 96, f.q), dtype=np.int64)
-    for rs in blocks:
-        b = len(rs)
-        out, slots = buf[:b], work[:, :b]
-        got = log_rows(ctx, rs, slots, out)
-        assert got is out
-        fresh, fresh_slots = fresh_log_rows(ctx, rs)
-        assert got.tobytes() == fresh.tobytes()
-        assert slots.tobytes() == fresh_slots.tobytes()
+    add, sub = slot[f.add(jj[:, None], jj)], slot[f.sub(jj[:, None], jj)]
+    cold, warm = make_context(f, 3), make_context(f, 3)
+    S = squares_table(warm)
+    assert len(list(f.blocks(S[:, 0]))) == 3
+    for ctx in (cold, warm):
+        P = mixed_table(ctx)
+        assert P.tobytes() == S[add, sub].tobytes()
+        assert not P.flags.writeable
+    assert "squares" not in cold._cache
