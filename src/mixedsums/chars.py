@@ -47,31 +47,23 @@ def dft(field: FieldTable, h, axes=(-1,), out=None) -> np.ndarray:
 
 def convolver(field: FieldTable, k):
     """The cyclic convolution with one kernel k (an array ending in an axis
-    of length q-1), as a function conv(h, out=None) that returns convolve's
-    result for each h: fft(k) is computed once here, not once per call."""
+    of length q-1), as a function conv(h, out=None) that returns
+    out[..., r] = sum over s of h[..., s] k[(r - s) mod (q-1)], one FFT
+    product, with fft(k) computed once here.  For h and k indexed by the
+    log index of x = g^s this is the sum over x y = g^r of h(x) k(y), for
+    every r at once.  out=h convolves in place."""
     k = np.asarray(k)
     if k.shape[-1] != field.q - 1:
-        raise ValueError(f"convolve kernel of shape {k.shape} does not end in an axis of length q-1")
+        raise ValueError(f"kernel of shape {k.shape} does not end in an axis of length q-1")
     k_fft = np.fft.fft(k)
 
     def conv(h, out=None):
         h = np.asarray(h)
         if h.shape[-1] != field.q - 1:
-            raise ValueError(f"convolve operand of shape {h.shape} does not end in an axis "
-                             "of length q-1")
+            raise ValueError(f"operand of shape {h.shape} does not end in an axis of length q-1")
         out = np.multiply(np.fft.fft(h, out=out), k_fft, out=out)
         return np.fft.ifft(out, out=out)
     return conv
-
-
-def convolve(field: FieldTable, h, k, out=None) -> np.ndarray:
-    """out[..., r] = sum over s of h[..., s] k[(r - s) mod (q-1)], the cyclic
-    convolution on the last axis (of length q-1), as one FFT product.  For
-    h and k indexed by the log index of x = g^s this is the sum over
-    x y = g^r of h(x) k(y), for every r at once.  A complex array of the
-    result's shape passed as out receives it (out=h convolves in place).
-    A caller that convolves many h with one k takes convolver(field, k)."""
-    return convolver(field, k)(h, out)
 
 
 class MultChar:

@@ -60,6 +60,8 @@ class SuiteConfig:
                 raise ConfigError(f"unknown suite {s!r}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.format!r}")
+        if self.out_path and not os.path.isdir(os.path.dirname(os.path.abspath(self.out_path))):
+            raise ConfigError(f"cannot write the report to {self.out_path}: no such directory")
         if isinstance(self.a_policy, str):
             if self.a_policy not in A_POLICIES:
                 raise ConfigError(f"unknown a policy {self.a_policy!r}")
@@ -296,7 +298,7 @@ def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckReport
             Xj = Xl.take(jk[0], out=T, mode="clip")
             check.compare_arrays(S, np.multiply(Xk, Xj, out=T), 0)
     j = f.units()
-    quarter.compare_arrays(V[f.mul(j, ctx.i_elem)], V[j])
+    quarter.compare_arrays(V[f.mul(j, f.i_elem)], V[j])
     return checks.reports()
 
 
@@ -442,6 +444,8 @@ def emit_report(reports: list[CheckReport], format: str, path: str,
     encoded with no indent, which runs the C encoder (an indent selects the
     pure-Python one). CSV is one row per check.
     """
+    if format not in ("json", "csv"):
+        raise ConfigError(f"unknown format {format!r}")
     if format == "json":
         encode = json.JSONEncoder(allow_nan=False).encode
         groups = []

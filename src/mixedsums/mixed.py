@@ -2,10 +2,10 @@
 V(j) whose outer products reproduce it.
 
 A MixedSumContext fixes everything the sums depend on: the field, the
-parameter a in F_q*, the quartic character, the square root i of -1, and
-the normalizing constant tau with tau^2 = q * A4(-a).  The branch of the
-square root is fixed deterministically (see make_context); the other
-branch would negate every V(j) and leave P = V(j)V(k) unchanged.
+parameter a in F_q*, the quartic character, and the normalizing constant
+tau with tau^2 = q * A4(-a).  The branch of the square root is fixed
+deterministically (see make_context); the other branch would negate
+every V(j) and leave P = V(j)V(k) unchanged.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .gf import FieldError, FieldTable, ZeroArgument
-from .chars import MultChar, convolve, convolver, psi_table, quadratic_char
+from .chars import MultChar, convolver, psi_table, quadratic_char
 from .sums import gauss
 
 
@@ -30,7 +30,6 @@ class MixedSumContext:
     field: FieldTable
     a: int
     A4: MultChar
-    i_elem: int
     tau: complex
     _cache: dict = dc_field(default_factory=dict, repr=False)
 
@@ -57,7 +56,7 @@ def make_context(field: FieldTable, a: int, conjugate_quartic: bool = False) -> 
     A4 = MultChar(field, -quarter if conjugate_quartic else quarter)
     k = ((A4.m * field.log_table[field.neg_table[a]]) % (field.q - 1)) // quarter
     tau = -np.sqrt(field.q) * np.exp(1j * np.pi * k / 4)
-    return MixedSumContext(field=field, a=a, A4=A4, i_elem=field.i_elem, tau=complex(tau))
+    return MixedSumContext(field=field, a=a, A4=A4, tau=complex(tau))
 
 
 def state_vector(ctx: MixedSumContext) -> np.ndarray:
@@ -74,8 +73,8 @@ def state_vector(ctx: MixedSumContext) -> np.ndarray:
     """
     def build(ctx):
         f = ctx.field
-        K = f.cached(("state_kernel", ctx.A4.m), lambda f: convolve(  # x = g^s
-            f, ctx.A4(f.exp_table) * psi_table(f)[f.exp_table], psi_table(f)[f.exp_table]))
+        K = f.cached(("state_kernel", ctx.A4.m), lambda f: convolver(  # x = g^s
+            f, psi_table(f)[f.exp_table])(ctx.A4(f.exp_table) * psi_table(f)[f.exp_table]))
         v = np.empty(f.q, dtype=complex)
         v[1:] = K[(f.log_table[ctx.a] + 4 * f.log_table[1:]) % (f.q - 1)] / ctx.tau
         g4 = gauss(ctx.A4)
@@ -84,13 +83,12 @@ def state_vector(ctx: MixedSumContext) -> np.ndarray:
     return ctx.cached("state", build)
 
 
-Route = namedtuple("Route", "weight shift conv col0 row0")
+Route = namedtuple("Route", "weight shift conv")
 
 
-def square_routes(ctx: MixedSumContext) -> tuple[Route, Route]:
-    """The two routes of square_rows, one Route(weight, shift, conv, col0,
-    row0) each: the first gives S(u, .) and the second S(., u), for the
-    same u.
+def square_routes(ctx: MixedSumContext, i: int) -> Route:
+    """Route i of square_rows, as Route(weight, shift, conv): route 0 gives
+    S(u, .) and route 1 S(., u), for the same u.
 
     u and v run over the (q+1)/2 squares of F_q: column 0 is 0 and column
     1 + t is g^(2t), so the column of j^2 is 1 + (log(j) mod (q-1)/2).
@@ -99,43 +97,37 @@ def square_routes(ctx: MixedSumContext) -> tuple[Route, Route]:
     the cyclic convolution over log x
         F(u, g^r) = sum_s [w(g^s) psi(g^(s+2t))] psi(a g^(r-s)),
     read at even r; F(u, 0) is the plain sum of the bracket, and the row
-    u = 0 convolves w alone.  The second route substitutes x -> a/x, which
-    gives F(v, u) = phi(-1) F(u, v), and computes F(v, u) over v as
+    u = 0 convolves w alone.  Route 1 substitutes x -> a/x, which gives
+    F(v, u) = phi(-1) F(u, v) = F(u, v) (q = 1 mod 4), over v as
         F(g^r, u) = sum_s [w(g^(-s)) psi(g^(s+2t+log a))] psi(g^(r-s)),
     whose kernel is free of a.  A route's bracket is weight times the
     window of psi(g^s) that starts at 2t + shift, and conv convolves it
     with the route's kernel, transformed once here.  S(u, v) =
-    F(u, v) / G(phi) + delta(v, 0) + phi(-1) delta(u, 0), so the first
-    route adds col0 = 1 to column 0 and row0 = phi(-1) to row 0, and the
-    second the other way round.
+    F(u, v) / G(phi) + delta(v, 0) + delta(u, 0), so either route adds 1
+    to column 0 and to row 0.
     """
     f = ctx.field
     x = f.exp_table  # x = g^s
     w = ctx.phi(f.sub(f.mul(ctx.a, f.inv_table[x]), x))
     psi = psi_table(f)
-    phi_neg = ctx.phi(f.neg_table[1])
-    return (Route(w, 0, convolver(f, psi[f.mul(ctx.a, x)]), 1.0, phi_neg),
-            Route(w[-np.arange(f.q - 1)], f.log_table[ctx.a], convolver(f, psi[x]), phi_neg, 1.0))
+    return (Route(w, 0, convolver(f, psi[f.mul(ctx.a, x)])) if i == 0 else
+            Route(w[-np.arange(f.q - 1)], f.log_table[ctx.a], convolver(f, psi[x])))
 
 
 def square_rows(ctx: MixedSumContext, columns: bool = False):
     """The squares table S in FieldTable.blocks row blocks, each from one
     convolution per row: yields (rows, block, cols) with block = S[rows],
-    and cols None, or with columns, cols[i, v] = S(v, rows[i]) from the
-    second of square_routes.  block and cols are views of buffers that the
+    and cols None, or with columns, cols[i, v] = S(v, rows[i]) from route
+    1 of square_routes.  block is read from squares_table when it is
+    already built, and otherwise computed by route 0, so only the routes
+    that run are built.  Computed blocks are views of buffers that the
     next step overwrites, so no array but S's row blocks grows as q^2.
-    When squares_table is already built, block is read from it, and only
-    the second route is computed, when columns asks for it.
     """
     f = ctx.field
     n = f.q - 1
     half = n // 2
     held = ctx._cache.get("squares")
-    if held is not None and not columns:
-        yield from ((rows, held[rows], None) for rows in f.blocks(np.arange(half + 1)))
-        return
-    skip = int(held is not None)  # S is built: its rows are read, not computed
-    routes = square_routes(ctx)[skip:1 + columns]
+    routes = {i: square_routes(ctx, i) for i, run in enumerate((held is None, columns)) if run}
     # psi(u x) over s is a window of psi(g^s) taken over three periods,
     # starting at 2t + shift < 2(q-1) for u = g^(2t), so the windows of
     # consecutive rows are one strided view; psi(0 x) is all ones
@@ -143,33 +135,33 @@ def square_rows(ctx: MixedSumContext, columns: bool = False):
     g_phi = gauss(ctx.phi)
     blocks = list(f.blocks(np.arange(half + 1)))
     h = np.empty((len(blocks[0]), n), dtype=complex)
-    out = np.empty((1 + columns, len(h), half + 1), dtype=complex)
+    out = np.empty((2, len(h), half + 1), dtype=complex)
     for rows in blocks:
         b = len(rows)
         top = int(rows[0] == 0)
         lo = 2 * (rows[top] - 1)  # 2t for the first row u = g^(2t)
         hb = h[:b]
-        for route, o in zip(routes, out[skip:, :b]):
+        for i, route in routes.items():
+            o = out[i, :b]
             hb[:top] = 1.0
             hb[top:] = windows[lo + route.shift:lo + route.shift + 2 * (b - top):2]
             hb *= route.weight
             o[:, 0] = hb.sum(axis=1)
             o[:, 1:] = route.conv(hb, out=hb)[:, ::2]
             o /= g_phi
-            o[:, 0] += route.col0
-            if top:
-                o[0] += route.row0
-        yield rows, held[rows] if skip else out[0, :b], out[1, :b] if columns else None
+            o[:, 0] += 1.0
+            o[:top] += 1.0  # the row u = 0, in the first block
+        yield rows, out[0, :b] if held is None else held[rows], out[1, :b] if columns else None
 
 
 def squares_table(ctx: MixedSumContext) -> np.ndarray:
     """P as a function of the pair of squares ((j+k)^2, (j-k)^2), cached
-    per context: S(u, v) = F(u, v) / G(phi) + delta(v, 0) + phi(-1) delta(u, 0),
+    per context: S(u, v) = F(u, v) / G(phi) + delta(v, 0) + delta(u, 0),
     filled from square_rows.  (j-k)^2 = 0 exactly when j = k and
     (j+k)^2 = 0 exactly when j = -k, so the two delta terms of P are
     column 0 and row 0 of S.  The main suite and mixed_table stream
-    square_rows instead, which reads this table's rows only when it is
-    already built.
+    square_rows instead, which reads this table's rows while it is held,
+    and mixed_table drops it.
     """
     def build(ctx):
         half = (ctx.field.q - 1) // 2
@@ -238,8 +230,8 @@ def mixed_table(ctx: MixedSumContext) -> np.ndarray:
     (-j, -k) and (-k, -j).  These are all the pairs of the cell, so every
     entry of P is a copy of one cell of S, and no q x q index array is
     built.  S is streamed, or read when squares_table is already built, as
-    run builds it when the main suite also runs.  The main suite never
-    holds this table.
+    run builds it when the main suite also runs; then P holds every cell
+    of S, and S is dropped.  The main suite never holds this table.
     """
     def build(ctx):
         f = ctx.field
@@ -252,5 +244,6 @@ def mixed_table(ctx: MixedSumContext) -> np.ndarray:
             nj, nk = f.neg_table[jk]
             for x, y in ((j, k), (k, j), (nj, nk), (nk, nj)):
                 P[x, y] = block
+        ctx._cache.pop("squares", None)
         return P
     return ctx.cached("mixed", build)

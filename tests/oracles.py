@@ -103,7 +103,7 @@ def p_order_main(ctx, tol=DEFAULT_TOL):
     expect = 2 + 2 * (gauss(ctx.A4) ** 2 / (q * ctx.A4(f.neg_table[ctx.a]))).real
     corner.compare_arrays(P[0, 0], [expect, V[0] ** 2])
     j = f.units()
-    quarter.compare_arrays(V[f.mul(j, ctx.i_elem)], V[j])
+    quarter.compare_arrays(V[f.mul(j, f.i_elem)], V[j])
     return checks.reports()
 
 

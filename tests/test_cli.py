@@ -100,6 +100,21 @@ def test_bad_explicit_a_exits_before_any_suite(monkeypatch, capsys):
     assert captured.err == "error: a = 100 is not a nonzero element index for q = 5 (1 <= a < q)\n"
 
 
+def test_out_into_a_missing_directory_exits_before_any_suite(monkeypatch, tmp_path, capsys):
+    # the report's directory is checked with the config, and the message
+    # names the --out path, not a temporary file
+    def no_suite(*args):
+        raise AssertionError("a suite ran before the bad --out was rejected")
+
+    for suite in ("run_classical", "run_transforms", "run_mellin_field", "run_main", "run_mellin"):
+        monkeypatch.setattr(f"mixedsums.harness.{suite}", no_suite)
+    out = tmp_path / "missing" / "r.json"
+    assert main(["verify", "--q", "5", "--a", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write the report to {out}: no such directory\n"
+
+
 def test_repeated_q_and_a_run_once(tmp_path, capsys):
     out = tmp_path / "r.json"
     code = main(["verify", "--q", "5", "--q", "5^1", "--a", "1,1", "--suite", "main",

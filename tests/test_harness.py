@@ -107,8 +107,8 @@ def test_state_vector_build_is_linear_in_q():
 
 def test_mellin_suite_holds_only_p_and_t():
     # T is built in place in the gather of P and checked in row blocks, so
-    # with the field tables warm and a cold context run_mellin holds P, T,
-    # the squares table and little else.
+    # with the field tables warm and a cold context run_mellin holds P, T
+    # and little else: P's build streams the squares table.
     f = build_field(5, 4)
     run_mellin(make_context(f, 1))  # builds the per-field tables
     peak, reports = traced_peak(lambda: run_mellin(make_context(f, 3)))
@@ -189,9 +189,9 @@ def test_main_stream_reports_as_the_p_order_suite(pn):
 
 
 def test_main_suite_reads_a_built_squares_table(monkeypatch):
-    # run builds S before main when mellin follows, which holds S anyway;
-    # run_main then reads S's rows from it and computes only the second
-    # route, and reports the same, bit for bit
+    # run builds S before main when mellin follows, whose P is scattered
+    # from the same S and then drops it; run_main reads S's rows from it
+    # and computes only the second route, and reports the same, bit for bit
     f = build_field(13, 2)
     for a in (1, f.g):
         cold = run_main(make_context(f, a))
@@ -200,11 +200,17 @@ def test_main_suite_reads_a_built_squares_table(monkeypatch):
         assert run_main(ctx) == cold
         assert ctx._cache["squares"] is S
     built = []
+
+    def mellin(ctx, tol):
+        reports = run_mellin(ctx, tol)
+        built.append("squares" in ctx._cache)
+        return reports
     monkeypatch.setattr(harness, "run_main",
                         lambda ctx, tol: built.append("squares" in ctx._cache) or [])
+    monkeypatch.setattr(harness, "run_mellin", mellin)
     run(SuiteConfig(fields=[(5, 1)], a_policy=[1], suites=("main",)))
     run(SuiteConfig(fields=[(5, 1)], a_policy=[1], suites=("main", "mellin")))
-    assert built == [False, True]
+    assert built == [False, True, False]
 
 
 def test_tau_branch_fails_with_the_other_characters_tau(monkeypatch):
@@ -229,45 +235,105 @@ def test_tau_branch_fails_with_the_other_characters_tau(monkeypatch):
     assert all(r.passed for cid, r in reports.items() if cid != "tau_branch")
 
 
-def test_slot_and_square_faults_fail_their_checks(monkeypatch):
-    # A Zech entry shifted by one in the cached cell_logs table reads
-    # V(j)V(k) and W(j)W(k) at the wrong j, so main_identity and tau_branch
-    # fail and the squares-table checks do not.  Reading each row's window
-    # of psi one row late in either route of square_rows makes
-    # negation_symmetry fail, as the two routes no longer agree, and in the
-    # first route, which gives S, main_identity fails too.
-    f = build_field(13, 1)
+def shift_zech_entry(f, m):
+    """log j at d = 1 in every window of the cached cell_logs table (window
+    t + 1 at position t + 1), read by every row of S but the last."""
     half = (f.q - 1) // 2
-    ctx = make_context(f, 1)
     cell_logs(f, np.arange(1), np.empty((2, 1, half + 1), dtype=np.int64))
-    cached = f._cache["cell_logs"]
-    shifted = cached.copy()
-    # log j at d = 1, in window t + 1 at position t + 1: read by every row but the last
+    shifted = f._cache["cell_logs"].copy()
     shifted[0, np.arange(half), np.arange(half)] += 1
-    with monkeypatch.context() as m:
-        m.setitem(f._cache, "cell_logs", shifted)
-        for a in (1, 2, f.g):
-            reports = {r.check_id: r for r in run_main(make_context(f, a))}
-            for cid in ("main_identity", "tau_branch"):
-                assert not reports[cid].passed
-                assert reports[cid].max_abs_err > 0.1
-            assert reports["negation_symmetry"].passed
-    assert f._cache["cell_logs"] is cached
-    assert all(r.passed for r in run_main(ctx))
-    routes = mixed.square_routes
-    for late, failing in ((1, {"negation_symmetry"}), (0, {"main_identity", "negation_symmetry"})):
-        def late_window(ctx):
-            rs = list(routes(ctx))
-            rs[late] = rs[late]._replace(shift=rs[late].shift + 2)
-            return tuple(rs)
-        with monkeypatch.context() as m:
-            m.setattr(mixed, "square_routes", late_window)
-            for a in (1, 2, f.g):
-                reports = run_main(make_context(f, a))
-                assert {r.check_id for r in reports if not r.passed} >= failing
-                assert all(r.max_abs_err > 0.1 for r in reports if r.check_id in failing)
-                if late:
-                    assert [r.check_id for r in reports if not r.passed] == ["negation_symmetry"]
+    m.setitem(f._cache, "cell_logs", shifted)
+
+
+def late_window(route):
+    """Each row of the given route of square_rows reads its window of psi
+    one row late."""
+    def fault(f, m):
+        build = mixed.square_routes
+
+        def late(ctx, i):
+            r = build(ctx, i)
+            return r._replace(shift=r.shift + 2) if i == route else r
+        m.setattr(mixed, "square_routes", late)
+    return fault
+
+
+def move_held_entry(f, m):
+    """One real off-diagonal entry of the S that run builds before main
+    (as mellin follows), moved by 1e-3."""
+    def perturbed(ctx):
+        S = squares_table(ctx).copy()
+        S[1, 2] += 1e-3
+        ctx._cache["squares"] = S
+    m.setattr(harness, "squares_table", perturbed)
+
+
+def rotate_psi_value(f, m):
+    """One value of the cached additive character, psi(1), times e^(0.1i)."""
+    psi = psi_table(f).copy()
+    psi[1] *= np.exp(0.1j)
+    m.setitem(f._cache, "psi", psi)
+
+
+def conjugate_psi(f, m):
+    m.setitem(f._cache, "psi", psi_table(f).conj())
+
+
+MELLIN_P = {"double_mellin", "pair_coeffs", "product_assembly"}  # read P
+PSI = {"gauss_trivial", "gauss_norm", "jacobi_gauss_ratio", "hasse_davenport",
+       "gauss_summation_at_one", "kummer_value", "hyper_kernel", "main_identity",
+       "corner_value", "zero_row_factorization", "imaginary_drift", "tau_branch",
+       "mellin_p0"} | MELLIN_P
+# each targeted fault and the exact set of checks, over every suite, that it fails
+FAULTS = {
+    # V(j)V(k) is read at the wrong j, and mellin's P is scattered to it
+    "zech_entry": (shift_zech_entry, {"main_identity", "tau_branch"} | MELLIN_P),
+    # S itself is wrong, so the routes disagree and P(j, 0) is wrong too
+    "late_row_window": (late_window(0), {"main_identity", "zero_row_factorization",
+                                         "negation_symmetry", "tau_branch", "mellin_p0"}
+                        | MELLIN_P),
+    # only the second route is wrong, and only negation_symmetry reads it
+    "late_column_window": (late_window(1), {"negation_symmetry"}),
+    # the second route computes the moved entry afresh
+    "held_s_entry": (move_held_entry,
+                     {"main_identity", "negation_symmetry", "tau_branch"} | MELLIN_P),
+    # every sum over psi; both routes of S take the same psi, and the
+    # substitution x -> a/x holds for any additive character, so
+    # negation_symmetry cannot see it
+    "psi_value": (rotate_psi_value, PSI),
+}
+STRUCTURAL = {"mixed_symmetry", "quarter_turn"}
+
+
+def failed_under(fault, pn, a_policy):
+    """The check ids that fail when run, with every suite, meets the fault
+    on a fresh field."""
+    f = build_field(*pn)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(harness, "build_field", lambda p, n: f)
+        fault(f, m)
+        reports = run(SuiteConfig(fields=[pn], a_policy=a_policy))
+    return f, {r.check_id for r in reports if not r.passed}
+
+
+def test_targeted_faults_fail_exactly_their_checks():
+    # Each fault fails exactly its set of checks at q = 13 and a in {1, g};
+    # a fault that changes S fails main_identity and mellin's P checks,
+    # and no fault can fail the structural rows mixed_symmetry and
+    # quarter_turn (ROADMAP item 5).  The mutation-adequacy criterion of
+    # DeMillo, Lipton and Sayward (1978).
+    g = build_field(13, 1).g
+    for name, (fault, failing) in FAULTS.items():
+        for a in (1, g):
+            assert failed_under(fault, (13, 1), [a])[1] == failing, (name, a)
+            assert not failing & STRUCTURAL
+    # psi-bar(y) = psi(-y) is another nontrivial additive character, so
+    # conjugating psi is a symmetry of every identity, not a fault: it
+    # moves the Gauss sums, G(chi) -> chi(-1) G(chi), and every check passes
+    for pn in ((5, 1), (5, 2), (29, 1), (3, 4), (13, 2)):
+        f, failed = failed_under(conjugate_psi, pn, "sample")
+        assert failed == set()
+        assert not np.array_equal(gauss_table(f), gauss_table(build_field(*pn)))
 
 
 def test_real_comparison_reports_as_the_complex_one(f5):
@@ -450,6 +516,14 @@ def test_json_and_csv_rows_of_one_run_agree(tmp_path):
         assert str(j["passed"]).lower() == c["pass"]
     # one run per line
     assert sum(line.startswith('{"check_id": ') for line in text.splitlines()) == len(reports)
+
+
+def test_emit_rejects_an_unknown_format(tmp_path):
+    # as SuiteConfig does, before anything is written
+    with pytest.raises(ConfigError, match="unknown format 'xml'"):
+        emit_report([CheckReport("demo", 5, 1, 1, 0.0, 1e-8, True)], "xml",
+                    str(tmp_path / "report.xml"), [(5, 1)])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_emit_empty_report(tmp_path):

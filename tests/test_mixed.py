@@ -14,7 +14,7 @@ from mixedsums import (
     quartic_char,
     state_vector,
 )
-from mixedsums import harness
+from mixedsums import harness, mixed
 from mixedsums.mixed import cell_logs, log_order, square_rows, squares_table
 from oracles import naive_mixed_sum, naive_state_value
 
@@ -209,6 +209,26 @@ def test_square_rows_second_route_is_the_transpose(pn, a):
     assert all(cols is None for _, _, cols in square_rows(ctx))
 
 
+@pytest.mark.parametrize("held, columns, built", [
+    (False, False, 1), (False, True, 2), (True, False, 0), (True, True, 1)])
+def test_square_rows_builds_only_the_routes_it_runs(monkeypatch, held, columns, built):
+    # route 0 (S's rows) runs unless S is held, and route 1 (its columns)
+    # only when columns asks for it: each route built is one kernel
+    # transform, and the blocks are S's rows either way
+    f = build_field(13, 2)
+    ctx = make_context(f, 3)
+    S = squares_table(make_context(f, 3))
+    if held:
+        squares_table(ctx)
+    kernels = []
+    convolver = mixed.convolver
+    monkeypatch.setattr(mixed, "convolver", lambda f, k: kernels.append(k) or convolver(f, k))
+    for rows, block, cols in square_rows(ctx, columns):
+        assert block.tobytes() == S[rows].tobytes()
+        assert (cols is None) != columns
+    assert len(kernels) == built
+
+
 def test_mixed_table_reads_squares_at_field_sums():
     # over the full grid at q = 289, where S comes in three row blocks, P(j,k)
     # is the squares table at the columns of (j+k)^2 and (j-k)^2 found by
@@ -224,4 +244,5 @@ def test_mixed_table_reads_squares_at_field_sums():
         P = mixed_table(ctx)
         assert P.tobytes() == S[add, sub].tobytes()
         assert not P.flags.writeable
-    assert "squares" not in cold._cache
+        # P holds every cell of S, so a held S is dropped
+        assert "squares" not in ctx._cache

@@ -21,7 +21,7 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 import oracles  # noqa: E402
 from mixedsums import MultChar, build_field, make_context  # noqa: E402
 from mixedsums import mellin as ml  # noqa: E402
-from mixedsums.chars import convolve, dft  # noqa: E402
+from mixedsums.chars import convolver, dft  # noqa: E402
 from mixedsums.harness import Checker, Checks  # noqa: E402
 from mixedsums.mellin import FourthPowerTrivial  # noqa: E402
 from mixedsums.sums import hyp2f1_many, jacobi  # noqa: E402
@@ -157,15 +157,17 @@ def test_convolve_is_the_literal_cyclic_sum(data):
     values = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
     h = data.draw(hnp.arrays(np.complex128, hshape, elements=values))
     k = data.draw(hnp.arrays(np.complex128, kshape, elements=values))
-    got = convolve(f, h, k)
+    got = convolver(f, k)(h)
     hb, kb = np.broadcast_arrays(h, k)
     assert got.shape == hb.shape
     for idx in np.ndindex(hb.shape[:-1]):
         expect = np.array(oracles.naive_convolve(list(hb[idx]), list(kb[idx])))
         scale = 1 + np.abs(hb[idx]).sum() * np.abs(kb[idx]).max()
         assert np.all(np.abs(got[idx] - expect) <= 1e-12 * scale)
-    with pytest.raises(ValueError):
-        convolve(f, h[..., 1:], k[..., 1:])
+    with pytest.raises(ValueError, match="kernel"):
+        convolver(f, k[..., 1:])
+    with pytest.raises(ValueError, match="operand"):
+        convolver(f, k)(h[..., 1:])
 
 
 @PROPERTY
