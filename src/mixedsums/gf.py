@@ -106,6 +106,7 @@ class FieldTable:
         g: index of the fixed generator of F_q* (smallest index of full order).
         exp_table: exp_table[t] = index of g^t, t = 0..q-2.
         log_table: inverse of exp_table; log_table[0] is a sentinel (0).
+        zech: Zech logarithms zech[t] = log(1 + g^t); zech[(q-1)/2] is a sentinel (0).
         trace_table: absolute trace F_q -> F_p as integers 0..p-1.
         i_elem: g^((q-1)/4), a fixed square root of -1.
     """
@@ -144,7 +145,11 @@ class FieldTable:
         self.trace_table = np.zeros(q, dtype=np.int64)
         self.trace_table[1:] = tr_elems
 
+        self.zech = self.log_table[self.add(1, exp_table)]
         self.i_elem = int(exp_table[(q - 1) // 4])
+        for t in (exp_table, self.digits, self.log_table, self.neg_table, self.inv_table,
+                  self.trace_table, self.zech):
+            t.flags.writeable = False
         self._cache: dict = {}
 
     def cached(self, key, build):
@@ -231,13 +236,9 @@ def _digit_product(modulus: tuple[int, ...], p: int):
     return mul
 
 
-def build_field(p: int, n: int) -> FieldTable:
-    """Construct F_{p^n} deterministically for p^n == 1 (mod 4), p^n <= 2^16.
-
-    g is the smallest index of full order: a batch of candidates x is
-    raised to every cofactor (q-1)/r, r a prime factor of q-1, by
-    square-and-multiply on digit arrays. exp_table is built by doubling:
-    g^k * (g^0 .. g^(k-1)) is one batched product."""
+def field_size(p: int, n: int) -> int:
+    """q = p^n, after checking that build_field can build F_{p^n}: n >= 1,
+    q <= MAX_Q, p prime and q == 1 (mod 4); else a FieldError."""
     if n < 1:
         raise FieldError("extension degree must be positive")
     # size first (p >= 2, so n bounds q before p**n is formed): a huge p stalls is_prime
@@ -248,7 +249,17 @@ def build_field(p: int, n: int) -> FieldTable:
     q = p**n
     if q % 4 != 1:
         raise WrongResidue(f"q = {q} is not congruent to 1 mod 4")
+    return q
 
+
+def build_field(p: int, n: int) -> FieldTable:
+    """Construct F_{p^n} deterministically for p^n == 1 (mod 4), p^n <= 2^16.
+
+    g is the smallest index of full order: a batch of candidates x is
+    raised to every cofactor (q-1)/r, r a prime factor of q-1, by
+    square-and-multiply on digit arrays. exp_table is built by doubling:
+    g^k * (g^0 .. g^(k-1)) is one batched product."""
+    q = field_size(p, n)
     modulus = smallest_irreducible(p, n)
     params = FieldParams(p=p, n=n, q=q, modulus=modulus)
     mul = _digit_product(modulus, p)

@@ -60,20 +60,19 @@ class SuiteConfig:
                 raise ConfigError(f"unknown suite {s!r}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.format!r}")
+        if self.out_path and os.path.isdir(self.out_path):
+            raise ConfigError(f"cannot write the report to {self.out_path}: it is a directory")
         if self.out_path and not os.path.isdir(os.path.dirname(os.path.abspath(self.out_path))):
             raise ConfigError(f"cannot write the report to {self.out_path}: no such directory")
-        if isinstance(self.a_policy, str):
-            if self.a_policy not in A_POLICIES:
-                raise ConfigError(f"unknown a policy {self.a_policy!r}")
-        else:  # on every field, before any suite runs
-            for p, n in self.fields:
-                if n >= gf.MAX_Q.bit_length():
-                    continue  # build_field rejects so large a field before it uses any a
-                bad = [a for a in self.a_policy if not 0 < a < p**n]
-                if bad:
-                    q = f"{p}^{n}" if n > 1 else p  # a huge p^n has too many digits to print
-                    raise ConfigError(f"a = {bad[0]} is not a nonzero element index "
-                                      f"for q = {q} (1 <= a < q)")
+        if isinstance(self.a_policy, str) and self.a_policy not in A_POLICIES:
+            raise ConfigError(f"unknown a policy {self.a_policy!r}")
+        explicit = [] if isinstance(self.a_policy, str) else self.a_policy
+        for p, n in self.fields:  # every field and every explicit a, before any suite runs
+            q = gf.field_size(p, n)
+            bad = [a for a in explicit if not 0 < a < q]
+            if bad:
+                raise ConfigError(f"a = {bad[0]} is not a nonzero element index "
+                                  f"for q = {f'{p}^{n}' if n > 1 else p} (1 <= a < q)")
 
 
 @dataclass

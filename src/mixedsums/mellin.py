@@ -20,7 +20,7 @@ import numpy as np
 from .gf import FieldError, FieldTable, ZeroArgument
 from .chars import MultChar, char_at, dft, unit_roots
 from .mixed import MixedSumContext, mixed_table, state_vector
-from .sums import exponent_sweep, gauss_table, hyp2f1_many, jacobi, one_minus_table
+from .sums import exponent_sweep, gauss_table, hyp2f1_many, jacobi
 
 
 class FourthPowerTrivial(FieldError):
@@ -196,19 +196,23 @@ def hyper_kernel_row(ctx: MixedSumContext, js) -> np.ndarray:
 
     For D = chi_m each term is zeta^(m k) times a part free of m, with
     k = log x - 2 log(x (j+1)^2 + (j-1)^2), so one exponent sweep covers
-    every character."""
+    every character.  For j != +-1 the form is (1-j)^2 (1 + x r^2),
+    r = (1+j)/(1-j), whose log is 2 log(1-j) + zech[log x + 2 log r]."""
     f = ctx.field
     qm1 = f.q - 1
+    half = qm1 // 2
     js = np.asarray(js)
     if np.any(js == 0):
         raise ZeroArgument("j must be nonzero")
-    x = np.arange(2, f.q)  # phi(1-x) vanishes at x = 1
-    one_minus = one_minus_table(f)
-    jp, jm = one_minus[f.neg_table[js]], one_minus[js]  # 1 + j and 1 - j, (1-j)^2 = (j-1)^2
-    args = f.add(f.mul(x, f.mul(jp, jp)[:, None]), f.mul(jm, jm)[:, None])
-    lx, largs = f.log_table[x], f.log_table[args]
-    w = unit_roots(f)[np.mod(ctx.phi.m * (f.log_table[one_minus[x]] + largs), qm1)]
-    w[args == 0] = 0.0
+    lx = f.log_table[2:]  # x = 1 is element index 1, and phi(1-x) vanishes there
+    lj = f.log_table[js][:, None]
+    lp, lm = f.zech[lj], f.zech[lj - half]  # log(1 + j), log(1 - j): 0 only at j = -1, 1
+    d = (lx + 2 * (lp - lm)) % qm1  # log(x r^2)
+    generic = (lp != 0) & (lm != 0)
+    # at j = 1 the form is 4x, whose log is d, and at j = -1 it is 4
+    largs = np.where(generic, 2 * lm + f.zech[d], np.where(lm == 0, d, 2 * lm))
+    w = unit_roots(f)[np.mod(ctx.phi.m * (f.zech[lx - half] + largs), qm1)]
+    w[generic & (d == half)] = 0.0  # x r^2 = -1: the form is 0
     return exponent_sweep(f, lx - 2 * largs, w)
 
 
@@ -248,9 +252,8 @@ def null_locus_sum(ctx: MixedSumContext, lam1) -> np.ndarray:
     log_r2 = f.log_table[f.neg_table[ctx.a]]  # log(-a)
     j = np.arange(2, f.q) if log_r2 % 2 == 0 else np.arange(0)  # j != 0, 1; no r: no locus
     j = j[j != f.neg_table[1]]
-    one_minus = one_minus_table(f)  # j - 1 = -(1 - j), j + 1 = 1 - (-j)
     x = f.mul(f.exp_table[log_r2 // 2],  # r (j-1)/(j+1)
-              f.mul(f.neg_table[one_minus[j]], f.inv_table[one_minus[f.neg_table[j]]]))
+              f.mul(f.sub(j, 1), f.inv_table[f.add(j, 1)]))
     x = np.sort(np.stack([x, f.neg_table[x]], axis=-1), axis=-1).ravel()  # each j's x ascending
     j = np.repeat(j, 2)
     w = ctx.phi(f.sub(x, f.mul(ctx.a, f.inv_table[x]))) * ctx.phi(j)

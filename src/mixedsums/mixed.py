@@ -189,7 +189,7 @@ def cell_logs(field: FieldTable, rows, out) -> np.ndarray:
     For the cell (g^(2t), g^(2r)), take j + k = g^t and j - k = g^r: with
     d = r - t, j = g^t (1 + g^d) / 2 and k = g^t (1 - g^d) / 2, so
     log j = t + A[d] - log 2 and log k = t + B[d] - log 2, with the Zech
-    logarithms A[d] = log(1 + g^d) and B[d] = log(1 - g^d) = A[d + (q-1)/2].
+    logarithms A[d] = field.zech[d] and B[d] = log(1 - g^d) = A[d + (q-1)/2].
     The other pairs of the cell, (k, j), (-j, -k) and (-k, -j), have the
     same X(j)X(k) when X depends on j only through j^4, and mixed_table
     writes the cell at all four.  |d| < (q-1)/2, so 1 + g^d is never 0, and
@@ -205,9 +205,8 @@ def cell_logs(field: FieldTable, rows, out) -> np.ndarray:
     half = n // 2
 
     def build(f):
-        A = f.log_table[f.add(1, f.exp_table)]  # 1 + g^half = 0 reads the sentinel log 0
         d = np.arange(-half, half + 1)  # d = (q-1)/2 is read only for the row u = 0, then overwritten
-        z = (np.stack((A[d % n], A[(d + half) % n])) - A[0]) % n  # A[0] = log 2
+        z = (np.stack((f.zech[d % n], f.zech[(d + half) % n])) - f.zech[0]) % n  # zech[0] = log 2
         z[1, half] = n + half  # d = 0: k = 0
         return sliding_window_view(z, half, axis=1)[:, ::-1]
     windows = field.cached("cell_logs", build)

@@ -27,11 +27,6 @@ def gauss_table(field: FieldTable) -> np.ndarray:
     return field.cached("gauss", lambda f: dft(f, psi_table(f)[f.exp_table]))
 
 
-def one_minus_table(field: FieldTable) -> np.ndarray:
-    """1 - z for every element index z, cached per field."""
-    return field.cached("one_minus", lambda f: f.sub(1, np.arange(f.q)))
-
-
 def gauss(chi: MultChar) -> complex:
     """G(A) = sum over y in F_q of A(y) psi(y)."""
     return complex(gauss_table(chi.field)[chi.m])
@@ -47,8 +42,8 @@ def jacobi(field: FieldTable, a, b) -> np.ndarray:
     """
     f = field
     (sa, ta), (sb, tb) = a, b
-    y = np.arange(2, f.q)  # index 0 is the zero element, index 1 the one
-    ly, ly1 = f.log_table[y], f.log_table[one_minus_table(f)[y]]
+    ly = f.log_table[2:]  # y = 0 and y = 1 are element indices 0 and 1
+    ly1 = f.zech[ly - (f.q - 1) // 2]  # log(1 - y) = log(1 + g^(log y + (q-1)/2))
     t = np.multiply.outer(ta, ly) + np.multiply.outer(tb, ly1)
     return exponent_sweep(f, sa * ly + sb * ly1, unit_roots(f)[np.mod(t, f.q - 1)])
 
@@ -86,15 +81,14 @@ def hyp2f1_many(field: FieldTable, a, b, c, xs) -> np.ndarray:
     qm1 = f.q - 1
     xs = np.asarray(xs)
     (sa, ta), (sb, tb), (sc, tc) = a, b, c
-    y = np.arange(2, f.q)  # index 0 is the zero element, index 1 the one
-    one_minus = one_minus_table(f)
+    ly = f.log_table[2:]  # y = 0 and y = 1 are element indices 0 and 1
     # log(y-1) = log(1-y) + log(-1), reduced mod q-1 where it is used
-    ly, ly1 = f.log_table[y], f.log_table[one_minus[y]] + qm1 // 2
-    u = one_minus[f.mul(xs[:, None], y)]
-    lu = f.log_table[u]
+    ly1 = f.zech[ly - qm1 // 2] + qm1 // 2
+    lnxy = (f.log_table[xs][:, None] + (ly + qm1 // 2)) % qm1  # log(-x y) for x != 0
+    lu = f.zech[lnxy]  # log(1 - x y)
     k = sb * ly + (sc - sb) * ly1 - sa * lu
     w = unit_roots(f)[np.mod(tb * ly + (tc - tb) * ly1 - ta * lu, qm1)]
-    w[(u == 0) | (xs[:, None] == 0)] = 0.0
+    w[(lnxy == qm1 // 2) | (xs[:, None] == 0)] = 0.0  # x y = 1, or x = 0
     return exponent_sweep(f, k, w) / f.q
 
 

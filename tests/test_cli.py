@@ -108,11 +108,29 @@ def test_out_into_a_missing_directory_exits_before_any_suite(monkeypatch, tmp_pa
 
     for suite in ("run_classical", "run_transforms", "run_mellin_field", "run_main", "run_mellin"):
         monkeypatch.setattr(f"mixedsums.harness.{suite}", no_suite)
-    out = tmp_path / "missing" / "r.json"
-    assert main(["verify", "--q", "5", "--a", "1", "--out", str(out)]) == 2
+    for out, why in ((tmp_path / "missing" / "r.json", "no such directory"),
+                     (tmp_path, "it is a directory")):
+        assert main(["verify", "--q", "5", "--a", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write the report to {out}: {why}\n"
+
+
+@pytest.mark.parametrize("q, message", [
+    ("7", "q = 7 is not congruent to 1 mod 4"),
+    ("9^1", "9 is not prime"),
+    ("2^17", "q = 2^17 exceeds the table cap 65536"),
+])
+def test_bad_field_exits_before_any_suite(monkeypatch, capsys, q, message):
+    # every field is checked with the config, so the good first field runs no suite
+    def no_suite(*args):
+        raise AssertionError("a suite ran before the bad field was rejected")
+
+    monkeypatch.setattr("mixedsums.harness.run_main", no_suite)
+    assert main(["verify", "--q", "5", "--q", q, "--a", "3", "--suite", "main"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: cannot write the report to {out}: no such directory\n"
+    assert captured.err == f"error: {message}\n"
 
 
 def test_repeated_q_and_a_run_once(tmp_path, capsys):

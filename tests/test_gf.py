@@ -53,6 +53,18 @@ def test_build_rejects_bad_parameters():
         build_field(3, 10**8)  # rejected before 3**n is formed
 
 
+@pytest.mark.parametrize("pn", [(5, 1), (3, 2), (13, 1), (17, 1), (5, 2), (29, 1),
+                                (3, 4), (5, 3), (7, 2)])
+def test_zech_table_is_digit_addition_of_one(pn):
+    # zech[t] = log(1 + g^t), one digit addition per t; at t = (q-1)/2,
+    # 1 + g^t = 0 and the entry is the sentinel log 0, as log_table[0] is
+    f = build_field(*pn)
+    for t in range(f.q - 1):
+        assert f.zech[t] == f.log_table[f.add(1, f.exp_table[t])], (pn, t)
+    half = (f.q - 1) // 2
+    assert f.add(1, f.exp_table[half]) == 0 and f.zech[half] == 0
+
+
 def test_is_prime_at_small_and_nonpositive_m():
     primes = [m for m in range(2, 60) if all(m % d for d in range(2, m))]
     assert [m for m in range(-5, 60) if is_prime(m)] == primes

@@ -13,6 +13,7 @@ from mixedsums import (CheckReport, ConfigError, SuiteConfig, build_field, emit_
                        make_context, quartic_char, run, state_vector)
 from mixedsums import harness, mixed
 from mixedsums.chars import psi_table, unit_roots
+from mixedsums.gf import FieldTable
 from mixedsums.harness import (Checker, _factor_prime_power, _json_row, resolve_a_values,
                                run_classical, run_main, run_mellin, run_mellin_field)
 from mixedsums.mellin import mellin_v_closed, null_locus_sum
@@ -245,6 +246,13 @@ def shift_zech_entry(f, m):
     m.setitem(f._cache, "cell_logs", shifted)
 
 
+def shift_zech_table(f, m):
+    """The field's Zech table with its entry t = 1, log(1 + g), one too large."""
+    zech = f.zech.copy()
+    zech[1] += 1
+    m.setattr(f, "zech", zech)
+
+
 def late_window(route):
     """Each row of the given route of square_rows reads its window of psi
     one row late."""
@@ -288,6 +296,12 @@ PSI = {"gauss_trivial", "gauss_norm", "jacobi_gauss_ratio", "hasse_davenport",
 FAULTS = {
     # V(j)V(k) is read at the wrong j, and mellin's P is scattered to it
     "zech_entry": (shift_zech_entry, {"main_identity", "tau_branch"} | MELLIN_P),
+    # every sum in log coordinates reads 1 + g wrong: Jacobi sums, the 2F1,
+    # the kernel h, and the pairs that cell_logs gives for V(j)V(k) and P
+    "zech_table": (shift_zech_table,
+                   {"jacobi_conjugate", "jacobi_with_trivial", "jacobi_gauss_ratio",
+                    "quad_transform", "gauss_summation_at_one", "kummer_value", "hyper_kernel",
+                    "main_identity", "tau_branch"} | MELLIN_P),
     # S itself is wrong, so the routes disagree and P(j, 0) is wrong too
     "late_row_window": (late_window(0), {"main_identity", "zero_row_factorization",
                                          "negation_symmetry", "tau_branch", "mellin_p0"}
@@ -384,12 +398,28 @@ def test_tables_free_of_a_are_read_only_and_keyed_by_quartic_exponent():
             assert all(not t.flags.writeable for t in ctx._cache.values())
     jacobi(f, (1, 0), (0, 0))
     assert all(not t.flags.writeable for t in f._cache.values())
-    with pytest.raises(ValueError):
-        f._cache["one_minus"][0] = 0
+    for t in (f.exp_table, f.log_table, f.neg_table, f.inv_table, f.trace_table, f.digits,
+              f.zech):
+        with pytest.raises(ValueError):
+            t[0] = 0
     # one table per quartic exponent, shared by every a, not the same for A4 and conj(A4)
     for name in ("state_kernel", "gauss_pairs"):
         assert {k for k in f._cache if k[0] == name} == {(name, e), (name, e_bar)}
         assert not np.allclose(f._cache[(name, e)], f._cache[(name, e_bar)])
+
+
+def test_no_suite_calls_field_arithmetic_on_a_block(monkeypatch):
+    # sums add in log coordinates through FieldTable.zech, so add, sub and
+    # mul only build O(q) tables: no call returns more than 2q elements
+    sizes = []
+    for name in ("add", "sub", "mul"):
+        def traced(self, x, y, op=getattr(FieldTable, name)):
+            out = op(self, x, y)
+            sizes.append(np.size(out) / self.q)
+            return out
+        monkeypatch.setattr(FieldTable, name, traced)
+    run(SuiteConfig(fields=[(3, 4), (13, 2), (257, 1)], a_policy="sample"))
+    assert 0 < max(sizes) <= 2
 
 
 def test_mixed_table_is_filled_in_row_blocks():
