@@ -204,11 +204,11 @@ class FieldTable:
         """Indices of all nonzero elements (1..q-1)."""
         return np.arange(1, self.q, dtype=np.int64)
 
-    def blocks(self, xs: np.ndarray):
-        """Consecutive slices of xs of at most max(16, 2**14 // q) entries, so
-        that each (len(block), q-1) table of a sweep stays near 2**14 values,
-        and at q > 1024 a block keeps 16 rows, so per-call costs stay small."""
-        step = max(16, 2**14 // self.q)
+    def blocks(self, xs: np.ndarray, rows: int = 1):
+        """Consecutive slices of xs of at most max(16, 2**14 // q) // rows entries
+        (at least 1), each standing for rows rows of a sweep, so that each table
+        of a sweep stays near 2**14 values, or 16 rows at q > 1024."""
+        step = max(1, max(16, 2**14 // self.q) // rows)
         return (xs[i:i + step] for i in range(0, len(xs), step))
 
     def __repr__(self):

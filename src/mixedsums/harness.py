@@ -186,6 +186,12 @@ class Checks(dict):
 # --- suites ---
 
 
+def orbits(field: FieldTable, r) -> np.ndarray:
+    """The elements g^(r + k(q-1)/4), k = 0..3, of each class r in the array
+    r, k-major: the four elements of each class share their fourth power."""
+    return field.exp_table[np.add.outer((field.q - 1) // 4 * np.arange(4), r)].ravel()
+
+
 def run_classical(field: FieldTable, tol: float = DEFAULT_TOL) -> list[CheckReport]:
     """Unit layer: textbook Gauss/Jacobi sum facts and character
     orthogonality, exhaustive over the character group."""
@@ -201,33 +207,38 @@ def run_classical(field: FieldTable, tol: float = DEFAULT_TOL) -> list[CheckRepo
     checks["gauss_norm"].compare_arrays(G[ms] * G[-ms], A_neg_one * q)
     checks["jacobi_conjugate"].compare_arrays(jacobi(field, (1, 0), (-1, 0))[ms], -A_neg_one)
     checks["jacobi_with_trivial"].compare_arrays(jacobi(field, (0, 0), (1, 0))[ms], -1.0)
-    for rows in field.blocks(m):
-        ra, mb = np.nonzero((rows[:, None] + m) % (q - 1))  # every pair with ma + mb != 0
-        ma = rows[ra]
-        checks["jacobi_gauss_ratio"].compare_arrays(
-            jacobi(field, (0, rows), (1, 0))[ra, mb], G[ma] * G[mb] / G[(ma + mb) % (q - 1)])
+    # report row here; blocks after char_matrix, so its peak meets a small heap
+    ratio_check = checks["jacobi_gauss_ratio"]
     # row sums over x != 0 of chi_m(x), read through the log table
     char_sums = exponent_sweep(field, field.log_table[1:], 1.0)
     expect = np.where(m == 0, q - 1.0, 0.0)
     checks["char_orthogonality"].compare_arrays(
         [char_sums, char_matrix(field).sum(axis=0)], expect)
+    for rows in field.blocks(m):
+        J = jacobi(field, (0, rows), (1, 0))
+        ratio = G[rows, None] * G
+        ratio /= G[(rows[:, None] + m) % (q - 1)]
+        pole = np.arange(len(rows)), -rows % (q - 1)  # ma + mb = 0: jacobi_conjugate's
+        J[pole] = ratio[pole] = 0.0
+        ratio_check.compare_arrays(J, ratio, J.size - len(rows))
     return checks.reports()
 
 
 def run_transforms(field: FieldTable, tol: float = DEFAULT_TOL) -> list[CheckReport]:
     """Hasse-Davenport, the quadratic 2F1 transformation, and the Gauss
     summation value of the 2F1 at argument 1, for every character."""
-    q = field.q
-    qm1 = q - 1
+    qm1 = field.q - 1
     e, h = qm1 // 4, qm1 // 2
     m = np.arange(qm1)
     G = gauss_table(field)
     checks = Checks(field, None, tol)
 
     checks["hasse_davenport"].compare_arrays(hasse_davenport_residual(field, m), 0.0)
-    zs = np.array([z for z in range(1, q) if z not in (1, field.neg_table[1])])
-    for z in field.blocks(zs):
-        checks["quad_transform"].compare_arrays(*quad_transform(field, z))
+    # 1/z is in class e - r for z in class r: blocks of r <= e/2 with partners
+    for r in field.blocks(np.arange(e // 2 + 1), 8):
+        z = orbits(field, np.append(r, e - r[(r > 0) & (2 * r < e)]))
+        checks["quad_transform"].compare_arrays(
+            *quad_transform(field, z[(z != 1) & (z != field.neg_table[1])]))
     ds = m[(m != 0) & (m != e) & (m != 3 * e)]
     dbar_four = char_at(field, -ds, field.add(2, 2))
     checks["gauss_summation_at_one"].compare_arrays(
@@ -314,7 +325,8 @@ def run_mellin_field(field: FieldTable, tol: float = DEFAULT_TOL) -> list[CheckR
     checks["kummer_value"].compare_arrays(
         hyp2f1_many(field, (2, 0), (1, e), (1, -e), [field.neg_table[1]])[0, nus],
         ml.kummer_closed(ctx, nus))
-    for js in field.blocks(field.units()):
+    for r in field.blocks(np.arange(e), 4):
+        js = orbits(field, r)
         checks["hyper_kernel"].compare_arrays(ml.hyper_kernel_row(ctx, js),
                                               ml.hyper_kernel_closed_row(ctx, js))
     return checks.reports()

@@ -223,7 +223,9 @@ def hyper_kernel_closed(ctx: MixedSumContext, D: MultChar, j) -> complex:
 def hyper_kernel_closed_row(ctx: MixedSumContext, js) -> np.ndarray:
     """Closed form of hyper_kernel_row, a (len(js), q-1) table indexed
     [j, m]: G(D)^2 G(phi) / G(D^2 phi) 2F1(D, D A4; A4 | j^4) for D = chi_m,
-    with direct evaluations in the trivial and quartic columns."""
+    with direct evaluations in the trivial and quartic columns.  The 2F1 row
+    is summed once per distinct j^4, shared by the four j = g^(r + k(q-1)/4),
+    k = 0..3, of a class r; the trivial column reads j^2 at each j."""
     f = ctx.field
     qm1 = f.q - 1
     js = np.asarray(js)

@@ -75,21 +75,25 @@ def hyp2f1_many(field: FieldTable, a, b, c, xs) -> np.ndarray:
     (eps(x)/q) sum over y not in {0, 1} of B(y) (conj(B) C)(y-1) conj(A)(1-x y),
     where a term with 1 - x y = 0 is 0 and the x = 0 row is exactly 0.
     The exponent of each term is m k(x, y) plus a part free of m, so one
-    exponent_sweep covers every character.
+    exponent_sweep covers every character.  Each distinct x is summed
+    once, and its row copied to every place of x in xs.
     """
     f = field
     qm1 = f.q - 1
-    xs = np.asarray(xs)
+    slot = np.zeros(f.q, dtype=np.intp)  # slot[x]: the row of x among the distinct x
+    slot[xs] = 1
+    x = np.flatnonzero(slot)
+    slot[x] = np.arange(len(x))
     (sa, ta), (sb, tb), (sc, tc) = a, b, c
     ly = f.log_table[2:]  # y = 0 and y = 1 are element indices 0 and 1
     # log(y-1) = log(1-y) + log(-1), reduced mod q-1 where it is used
     ly1 = f.zech[ly - qm1 // 2] + qm1 // 2
-    lnxy = (f.log_table[xs][:, None] + (ly + qm1 // 2)) % qm1  # log(-x y) for x != 0
+    lnxy = (f.log_table[x][:, None] + (ly + qm1 // 2)) % qm1  # log(-x y) for x != 0
     lu = f.zech[lnxy]  # log(1 - x y)
     k = sb * ly + (sc - sb) * ly1 - sa * lu
     w = unit_roots(f)[np.mod(tb * ly + (tc - tb) * ly1 - ta * lu, qm1)]
-    w[(lnxy == qm1 // 2) | (xs[:, None] == 0)] = 0.0  # x y = 1, or x = 0
-    return exponent_sweep(f, k, w) / f.q
+    w[(lnxy == qm1 // 2) | (x[:, None] == 0)] = 0.0  # x y = 1, or x = 0
+    return (exponent_sweep(f, k, w) / f.q)[slot[xs]]
 
 
 def hasse_davenport_residual(field: FieldTable, m) -> np.ndarray:
@@ -112,6 +116,8 @@ def quad_transform(field: FieldTable, z) -> tuple[np.ndarray, np.ndarray]:
 
     lhs = 2F1(D, D A4; A4 | z^4) and
     rhs = conj(D)^4(z-1) 2F1(D, D^2 phi; D phi | -((z+1)/(z-1))^2).
+    Each 2F1 row is summed once per distinct argument: the four
+    z = g^(r + k(q-1)/4), k = 0..3, share z^4, and z and 1/z share -((z+1)/(z-1))^2.
     """
     f = field
     z = np.asarray(z)

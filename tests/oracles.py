@@ -2,7 +2,9 @@
 
 Everything here is written with plain Python loops and cmath so the
 expected values are computed independently of the vectorized library path,
-but p_order_main, which replays the main suite on the full table of P.
+but p_order_main, which replays the main suite on the full table of P, and
+per_z_quad_transform and per_j_hyper_kernel, which replay one check each
+with one element per library call.
 """
 
 import cmath
@@ -10,10 +12,10 @@ from itertools import product
 
 import numpy as np
 
-from mixedsums.harness import BRANCH_TOL, Checks
-from mixedsums.mellin import cross_form
+from mixedsums.harness import BRANCH_TOL, Checker, Checks
+from mixedsums.mellin import cross_form, hyper_kernel_closed_row, hyper_kernel_row
 from mixedsums.mixed import make_context, mixed_table, state_vector
-from mixedsums.sums import DEFAULT_TOL, exponent_sweep, gauss
+from mixedsums.sums import DEFAULT_TOL, exponent_sweep, gauss, quad_transform
 
 
 def chi_val(f, m, x):
@@ -105,6 +107,26 @@ def p_order_main(ctx, tol=DEFAULT_TOL):
     j = f.units()
     quarter.compare_arrays(V[f.mul(j, f.i_elem)], V[j])
     return checks.reports()
+
+
+def per_z_quad_transform(f, tol=DEFAULT_TOL):
+    """The quad_transform row of the transforms suite, with both sides
+    computed for one z at a time, in index order: no 2F1 row is shared."""
+    check = Checker("quad_transform", f, None, tol)
+    for z in range(2, f.q):
+        if z != f.neg_table[1]:
+            check.compare_arrays(*quad_transform(f, [z]))
+    return check.report()
+
+
+def per_j_hyper_kernel(f, tol=DEFAULT_TOL):
+    """The hyper_kernel row of the mellin_field suite, with both sides
+    computed for one j at a time, in index order: no 2F1 row is shared."""
+    ctx = make_context(f, 1)
+    check = Checker("hyper_kernel", f, None, tol)
+    for j in range(1, f.q):
+        check.compare_arrays(hyper_kernel_row(ctx, [j]), hyper_kernel_closed_row(ctx, [j]))
+    return check.report()
 
 
 def naive_state_value(f, a, tau, j, quartic_m):

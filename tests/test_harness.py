@@ -12,10 +12,13 @@ import pytest
 from mixedsums import (CheckReport, ConfigError, SuiteConfig, build_field, emit_report,
                        make_context, quartic_char, run, state_vector)
 from mixedsums import harness, mixed
+from mixedsums import mellin as ml
+from mixedsums import sums
 from mixedsums.chars import psi_table, unit_roots
 from mixedsums.gf import FieldTable
 from mixedsums.harness import (Checker, _factor_prime_power, _json_row, resolve_a_values,
-                               run_classical, run_main, run_mellin, run_mellin_field)
+                               run_classical, run_main, run_mellin, run_mellin_field,
+                               run_transforms)
 from mixedsums.mellin import mellin_v_closed, null_locus_sum
 from mixedsums.mixed import cell_logs, mixed_table, squares_table
 from mixedsums.sums import gauss_table, jacobi
@@ -133,6 +136,62 @@ def test_mellin_field_suite_holds_no_jacobi_table():
     peak, reports = traced_peak(lambda: run_mellin_field(f))
     assert all(r.passed for r in reports)
     assert peak < 16 * f.q**2
+
+
+def test_orbit_sweeps_keep_their_block_budget():
+    # transforms and mellin_field hand each block of whole fourth-power
+    # classes to one sweep of at most max(16, 2**14 // q) rows, so their
+    # tracemalloc peaks stay below 5.5 MiB at q = 7^4 (5.08 and 4.60 MiB
+    # when each z and j was read in index-order blocks of that size)
+    f = warm_field(7, 4)
+    for suite in (run_transforms, run_mellin_field):
+        peak, reports = traced_peak(lambda: suite(f))
+        assert all(r.passed for r in reports)
+        assert peak < 5.5 * 2**20, suite.__name__
+
+
+@pytest.mark.parametrize("pn", [(5, 1), (3, 2), (13, 1), (17, 1), (29, 1), (7, 2), (3, 4),
+                                (257, 1), (5, 4)])
+def test_orbit_walk_reports_as_the_per_element_oracle(pn):
+    # the suites sum each 2F1 row of the closed sides once per class of z^4
+    # (or j^4) and once per pair {z, 1/z}; the oracle sums it once per
+    # element.  (q-1)/4 is odd and even here, so the classes 0 and (q-1)/8
+    # pair with themselves.  A 2F1 row summed in a block of another size
+    # may round apart in its last bits, so max_abs_err may move a little.
+    f = build_field(*pn)
+    for got, expect in ((run_transforms(f), oracles.per_z_quad_transform(f)),
+                        (run_mellin_field(f), oracles.per_j_hyper_kernel(f))):
+        r, = (r for r in got if r.check_id == expect.check_id)
+        assert (r.check_id, r.q, r.a, r.instances, r.tol, r.passed) == (
+            expect.check_id, expect.q, expect.a, expect.instances, expect.tol, True)
+        assert expect.max_abs_err / 2 <= r.max_abs_err <= 2 * expect.max_abs_err
+
+
+@pytest.mark.parametrize("pn", [(13, 1), (17, 1), (5, 2), (257, 1), (5, 4)])
+def test_closed_sides_sum_each_2f1_row_once_per_orbit(pn, monkeypatch):
+    # every z outside {0, 1, -1} and every j != 0 is read once, in blocks of
+    # at most max(16, 2**14 // q) elements; the 2F1 rows summed are one per
+    # class of z^4 plus one per pair {z, 1/z} (and the row at 1 of
+    # gauss_summation_at_one), and one per class of j^4 (and kummer_value's
+    # row and the J(chi_m, phi) sweep of a fresh field)
+    f = build_field(*pn)
+    q, e = f.q, (f.q - 1) // 4
+    step = max(16, 2**14 // q)
+    rows, zs, js = [], [], []
+    sweep, quad, kernel = sums.exponent_sweep, harness.quad_transform, ml.hyper_kernel_row
+    monkeypatch.setattr(sums, "exponent_sweep",
+                        lambda f, k, w: rows.append(np.prod(np.shape(k)[:-1])) or sweep(f, k, w))
+    monkeypatch.setattr(harness, "quad_transform", lambda f, z: zs.append(z) or quad(f, z))
+    monkeypatch.setattr(ml, "hyper_kernel_row", lambda ctx, j: js.append(j) or kernel(ctx, j))
+    assert all(r.passed for r in run_transforms(f))
+    assert sum(rows) == e + (q - 3) // 2 + 1
+    rows.clear()
+    assert all(r.passed for r in run_mellin_field(f))
+    assert sum(rows) == e + 2
+    for xs, expect in ((zs, np.arange(2, q)[np.arange(2, q) != f.neg_table[1]]),
+                       (js, f.units())):
+        assert max(map(len, xs)) <= step
+        assert np.array_equal(np.sort(np.concatenate(xs)), expect)
 
 
 def test_classical_suite_streams_the_jacobi_sums():
@@ -276,6 +335,33 @@ def move_held_entry(f, m):
     m.setattr(harness, "squares_table", perturbed)
 
 
+def wrong_kernel_row(f, m):
+    """The direct kernel row of j = g^(1 + (q-1)/2), of the class of g but
+    not g itself, moved by 1e-3."""
+    j0 = f.exp_table[1 + (f.q - 1) // 2]
+    direct = ml.hyper_kernel_row
+
+    def wrong(ctx, js):
+        out = direct(ctx, js)
+        out[js == j0] += 1e-3
+        return out
+    m.setattr(ml, "hyper_kernel_row", wrong)
+
+
+def wrong_partner_rhs(f, m):
+    """quad_transform's right side at z = g^((q-1)/4 - 1) moved by 1e-3:
+    the walk reaches the class of z only as the partner of the class of
+    1/z = g^(1 + 3(q-1)/4), and the two share one 2F1 row."""
+    z0 = f.exp_table[(f.q - 1) // 4 - 1]
+    both = harness.quad_transform
+
+    def wrong(field, z):
+        lhs, rhs = both(field, z)
+        rhs[z == z0] += 1e-3
+        return lhs, rhs
+    m.setattr(harness, "quad_transform", wrong)
+
+
 def rotate_psi_value(f, m):
     """One value of the cached additive character, psi(1), times e^(0.1i)."""
     psi = psi_table(f).copy()
@@ -315,6 +401,9 @@ FAULTS = {
     # substitution x -> a/x holds for any additive character, so
     # negation_symmetry cannot see it
     "psi_value": (rotate_psi_value, PSI),
+    # every member of an orbit is compared, not only the class's first
+    "kernel_orbit_member": (wrong_kernel_row, {"hyper_kernel"}),
+    "quad_partner_rhs": (wrong_partner_rhs, {"quad_transform"}),
 }
 STRUCTURAL = {"mixed_symmetry", "quarter_turn"}
 
