@@ -262,8 +262,9 @@ def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckReport
     mixed.cell_logs: a row of S but its first stands for 2q pairs, the
     first for q.  So run_main never reads P and holds no S of its own:
     square_rows reads S's rows from squares_table when it is already built,
-    as run builds it when the mellin suite follows, whose P (mixed_table)
-    is scattered from the same S, so S is computed once.  The zero row
+    as run builds it whenever the mellin suite runs, whose P (mixed_table)
+    and T (mellin.double_mellin_matrix) are scattered from the same S, so S
+    is computed once per context.  The zero row
     P(j, 0) is the diagonal u = v, P(k, j) is the cell itself, and P(-j, k)
     is S(v, u), which the second route of square_rows computes."""
     f = ctx.field
@@ -337,8 +338,9 @@ def run_mellin(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckRepo
     forms, the coefficient expansion for conjugate pairs, the product
     assembly, and inverse-transform reconstruction.
 
-    The double transform T is compared in FieldTable.blocks row blocks, so
-    no q x q array is held but the cached P and T itself."""
+    T is compared in FieldTable.blocks row blocks, read as views, against
+    two block buffers reused for every block.  P is freed once P(j, 0) is
+    read, before T is built, so the suite holds one q x q array, P or T."""
     f = ctx.field
     qm1 = f.q - 1
     m = np.arange(qm1)
@@ -364,13 +366,15 @@ def run_mellin(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckRepo
     # T vanishes off the fourth-power pairs, whose closed form is computed once
     roots = np.arange(qm1 // 4)
     closed_roots = ml.double_mellin_closed(ctx, roots[:, None], roots)
+    closed, outer = (np.empty((len(next(f.blocks(m))), qm1), dtype=complex) for _ in range(2))
     for rows in f.blocks(m):
-        closed = np.zeros((len(rows), qm1), dtype=complex)
+        b = len(rows)
         fourth = rows % 4 == 0
-        closed[fourth, ::4] = closed_roots[rows[fourth] // 4]
-        Tb = T[rows]
-        double.compare_arrays(Tb, closed)
-        assembly.compare_arrays(np.outer(s_direct[rows], s_direct), Tb)
+        closed[:b] = 0.0
+        closed[:b][fourth, ::4] = closed_roots[rows[fourth] // 4]
+        Tb = T[rows[0]:rows[0] + b]
+        double.compare_arrays(Tb, closed[:b])
+        assembly.compare_arrays(np.multiply.outer(s_direct[rows], s_direct, out=outer[:b]), Tb)
     rj = ml.pair_coeffs(ctx, m)
     m4 = 4 * m
     coeffs.compare_arrays(rj, ml.pair_coeffs_gauss(ctx, m))
@@ -403,6 +407,10 @@ def resolve_a_values(field: FieldTable, a_policy) -> list[int]:
 
 
 def run(config: SuiteConfig) -> list[CheckReport]:
+    """Every suite of config over each field and each of its values of a, the
+    report written to config.out_path if set.  When mellin runs, the squares
+    table S of each context is built first, once: main, P and T read it, and
+    T drops it (mixed.squares_table)."""
     reports: list[CheckReport] = []
     for p, n in config.fields:
         field = build_field(p, n)
@@ -414,9 +422,9 @@ def run(config: SuiteConfig) -> list[CheckReport]:
             reports.extend(run_mellin_field(field, config.tol))
         for a in resolve_a_values(field, config.a_policy):
             ctx = make_context(field, a)
+            if "mellin" in config.suites:  # S is built once for main, P and T
+                squares_table(ctx)
             if "main" in config.suites:
-                if "mellin" in config.suites:  # S is built once for main and P
-                    squares_table(ctx)
                 reports.extend(run_main(ctx, config.tol))
             if "mellin" in config.suites:
                 reports.extend(run_mellin(ctx, config.tol))

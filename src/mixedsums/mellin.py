@@ -19,7 +19,7 @@ import numpy as np
 
 from .gf import FieldError, FieldTable, ZeroArgument
 from .chars import MultChar, char_at, dft, unit_roots
-from .mixed import MixedSumContext, mixed_table, state_vector
+from .mixed import MixedSumContext, cell_logs, log_order, mixed_table, square_rows, state_vector
 from .sums import exponent_sweep, gauss_table, hyp2f1_many, jacobi
 
 
@@ -285,10 +285,30 @@ def cross_form_sum(ctx: MixedSumContext, lam1: int, lam2: int) -> complex:
 
 def double_mellin_matrix(ctx: MixedSumContext) -> np.ndarray:
     """T(chi_m1, chi_m2) = sum over j, k != 0 of chi_m1(j) chi_m2(k) P(j, k),
-    for all pairs, as one 2-D DFT over (log j, log k), run in place in the
-    gather of P in log order, so the step holds P and T only."""
+    for all pairs, as one 2-D DFT over (log j, log k), run in place in P laid
+    out in log order, scattered from square_rows: it never reads
+    mixed_table.  The buffer is q x q, its index q-1 standing for the element
+    0, and T is its (q-1) x (q-1) view.  P(-j, -k) = P(j, k) and log(-j) =
+    log j + h, h = (q-1)/2, so row s + h of T is row s shifted by h: each cell
+    is written at (j, k) or (-j, -k), and at (k, j) or (-k, -j), whichever has
+    its first log below h, and rows h.. are copied.  A held S is read last, and dropped."""
     f = ctx.field
-    T = mixed_table(ctx)[np.ix_(f.exp_table, f.exp_table)]
+    n, h = f.q - 1, (f.q - 1) // 2
+
+    def build(f):  # over the positions of cell_logs, cached per field
+        pos = log_order(f, np.append(n, f.log_table[1:]))  # log x, n for x = 0
+        flip = pos >= h  # log x >= h, or x = 0: write (-x, -y) for (x, y)
+        return np.stack((pos - h * flip, flip, pos, np.append((np.arange(n) + h) % n, n)[pos]))
+    tab = f.cached("double_mellin_scatter", build)
+    row, flip, col = tab[0], tab[1], tab[2:]  # x = 0 lands in row h, which the copies overwrite
+    buf = np.empty((f.q, f.q), dtype=complex)
+    for rows, block, _ in square_rows(ctx):
+        jk = cell_logs(f, rows, np.empty((2, len(rows), h + 1), dtype=np.int64))
+        for x, y in (jk, jk[::-1]):
+            buf[row[x], col[flip[x], y]] = block
+    ctx._cache.pop("squares", None)
+    T = buf[:n, :n]
+    T[h:, h:], T[h:, :h] = T[:h, :h], T[:h, h:]  # two block copies
     return dft(f, T, axes=(0, 1), out=T)
 
 

@@ -118,7 +118,7 @@ def square_rows(ctx: MixedSumContext, columns: bool = False):
     """The squares table S in FieldTable.blocks row blocks, each from one
     convolution per row: yields (rows, block, cols) with block = S[rows],
     and cols None, or with columns, cols[i, v] = S(v, rows[i]) from route
-    1 of square_routes.  block is read from squares_table when it is
+    1 of square_routes.  block is a view of squares_table when it is
     already built, and otherwise computed by route 0, so only the routes
     that run are built.  Computed blocks are views of buffers that the
     next step overwrites, so no array but S's row blocks grows as q^2.
@@ -131,7 +131,7 @@ def square_rows(ctx: MixedSumContext, columns: bool = False):
     # psi(u x) over s is a window of psi(g^s) taken over three periods,
     # starting at 2t + shift < 2(q-1) for u = g^(2t), so the windows of
     # consecutive rows are one strided view; psi(0 x) is all ones
-    windows = sliding_window_view(np.tile(psi_table(f)[f.exp_table], 3), n)
+    windows = sliding_window_view(np.tile(psi_table(f)[f.exp_table], 3), n) if routes else None
     g_phi = gauss(ctx.phi)
     blocks = list(f.blocks(np.arange(half + 1)))
     h = np.empty((len(blocks[0]), n), dtype=complex)
@@ -151,7 +151,8 @@ def square_rows(ctx: MixedSumContext, columns: bool = False):
             o /= g_phi
             o[:, 0] += 1.0
             o[:top] += 1.0  # the row u = 0, in the first block
-        yield rows, out[0, :b] if held is None else held[rows], out[1, :b] if columns else None
+        block = out[0, :b] if held is None else held[rows[0]:rows[0] + b]
+        yield rows, block, out[1, :b] if columns else None
 
 
 def squares_table(ctx: MixedSumContext) -> np.ndarray:
@@ -159,9 +160,9 @@ def squares_table(ctx: MixedSumContext) -> np.ndarray:
     per context: S(u, v) = F(u, v) / G(phi) + delta(v, 0) + delta(u, 0),
     filled from square_rows.  (j-k)^2 = 0 exactly when j = k and
     (j+k)^2 = 0 exactly when j = -k, so the two delta terms of P are
-    column 0 and row 0 of S.  The main suite and mixed_table stream
-    square_rows instead, which reads this table's rows while it is held,
-    and mixed_table drops it.
+    column 0 and row 0 of S.  The main suite, P and T stream square_rows
+    instead, which reads this table's rows while it is held, and
+    mellin.double_mellin_matrix, its last reader, drops it.
     """
     def build(ctx):
         half = (ctx.field.q - 1) // 2
@@ -223,26 +224,22 @@ def cell_logs(field: FieldTable, rows, out) -> np.ndarray:
 
 
 def mixed_table(ctx: MixedSumContext) -> np.ndarray:
-    """The full q x q table of P(j,k) in index order, cached, scattered from
-    the squares table: each row block of square_rows is written at the pair
-    (j, k) that cell_logs gives for each of its cells, and at (k, j),
-    (-j, -k) and (-k, -j).  These are all the pairs of the cell, so every
-    entry of P is a copy of one cell of S, and no q x q index array is
-    built.  S is streamed, or read when squares_table is already built, as
-    run builds it when the main suite also runs; then P holds every cell
-    of S, and S is dropped.  The main suite never holds this table.
+    """The full q x q table of P(j,k) in index order, built on each call and
+    not cached, scattered from the squares table: each row block of
+    square_rows is written at the pair (j, k) that cell_logs gives for each
+    of its cells, and at (k, j), (-j, -k) and (-k, -j).  These are all the
+    pairs of the cell, so every entry of P is a copy of one cell of S, and
+    no q x q index array is built.  S is streamed, or read when held, as run
+    holds it whenever the mellin suite runs, and a held S is kept for T.
     """
-    def build(ctx):
-        f = ctx.field
-        half = (f.q - 1) // 2
-        elems = log_order(f, np.arange(f.q))
-        P = np.empty((f.q, f.q), dtype=complex)
-        for rows, block, _ in square_rows(ctx):
-            jk = cell_logs(f, rows, np.empty((2, len(rows), half + 1), dtype=np.int64))
-            j, k = elems.take(jk, out=jk, mode="clip")  # in place: each entry reads only itself
-            nj, nk = f.neg_table[jk]
-            for x, y in ((j, k), (k, j), (nj, nk), (nk, nj)):
-                P[x, y] = block
-        ctx._cache.pop("squares", None)
-        return P
-    return ctx.cached("mixed", build)
+    f = ctx.field
+    half = (f.q - 1) // 2
+    elems = log_order(f, np.arange(f.q))
+    P = np.empty((f.q, f.q), dtype=complex)
+    for rows, block, _ in square_rows(ctx):
+        jk = cell_logs(f, rows, np.empty((2, len(rows), half + 1), dtype=np.int64))
+        j, k = elems.take(jk, out=jk, mode="clip")  # in place: each entry reads only itself
+        nj, nk = f.neg_table[jk]
+        for x, y in ((j, k), (k, j), (nj, nk), (nk, nj)):
+            P[x, y] = block
+    return P

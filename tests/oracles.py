@@ -2,9 +2,10 @@
 
 Everything here is written with plain Python loops and cmath so the
 expected values are computed independently of the vectorized library path,
-but p_order_main, which replays the main suite on the full table of P, and
-per_z_quad_transform and per_j_hyper_kernel, which replay one check each
-with one element per library call.
+but p_order_main, which replays the main suite on the full table of P,
+gathered_double_mellin, which takes the double transform of P gathered in
+log order, and per_z_quad_transform and per_j_hyper_kernel, which replay
+one check each with one element per library call.
 """
 
 import cmath
@@ -12,6 +13,7 @@ from itertools import product
 
 import numpy as np
 
+from mixedsums.chars import dft
 from mixedsums.harness import BRANCH_TOL, Checker, Checks
 from mixedsums.mellin import cross_form, hyper_kernel_closed_row, hyper_kernel_row
 from mixedsums.mixed import make_context, mixed_table, state_vector
@@ -107,6 +109,15 @@ def p_order_main(ctx, tol=DEFAULT_TOL):
     j = f.units()
     quarter.compare_arrays(V[f.mul(j, f.i_elem)], V[j])
     return checks.reports()
+
+
+def gathered_double_mellin(ctx):
+    """The double transform T as mellin.double_mellin_matrix computed it
+    when it read P: the whole table mixed_table in index order, gathered in
+    log order along both axes, then one 2-D DFT in place."""
+    f = ctx.field
+    T = mixed_table(ctx)[np.ix_(f.exp_table, f.exp_table)]
+    return dft(f, T, axes=(0, 1), out=T)
 
 
 def per_z_quad_transform(f, tol=DEFAULT_TOL):

@@ -109,15 +109,16 @@ def test_state_vector_build_is_linear_in_q():
     assert peak < 256 * f.q
 
 
-def test_mellin_suite_holds_only_p_and_t():
-    # T is built in place in the gather of P and checked in row blocks, so
-    # with the field tables warm and a cold context run_mellin holds P, T
-    # and little else: P's build streams the squares table.
+def test_mellin_suite_holds_p_or_t():
+    # P is built for P(j, 0) and freed, and T is scattered from S's row
+    # blocks, transformed in place and checked in row blocks, so with the
+    # field tables warm and a cold context run_mellin holds one q x q array
+    # at a time, P or T, and little else: each streams the squares table.
     f = build_field(5, 4)
     run_mellin(make_context(f, 1))  # builds the per-field tables
     peak, reports = traced_peak(lambda: run_mellin(make_context(f, 3)))
     assert all(r.passed for r in reports)
-    assert peak < 3 * 16 * f.q**2
+    assert peak < 1.5 * 16 * f.q**2
 
 
 def warm_field(p, n):
@@ -249,9 +250,10 @@ def test_main_stream_reports_as_the_p_order_suite(pn):
 
 
 def test_main_suite_reads_a_built_squares_table(monkeypatch):
-    # run builds S before main when mellin follows, whose P is scattered
-    # from the same S and then drops it; run_main reads S's rows from it
-    # and computes only the second route, and reports the same, bit for bit
+    # run builds S whenever mellin runs, whose P and T are scattered from
+    # the same S, and T, its last reader, drops it; run_main reads S's rows
+    # from it and computes only the second route, and reports the same,
+    # bit for bit
     f = build_field(13, 2)
     for a in (1, f.g):
         cold = run_main(make_context(f, a))
@@ -262,6 +264,7 @@ def test_main_suite_reads_a_built_squares_table(monkeypatch):
     built = []
 
     def mellin(ctx, tol):
+        built.append("squares" in ctx._cache)
         reports = run_mellin(ctx, tol)
         built.append("squares" in ctx._cache)
         return reports
@@ -269,8 +272,11 @@ def test_main_suite_reads_a_built_squares_table(monkeypatch):
                         lambda ctx, tol: built.append("squares" in ctx._cache) or [])
     monkeypatch.setattr(harness, "run_mellin", mellin)
     run(SuiteConfig(fields=[(5, 1)], a_policy=[1], suites=("main",)))
+    assert built == [False]
     run(SuiteConfig(fields=[(5, 1)], a_policy=[1], suites=("main", "mellin")))
-    assert built == [False, True, False]
+    assert built == [False, True, True, False]
+    run(SuiteConfig(fields=[(5, 1)], a_policy=[1], suites=("mellin",)))
+    assert built == [False, True, True, False, True, False]
 
 
 def test_tau_branch_fails_with_the_other_characters_tau(monkeypatch):
@@ -335,6 +341,20 @@ def move_held_entry(f, m):
     m.setattr(harness, "squares_table", perturbed)
 
 
+def move_held_entry_after_p0(f, m):
+    """The same entry of the held S moved by 1e-3 once mellin_p0_all has
+    read P, so only what mellin reads of S afterwards sees it."""
+    p0 = ml.mellin_p0_all
+
+    def then_perturb(ctx):
+        out = p0(ctx)
+        S = ctx._cache["squares"].copy()
+        S[1, 2] += 1e-3
+        ctx._cache["squares"] = S
+        return out
+    m.setattr(ml, "mellin_p0_all", then_perturb)
+
+
 def wrong_kernel_row(f, m):
     """The direct kernel row of j = g^(1 + (q-1)/2), of the class of g but
     not g itself, moved by 1e-3."""
@@ -373,7 +393,7 @@ def conjugate_psi(f, m):
     m.setitem(f._cache, "psi", psi_table(f).conj())
 
 
-MELLIN_P = {"double_mellin", "pair_coeffs", "product_assembly"}  # read P
+MELLIN_P = {"double_mellin", "pair_coeffs", "product_assembly"}  # read T, scattered from S
 PSI = {"gauss_trivial", "gauss_norm", "jacobi_gauss_ratio", "hasse_davenport",
        "gauss_summation_at_one", "kummer_value", "hyper_kernel", "main_identity",
        "corner_value", "zero_row_factorization", "imaginary_drift", "tau_branch",
@@ -397,6 +417,8 @@ FAULTS = {
     # the second route computes the moved entry afresh
     "held_s_entry": (move_held_entry,
                      {"main_identity", "negation_symmetry", "tau_branch"} | MELLIN_P),
+    # T is scattered from the held S, not from P, which mellin_p0 read
+    "held_s_entry_after_p0": (move_held_entry_after_p0, MELLIN_P),
     # every sum over psi; both routes of S take the same psi, and the
     # substitution x -> a/x holds for any additive character, so
     # negation_symmetry cannot see it

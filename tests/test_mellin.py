@@ -13,6 +13,7 @@ from mixedsums import (
 )
 from mixedsums import mellin as ml
 from mixedsums.mellin import FourthPowerTrivial
+from mixedsums.mixed import squares_table
 from mixedsums.sums import exponent_sweep, gauss_table, hyp2f1_many
 import oracles
 from oracles import (chi_val, naive_double_mellin, naive_hyper_kernel, naive_mellin_p0,
@@ -331,6 +332,26 @@ def test_double_mellin_assembly_from_parts(f13):
             + G[(m1 + m2 + h) % 12] * ml.cross_form_sum(ctx, m1, m2 + h)
         )
         assert abs(lhs - rhs) < 1e-8
+
+
+@pytest.mark.parametrize("pn", [(5, 1), (3, 2), (13, 1), (17, 1), (5, 2), (29, 1), (7, 2),
+                                (3, 4), (257, 1), (5, 4)])
+def test_double_mellin_matrix_is_the_gathered_transform(pn):
+    # T is scattered from S's row blocks in log order, half of it copied
+    # through P(-j, -k) = P(j, k), and never reads P: it is the transform of
+    # P gathered in log order bit for bit, whether S is streamed or held,
+    # and a held S is dropped once T is built
+    f = build_field(*pn)
+    for a in dict.fromkeys((1, f.g, int(f.neg_table[1]), 3)):
+        expect = oracles.gathered_double_mellin(make_context(f, a)).tobytes()
+        for held in (False, True):
+            ctx = make_context(f, a)
+            if held:
+                squares_table(ctx)
+            T = ml.double_mellin_matrix(ctx)
+            assert T.shape == (f.q - 1, f.q - 1)
+            assert np.ascontiguousarray(T).tobytes() == expect, (a, held)
+            assert "squares" not in ctx._cache
 
 
 def test_double_mellin_symmetric(f13):

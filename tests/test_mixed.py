@@ -243,6 +243,19 @@ def test_mixed_table_reads_squares_at_field_sums():
     for ctx in (cold, warm):
         P = mixed_table(ctx)
         assert P.tobytes() == S[add, sub].tobytes()
-        assert not P.flags.writeable
-        # P holds every cell of S, so a held S is dropped
-        assert "squares" not in ctx._cache
+        # P is built on each call and not cached, and a held S is kept for
+        # the double transform, which reads it last
+        assert mixed_table(ctx) is not P
+        assert "mixed" not in ctx._cache
+        assert ctx._cache.get("squares") is (S if ctx is warm else None)
+
+
+@pytest.mark.parametrize("pn", [(5, 1), (13, 1), (5, 2), (13, 2), (5, 4)])
+def test_p_zero_column_is_the_squares_diagonal(pn):
+    # (j + 0)^2 = (j - 0)^2 = j^2, so P(j, 0) is the diagonal cell
+    # S(col(j^2), col(j^2)), bit for bit, for every j: P(j, 0) can be read
+    # from S without building P
+    f = build_field(*pn)
+    ctx = make_context(f, 3)
+    col = square_column(f)
+    assert mixed_table(ctx)[:, 0].tobytes() == squares_table(ctx)[col, col].tobytes()
