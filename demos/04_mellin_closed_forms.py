@@ -9,7 +9,7 @@ the array of all exponents.
 
 import numpy as np
 
-from mixedsums import build_field, make_context, state_vector
+from mixedsums import build_field, make_context, mixed_table, state_vector
 from mixedsums import mellin as ml
 
 f = build_field(13, 1)
@@ -24,14 +24,16 @@ print(f"  nonzero entries (fourth powers only): "
 print(f"  max |direct - closed| over all chi: "
       f"{np.abs(direct_S - closed_S).max():.3e}")
 
-direct_T = ml.mellin_p0_all(ctx)
+P = mixed_table(ctx)
+direct_T = ml.mellin_p0_all(f, P)
 closed_T = ml.mellin_p0_closed(ctx, m)
 print("T(chi): transform of the zero row of P")
 print(f"  max |direct - closed| over all chi: "
       f"{np.abs(direct_T - closed_T).max():.3e}")
 
-# The double transform of the full table is the outer product of S with itself.
-T2 = ml.double_mellin_matrix(ctx)
+# The double transform of the full table is the outer product of S with itself;
+# it is computed in P's own buffer, which it uses up.
+T2 = ml.double_mellin_matrix(f, P)
 print(f"double transform: max |T - S x S| = "
       f"{np.abs(T2 - np.outer(direct_S, direct_S)).max():.3e}")
 

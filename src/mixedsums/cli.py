@@ -8,12 +8,16 @@ configuration error, or too little memory for the tables of the given q.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 
+import numpy as np
+
 from .gf import FieldError, build_field
 from .mixed import make_context, mixed_table, state_vector
-from .harness import A_POLICIES, SUITES, ConfigError, SuiteConfig, _factor_prime_power, run
+from .harness import (A_POLICIES, SUITES, ConfigError, SuiteConfig, _factor_prime_power,
+                      replacing, run)
 from .sums import DEFAULT_TOL
 
 
@@ -84,8 +88,7 @@ def cmd_table(args) -> int:
     p, n = parse_q(args.q)
     field = build_field(p, n)
     ctx = make_context(field, args.a)
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    with replacing(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
         writer = csv.writer(out)
         if args.object == "V":
             writer.writerow(["j", "re", "im"])
@@ -93,14 +96,8 @@ def cmd_table(args) -> int:
                 writer.writerow([j, repr(float(v.real)), repr(float(v.imag))])
         else:
             writer.writerow(["j", "k", "re", "im"])
-            P = mixed_table(ctx)
-            for j in range(field.q):
-                for k in range(field.q):
-                    z = P[j, k]
-                    writer.writerow([j, k, repr(float(z.real)), repr(float(z.imag))])
-    finally:
-        if args.out:
-            out.close()
+            for (j, k), z in np.ndenumerate(mixed_table(ctx)):
+                writer.writerow([j, k, repr(float(z.real)), repr(float(z.imag))])
     return 0
 
 

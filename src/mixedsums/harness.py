@@ -5,11 +5,11 @@ values, collect structured pass/fail reports, and emit them as JSON or CSV.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +27,8 @@ from .sums import (
     jacobi,
     quad_transform,
 )
-from .mixed import (MixedSumContext, cell_logs, log_order, make_context, square_rows,
-                    squares_table, state_vector)
+from .mixed import (MixedSumContext, cell_logs, log_order, make_context, mixed_table,
+                    square_rows, state_vector)
 from . import mellin as ml
 
 SUITES = ("classical", "transforms", "main", "mellin")
@@ -60,10 +60,8 @@ class SuiteConfig:
                 raise ConfigError(f"unknown suite {s!r}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.format!r}")
-        if self.out_path and os.path.isdir(self.out_path):
-            raise ConfigError(f"cannot write the report to {self.out_path}: it is a directory")
-        if self.out_path and not os.path.isdir(os.path.dirname(os.path.abspath(self.out_path))):
-            raise ConfigError(f"cannot write the report to {self.out_path}: no such directory")
+        if self.out_path:
+            check_out_path(self.out_path)
         if isinstance(self.a_policy, str) and self.a_policy not in A_POLICIES:
             raise ConfigError(f"unknown a policy {self.a_policy!r}")
         explicit = [] if isinstance(self.a_policy, str) else self.a_policy
@@ -260,11 +258,7 @@ def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckReport
     (mixed.square_rows), each compared once, with every cell counted with
     its multiplicity, against V(j)V(k) read from V in log order at
     mixed.cell_logs: a row of S but its first stands for 2q pairs, the
-    first for q.  So run_main never reads P and holds no S of its own:
-    square_rows reads S's rows from squares_table when it is already built,
-    as run builds it whenever the mellin suite runs, whose P (mixed_table)
-    and T (mellin.double_mellin_matrix) are scattered from the same S, so S
-    is computed once per context.  The zero row
+    first for q.  So run_main never reads P and holds no S.  The zero row
     P(j, 0) is the diagonal u = v, P(k, j) is the cell itself, and P(-j, k)
     is S(v, u), which the second route of square_rows computes."""
     f = ctx.field
@@ -338,9 +332,10 @@ def run_mellin(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckRepo
     forms, the coefficient expansion for conjugate pairs, the product
     assembly, and inverse-transform reconstruction.
 
-    T is compared in FieldTable.blocks row blocks, read as views, against
-    two block buffers reused for every block.  P is freed once P(j, 0) is
-    read, before T is built, so the suite holds one q x q array, P or T."""
+    P is built once, read for P(j, 0) and turned into T in place.  T is
+    compared in FieldTable.blocks row blocks, read as views, against two
+    block buffers; it vanishes off the fourth-power pairs, whose closed form
+    each block computes."""
     f = ctx.field
     qm1 = f.q - 1
     m = np.arange(qm1)
@@ -354,7 +349,8 @@ def run_mellin(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckRepo
     if qm1 % 8 == 0:
         checks["mellin_v_octic"].compare_arrays(
             [s_closed[phi_m], s_direct[phi_m]], ml.mellin_v_octic(ctx))
-    checks["mellin_p0"].compare_arrays(ml.mellin_p0_all(ctx), ml.mellin_p0_closed(ctx, m))
+    P = mixed_table(ctx)
+    checks["mellin_p0"].compare_arrays(ml.mellin_p0_all(f, P), ml.mellin_p0_closed(ctx, m))
     chi1 = (2 * m + phi_m) % qm1  # lam1^2 phi for lam1 = chi_m
     checks["null_locus"].compare_arrays(
         ml.null_locus_sum(ctx, m),
@@ -362,16 +358,14 @@ def run_mellin(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckRepo
     # created up front, so the report rows keep their order
     double, coeffs, assembly = (checks[c] for c in ("double_mellin", "pair_coeffs",
                                                       "product_assembly"))
-    T = ml.double_mellin_matrix(ctx)
-    # T vanishes off the fourth-power pairs, whose closed form is computed once
+    T = ml.double_mellin_matrix(f, P)
     roots = np.arange(qm1 // 4)
-    closed_roots = ml.double_mellin_closed(ctx, roots[:, None], roots)
     closed, outer = (np.empty((len(next(f.blocks(m))), qm1), dtype=complex) for _ in range(2))
     for rows in f.blocks(m):
         b = len(rows)
         fourth = rows % 4 == 0
         closed[:b] = 0.0
-        closed[:b][fourth, ::4] = closed_roots[rows[fourth] // 4]
+        closed[:b][fourth, ::4] = ml.double_mellin_closed(ctx, rows[fourth, None] // 4, roots)
         Tb = T[rows[0]:rows[0] + b]
         double.compare_arrays(Tb, closed[:b])
         assembly.compare_arrays(np.multiply.outer(s_direct[rows], s_direct, out=outer[:b]), Tb)
@@ -408,9 +402,7 @@ def resolve_a_values(field: FieldTable, a_policy) -> list[int]:
 
 def run(config: SuiteConfig) -> list[CheckReport]:
     """Every suite of config over each field and each of its values of a, the
-    report written to config.out_path if set.  When mellin runs, the squares
-    table S of each context is built first, once: main, P and T read it, and
-    T drops it (mixed.squares_table)."""
+    report written to config.out_path if set."""
     reports: list[CheckReport] = []
     for p, n in config.fields:
         field = build_field(p, n)
@@ -422,8 +414,6 @@ def run(config: SuiteConfig) -> list[CheckReport]:
             reports.extend(run_mellin_field(field, config.tol))
         for a in resolve_a_values(field, config.a_policy):
             ctx = make_context(field, a)
-            if "mellin" in config.suites:  # S is built once for main, P and T
-                squares_table(ctx)
             if "main" in config.suites:
                 reports.extend(run_main(ctx, config.tol))
             if "mellin" in config.suites:
@@ -454,9 +444,33 @@ def _json_row(r: CheckReport) -> dict:
             "tol": r.tol, "passed": r.passed}
 
 
+def check_out_path(path: str) -> None:
+    """Raise ConfigError, naming path, unless a file can be written there."""
+    why = "it is a directory" if os.path.isdir(path) else "no such directory"
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ConfigError(f"cannot write the report to {path}: {why}")
+
+
+@contextmanager
+def replacing(path: str):
+    """A text file that replaces the file at path only once the block has
+    run to its end: it is written as a temp file in path's directory and
+    renamed over path, so a failure leaves path as it was."""
+    check_out_path(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".report-")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def emit_report(reports: list[CheckReport], format: str, path: str,
                 fields: list[tuple[int, int]]) -> None:
-    """Write the report atomically (temp file + rename).
+    """Write the report atomically (temp file + rename, see replacing).
 
     JSON output is a list of {field: {...}, runs: [...]} groups, one per
     (p, n) in fields, in that order, with one run per line: each line is
@@ -465,33 +479,21 @@ def emit_report(reports: list[CheckReport], format: str, path: str,
     """
     if format not in ("json", "csv"):
         raise ConfigError(f"unknown format {format!r}")
-    if format == "json":
-        encode = json.JSONEncoder(allow_nan=False).encode
-        groups = []
-        for p, n in fields:
-            q = p**n
-            runs = ",\n".join(encode(_json_row(r)) for r in reports if r.q == q)
-            groups.append(f'{{"field": {encode(_field_header(p, n))}, "runs": [\n{runs}\n]}}')
-        payload = "[\n" + ",\n".join(groups) + "\n]\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["check_id", "q", "a", "instances", "max_abs_err", "tol", "pass"])
-        for r in reports:
-            writer.writerow([r.check_id, r.q, "" if r.a is None else r.a,
-                             r.instances, repr(r.max_abs_err), repr(r.tol),
-                             str(r.passed).lower()])
-        payload = buf.getvalue()
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".report-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with replacing(path) as fh:
+        if format == "json":
+            encode = json.JSONEncoder(allow_nan=False).encode
+            groups = []
+            for p, n in fields:
+                runs = ",\n".join(encode(_json_row(r)) for r in reports if r.q == p**n)
+                groups.append(f'{{"field": {encode(_field_header(p, n))}, "runs": [\n{runs}\n]}}')
+            fh.write("[\n" + ",\n".join(groups) + "\n]\n")
+        else:
+            writer = csv.writer(fh)
+            writer.writerow(["check_id", "q", "a", "instances", "max_abs_err", "tol", "pass"])
+            for r in reports:
+                writer.writerow([r.check_id, r.q, "" if r.a is None else r.a,
+                                 r.instances, repr(r.max_abs_err), repr(r.tol),
+                                 str(r.passed).lower()])
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .gf import FieldError, FieldTable, ZeroArgument
 from .chars import MultChar, char_at, dft, unit_roots
-from .mixed import MixedSumContext, cell_logs, log_order, mixed_table, square_rows, state_vector
+from .mixed import MixedSumContext, state_vector
 from .sums import exponent_sweep, gauss_table, hyp2f1_many, jacobi
 
 
@@ -116,10 +116,10 @@ def v_moment_sum(ctx: MixedSumContext, lam: int) -> complex:
 # --- Mellin transform of P(j, 0) ---
 
 
-def mellin_p0_all(ctx: MixedSumContext) -> np.ndarray:
-    """T(chi_m) = sum over j != 0 of chi_m(j) P(j, 0), for all m at once."""
-    f = ctx.field
-    return dft(f, mixed_table(ctx)[f.exp_table, 0])
+def mellin_p0_all(field: FieldTable, P) -> np.ndarray:
+    """T(chi_m) = sum over j != 0 of chi_m(j) P(j, 0), for all m at once,
+    from the table P of mixed.mixed_table."""
+    return dft(field, P[field.exp_table, 0])
 
 
 def mellin_p0_closed_root(ctx: MixedSumContext, nu) -> np.ndarray:
@@ -283,33 +283,30 @@ def cross_form_sum(ctx: MixedSumContext, lam1: int, lam2: int) -> complex:
     return complex(np.sum(w * vals))
 
 
-def double_mellin_matrix(ctx: MixedSumContext) -> np.ndarray:
+def double_mellin_matrix(field: FieldTable, P) -> np.ndarray:
     """T(chi_m1, chi_m2) = sum over j, k != 0 of chi_m1(j) chi_m2(k) P(j, k),
-    for all pairs, as one 2-D DFT over (log j, log k), run in place in P laid
-    out in log order, scattered from square_rows: it never reads
-    mixed_table.  The buffer is q x q, its index q-1 standing for the element
-    0, and T is its (q-1) x (q-1) view.  P(-j, -k) = P(j, k) and log(-j) =
-    log j + h, h = (q-1)/2, so row s + h of T is row s shifted by h: each cell
-    is written at (j, k) or (-j, -k), and at (k, j) or (-k, -j), whichever has
-    its first log below h, and rows h.. are copied.  A held S is read last, and dropped."""
-    f = ctx.field
-    n, h = f.q - 1, (f.q - 1) // 2
-
-    def build(f):  # over the positions of cell_logs, cached per field
-        pos = log_order(f, np.append(n, f.log_table[1:]))  # log x, n for x = 0
-        flip = pos >= h  # log x >= h, or x = 0: write (-x, -y) for (x, y)
-        return np.stack((pos - h * flip, flip, pos, np.append((np.arange(n) + h) % n, n)[pos]))
-    tab = f.cached("double_mellin_scatter", build)
-    row, flip, col = tab[0], tab[1], tab[2:]  # x = 0 lands in row h, which the copies overwrite
-    buf = np.empty((f.q, f.q), dtype=complex)
-    for rows, block, _ in square_rows(ctx):
-        jk = cell_logs(f, rows, np.empty((2, len(rows), h + 1), dtype=np.int64))
-        for x, y in (jk, jk[::-1]):
-            buf[row[x], col[flip[x], y]] = block
-    ctx._cache.pop("squares", None)
-    T = buf[:n, :n]
-    T[h:, h:], T[h:, :h] = T[:h, :h], T[:h, h:]  # two block copies
-    return dft(f, T, axes=(0, 1), out=T)
+    for all pairs, as one 2-D DFT over (log j, log k) in P's own buffer:
+    this uses up P, the q x q table of mixed.mixed_table.  P is put in log
+    order, index s for g^s and the element 0 last, by columns in row blocks
+    through one reused block buffer, then by rows along the cycles of the
+    permutation s -> g^s, and T is its (q-1) x (q-1) view."""
+    order = np.append(field.exp_table, 0)  # position s holds the element g^s
+    buf = np.empty((len(next(field.blocks(order))), field.q), dtype=complex)
+    for lo in range(0, field.q, len(buf)):
+        block = P[lo:lo + len(buf)]
+        block[:] = block.take(order, axis=1, out=buf[:len(block)], mode="clip")
+    moved, spare = np.zeros(field.q, dtype=bool), buf[0]
+    for start in range(field.q):
+        if moved[start]:
+            continue
+        spare[:] = P[start]
+        s = start
+        while not moved[s]:  # row s takes row order[s], and the last the spare
+            moved[s], t = True, order[s]
+            P[s] = spare if t == start else P[t]
+            s = t
+    T = P[:-1, :-1]
+    return dft(field, T, axes=(0, 1), out=T)
 
 
 def double_mellin_closed(ctx: MixedSumContext, nu1, nu2) -> np.ndarray:

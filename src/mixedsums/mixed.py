@@ -115,23 +115,21 @@ def square_routes(ctx: MixedSumContext, i: int) -> Route:
 
 
 def square_rows(ctx: MixedSumContext, columns: bool = False):
-    """The squares table S in FieldTable.blocks row blocks, each from one
-    convolution per row: yields (rows, block, cols) with block = S[rows],
-    and cols None, or with columns, cols[i, v] = S(v, rows[i]) from route
-    1 of square_routes.  block is a view of squares_table when it is
-    already built, and otherwise computed by route 0, so only the routes
-    that run are built.  Computed blocks are views of buffers that the
-    next step overwrites, so no array but S's row blocks grows as q^2.
+    """The squares table S, P as a function of the pair of squares
+    ((j+k)^2, (j-k)^2), in FieldTable.blocks row blocks, each from one
+    convolution per row: yields (rows, block, cols) with block = S[rows]
+    from route 0 of square_routes, and cols None, or with columns,
+    cols[i, v] = S(v, rows[i]) from route 1.  The blocks are views of
+    buffers that the next step overwrites, so no array grows as q^2.
     """
     f = ctx.field
     n = f.q - 1
     half = n // 2
-    held = ctx._cache.get("squares")
-    routes = {i: square_routes(ctx, i) for i, run in enumerate((held is None, columns)) if run}
+    routes = [square_routes(ctx, i) for i in range(1 + columns)]
     # psi(u x) over s is a window of psi(g^s) taken over three periods,
     # starting at 2t + shift < 2(q-1) for u = g^(2t), so the windows of
     # consecutive rows are one strided view; psi(0 x) is all ones
-    windows = sliding_window_view(np.tile(psi_table(f)[f.exp_table], 3), n) if routes else None
+    windows = sliding_window_view(np.tile(psi_table(f)[f.exp_table], 3), n)
     g_phi = gauss(ctx.phi)
     blocks = list(f.blocks(np.arange(half + 1)))
     h = np.empty((len(blocks[0]), n), dtype=complex)
@@ -141,8 +139,7 @@ def square_rows(ctx: MixedSumContext, columns: bool = False):
         top = int(rows[0] == 0)
         lo = 2 * (rows[top] - 1)  # 2t for the first row u = g^(2t)
         hb = h[:b]
-        for i, route in routes.items():
-            o = out[i, :b]
+        for o, route in zip(out[:, :b], routes):
             hb[:top] = 1.0
             hb[top:] = windows[lo + route.shift:lo + route.shift + 2 * (b - top):2]
             hb *= route.weight
@@ -151,26 +148,7 @@ def square_rows(ctx: MixedSumContext, columns: bool = False):
             o /= g_phi
             o[:, 0] += 1.0
             o[:top] += 1.0  # the row u = 0, in the first block
-        block = out[0, :b] if held is None else held[rows[0]:rows[0] + b]
-        yield rows, block, out[1, :b] if columns else None
-
-
-def squares_table(ctx: MixedSumContext) -> np.ndarray:
-    """P as a function of the pair of squares ((j+k)^2, (j-k)^2), cached
-    per context: S(u, v) = F(u, v) / G(phi) + delta(v, 0) + delta(u, 0),
-    filled from square_rows.  (j-k)^2 = 0 exactly when j = k and
-    (j+k)^2 = 0 exactly when j = -k, so the two delta terms of P are
-    column 0 and row 0 of S.  The main suite, P and T stream square_rows
-    instead, which reads this table's rows while it is held, and
-    mellin.double_mellin_matrix, its last reader, drops it.
-    """
-    def build(ctx):
-        half = (ctx.field.q - 1) // 2
-        S = np.empty((half + 1, half + 1), dtype=complex)
-        for rows, block, _ in square_rows(ctx):
-            S[rows] = block
-        return S
-    return ctx.cached("squares", build)
+        yield rows, out[0, :b], out[1, :b] if columns else None
 
 
 def log_order(field: FieldTable, X) -> np.ndarray:
@@ -229,8 +207,8 @@ def mixed_table(ctx: MixedSumContext) -> np.ndarray:
     square_rows is written at the pair (j, k) that cell_logs gives for each
     of its cells, and at (k, j), (-j, -k) and (-k, -j).  These are all the
     pairs of the cell, so every entry of P is a copy of one cell of S, and
-    no q x q index array is built.  S is streamed, or read when held, as run
-    holds it whenever the mellin suite runs, and a held S is kept for T.
+    no q x q index array is built.  The suites' one q x q array: mellin
+    reads P(j, 0) from it and turns it into T (mellin.double_mellin_matrix).
     """
     f = ctx.field
     half = (f.q - 1) // 2

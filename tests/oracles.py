@@ -2,7 +2,8 @@
 
 Everything here is written with plain Python loops and cmath so the
 expected values are computed independently of the vectorized library path,
-but p_order_main, which replays the main suite on the full table of P,
+but squares_table, which fills the squares table from its row blocks,
+p_order_main, which replays the main suite on the full table of P,
 gathered_double_mellin, which takes the double transform of P gathered in
 log order, and per_z_quad_transform and per_j_hyper_kernel, which replay
 one check each with one element per library call.
@@ -16,7 +17,7 @@ import numpy as np
 from mixedsums.chars import dft
 from mixedsums.harness import BRANCH_TOL, Checker, Checks
 from mixedsums.mellin import cross_form, hyper_kernel_closed_row, hyper_kernel_row
-from mixedsums.mixed import make_context, mixed_table, state_vector
+from mixedsums.mixed import make_context, mixed_table, square_rows, state_vector
 from mixedsums.sums import DEFAULT_TOL, exponent_sweep, gauss, quad_transform
 
 
@@ -111,10 +112,20 @@ def p_order_main(ctx, tol=DEFAULT_TOL):
     return checks.reports()
 
 
+def squares_table(ctx):
+    """The squares table S, P as a function of ((j+k)^2, (j-k)^2), whole:
+    the row blocks of mixed.square_rows, filled into one array."""
+    half = (ctx.field.q - 1) // 2
+    S = np.empty((half + 1, half + 1), dtype=complex)
+    for rows, block, _ in square_rows(ctx):
+        S[rows] = block
+    return S
+
+
 def gathered_double_mellin(ctx):
-    """The double transform T as mellin.double_mellin_matrix computed it
-    when it read P: the whole table mixed_table in index order, gathered in
-    log order along both axes, then one 2-D DFT in place."""
+    """The double transform T of the table mixed_table in index order,
+    gathered into a second array in log order along both axes, then one
+    2-D DFT in place."""
     f = ctx.field
     T = mixed_table(ctx)[np.ix_(f.exp_table, f.exp_table)]
     return dft(f, T, axes=(0, 1), out=T)

@@ -131,7 +131,7 @@ def test_criterion_04_mellin_p0_and_kummer():
         c.check(lhs, ml.kummer_closed(ref, nus))
         for a in a_all(f):
             ctx = ctx_for(f, a)
-            direct = ml.mellin_p0_all(ctx)
+            direct = ml.mellin_p0_all(f, mixed_table(ctx))
             closed = ml.mellin_p0_closed(ctx, np.arange(f.q - 1))
             c.check(direct, closed)
     c.finish()
@@ -144,7 +144,7 @@ def test_criterion_05_double_mellin():
         qm1 = f.q - 1
         for a in a_policy(f):
             ctx = ctx_for(f, a)
-            T = ml.double_mellin_matrix(ctx)
+            T = ml.double_mellin_matrix(f, mixed_table(ctx))
             closed = np.zeros_like(T)
             for m1 in range(0, qm1, 4):
                 for m2 in range(0, qm1, 4):
@@ -204,7 +204,7 @@ def test_criterion_08_product_assembly():
         for a in a_policy(f):
             ctx = ctx_for(f, a)
             S = ml.mellin_v_all(ctx)
-            T = ml.double_mellin_matrix(ctx)
+            T = ml.double_mellin_matrix(f, mixed_table(ctx))
             c.check(np.outer(S, S), T)
             closed = ml.mellin_v_closed(ctx, np.arange(f.q - 1))
             V = state_vector(ctx)

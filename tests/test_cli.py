@@ -101,19 +101,23 @@ def test_bad_explicit_a_exits_before_any_suite(monkeypatch, capsys):
 
 
 def test_out_into_a_missing_directory_exits_before_any_suite(monkeypatch, tmp_path, capsys):
-    # the report's directory is checked with the config, and the message
-    # names the --out path, not a temporary file
+    # the report's directory is checked with the config, and table's before
+    # P is built, and the message names the --out path, not a temporary file
     def no_suite(*args):
         raise AssertionError("a suite ran before the bad --out was rejected")
 
     for suite in ("run_classical", "run_transforms", "run_mellin_field", "run_main", "run_mellin"):
         monkeypatch.setattr(f"mixedsums.harness.{suite}", no_suite)
+    monkeypatch.setattr("mixedsums.cli.mixed_table", no_suite)
     for out, why in ((tmp_path / "missing" / "r.json", "no such directory"),
                      (tmp_path, "it is a directory")):
-        assert main(["verify", "--q", "5", "--a", "1", "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: cannot write the report to {out}: {why}\n"
+        for argv in (["verify", "--q", "5", "--a", "1"],
+                     ["table", "--q", "13", "--a", "1", "--object", "P"]):
+            assert main(argv + ["--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: cannot write the report to {out}: {why}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("q, message", [
@@ -171,14 +175,19 @@ def test_internal_error_is_not_a_usage_error(monkeypatch):
     (["verify", "--q", "5", "--q", "3^2", "--a", "1"], "mixedsums.cli.run"),
     (["table", "--q", "13", "--a", "1", "--object", "P"], "mixedsums.cli.mixed_table"),
 ])
-def test_out_of_memory_exits_2(monkeypatch, capsys, argv, target):
+def test_out_of_memory_exits_2(monkeypatch, capsys, tmp_path, argv, target):
     # numpy reports a failed allocation as a MemoryError; the stand-in
-    # raises one without allocating anything
+    # raises one without allocating anything. An existing --out file is
+    # left as it was, and no temp file is left next to it.
     def exhausted(*args):
         raise MemoryError("Unable to allocate 16.0 GiB for an array with shape (65520, 32761)")
 
     monkeypatch.setattr(target, exhausted)
-    assert main(argv) == 2
+    out = tmp_path / "out.csv"
+    out.write_text("an earlier run\n")
+    assert main(argv + ["--out", str(out)]) == 2
+    assert out.read_text() == "an earlier run\n"
+    assert list(tmp_path.iterdir()) == [out]
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines() == [err.strip()]

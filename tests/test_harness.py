@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -16,11 +17,11 @@ from mixedsums import mellin as ml
 from mixedsums import sums
 from mixedsums.chars import psi_table, unit_roots
 from mixedsums.gf import FieldTable
-from mixedsums.harness import (Checker, _factor_prime_power, _json_row, resolve_a_values,
-                               run_classical, run_main, run_mellin, run_mellin_field,
-                               run_transforms)
+from mixedsums.harness import (SUITES, Checker, _factor_prime_power, _json_row,
+                               resolve_a_values, run_classical, run_main, run_mellin,
+                               run_mellin_field, run_transforms)
 from mixedsums.mellin import mellin_v_closed, null_locus_sum
-from mixedsums.mixed import cell_logs, mixed_table, squares_table
+from mixedsums.mixed import cell_logs, mixed_table
 from mixedsums.sums import gauss_table, jacobi
 import oracles
 
@@ -98,7 +99,7 @@ def test_main_suite_holds_no_q_by_q_array():
 def test_squares_table_build_holds_no_factor_matrix():
     # Each row block of S is one cyclic convolution over log x, so the build
     # holds little besides S itself.
-    peak, S = traced_peak(lambda: squares_table(make_context(build_field(5, 4), 3)))
+    peak, S = traced_peak(lambda: oracles.squares_table(make_context(build_field(5, 4), 3)))
     assert peak < 2 * S.nbytes
 
 
@@ -110,15 +111,15 @@ def test_state_vector_build_is_linear_in_q():
 
 
 def test_mellin_suite_holds_p_or_t():
-    # P is built for P(j, 0) and freed, and T is scattered from S's row
-    # blocks, transformed in place and checked in row blocks, so with the
-    # field tables warm and a cold context run_mellin holds one q x q array
-    # at a time, P or T, and little else: each streams the squares table.
+    # P is built once, P(j, 0) is read from it, and P is turned into T in
+    # its own buffer, transformed in place and checked in row blocks, so
+    # with the field tables warm and a cold context run_mellin holds one
+    # q x q array, P and then T, and little else.
     f = build_field(5, 4)
     run_mellin(make_context(f, 1))  # builds the per-field tables
     peak, reports = traced_peak(lambda: run_mellin(make_context(f, 3)))
     assert all(r.passed for r in reports)
-    assert peak < 1.5 * 16 * f.q**2
+    assert peak < 1.25 * 16 * f.q**2
 
 
 def warm_field(p, n):
@@ -249,34 +250,32 @@ def test_main_stream_reports_as_the_p_order_suite(pn):
                 assert repr(r.max_abs_err) == repr(e.max_abs_err), r.check_id
 
 
-def test_main_suite_reads_a_built_squares_table(monkeypatch):
-    # run builds S whenever mellin runs, whose P and T are scattered from
-    # the same S, and T, its last reader, drops it; run_main reads S's rows
-    # from it and computes only the second route, and reports the same,
-    # bit for bit
-    f = build_field(13, 2)
-    for a in (1, f.g):
-        cold = run_main(make_context(f, a))
-        ctx = make_context(f, a)
-        S = squares_table(ctx)
-        assert run_main(ctx) == cold
-        assert ctx._cache["squares"] is S
-    built = []
+def test_suites_build_p_once_and_hold_no_squares_table(monkeypatch):
+    # main and mellin each stream S, and no context keeps it; run_mellin
+    # builds P once per context (mixed_table), reads P(j, 0) from it and
+    # turns it into T, and nothing else builds P, for every choice of
+    # suites that includes main, mellin or both
+    contexts, mellin_runs, built = [], [], []
 
-    def mellin(ctx, tol):
-        built.append("squares" in ctx._cache)
-        reports = run_mellin(ctx, tol)
-        built.append("squares" in ctx._cache)
-        return reports
-    monkeypatch.setattr(harness, "run_main",
-                        lambda ctx, tol: built.append("squares" in ctx._cache) or [])
-    monkeypatch.setattr(harness, "run_mellin", mellin)
-    run(SuiteConfig(fields=[(5, 1)], a_policy=[1], suites=("main",)))
-    assert built == [False]
-    run(SuiteConfig(fields=[(5, 1)], a_policy=[1], suites=("main", "mellin")))
-    assert built == [False, True, True, False]
-    run(SuiteConfig(fields=[(5, 1)], a_policy=[1], suites=("mellin",)))
-    assert built == [False, True, True, False, True, False]
+    def keep(seen, x):
+        seen.append(x)
+        return x
+    make, suite, table = harness.make_context, harness.run_mellin, harness.mixed_table
+    monkeypatch.setattr(harness, "make_context",
+                        lambda *args, **kw: keep(contexts, make(*args, **kw)))
+    monkeypatch.setattr(harness, "run_mellin", lambda ctx, tol: suite(keep(mellin_runs, ctx), tol))
+    monkeypatch.setattr(harness, "mixed_table", lambda ctx: table(keep(built, ctx)))
+    for picked in itertools.product((False, True), repeat=len(SUITES)):
+        suites = tuple(itertools.compress(SUITES, picked))
+        if "main" not in suites and "mellin" not in suites:
+            continue
+        for seen in (contexts, mellin_runs, built):
+            seen.clear()
+        reports = run(SuiteConfig(fields=[(5, 1), (13, 1)], a_policy=[1, 2], suites=suites))
+        assert all(r.passed for r in reports), suites
+        assert contexts and not any("squares" in ctx._cache for ctx in contexts), suites
+        assert len(mellin_runs) == (4 if "mellin" in suites else 0), suites
+        assert list(map(id, built)) == list(map(id, mellin_runs)), suites
 
 
 def test_tau_branch_fails_with_the_other_characters_tau(monkeypatch):
@@ -331,26 +330,28 @@ def late_window(route):
     return fault
 
 
-def move_held_entry(f, m):
-    """One real off-diagonal entry of the S that run builds before main
-    (as mellin follows), moved by 1e-3."""
-    def perturbed(ctx):
-        S = squares_table(ctx).copy()
-        S[1, 2] += 1e-3
-        ctx._cache["squares"] = S
-    m.setattr(harness, "squares_table", perturbed)
+def move_stream_entry(f, m):
+    """One real off-diagonal cell, S(1, 2), of route 0's stream moved by
+    1e-3, for main and for P alike."""
+    stream = mixed.square_rows
+
+    def moved(ctx, columns=False):
+        for rows, block, cols in stream(ctx, columns):
+            if rows[0] <= 1 < rows[0] + len(rows):
+                block[1 - rows[0], 2] += 1e-3
+            yield rows, block, cols
+    m.setattr(mixed, "square_rows", moved)
+    m.setattr(harness, "square_rows", moved)
 
 
-def move_held_entry_after_p0(f, m):
-    """The same entry of the held S moved by 1e-3 once mellin_p0_all has
-    read P, so only what mellin reads of S afterwards sees it."""
+def move_p_entry_after_p0(f, m):
+    """One entry of P, P(1, 2), moved by 1e-3 once mellin_p0_all has read
+    P, so only T, which is made from P afterwards, sees it."""
     p0 = ml.mellin_p0_all
 
-    def then_perturb(ctx):
-        out = p0(ctx)
-        S = ctx._cache["squares"].copy()
-        S[1, 2] += 1e-3
-        ctx._cache["squares"] = S
+    def then_perturb(field, P):
+        out = p0(field, P)
+        P[1, 2] += 1e-3
         return out
     m.setattr(ml, "mellin_p0_all", then_perturb)
 
@@ -393,7 +394,7 @@ def conjugate_psi(f, m):
     m.setitem(f._cache, "psi", psi_table(f).conj())
 
 
-MELLIN_P = {"double_mellin", "pair_coeffs", "product_assembly"}  # read T, scattered from S
+MELLIN_P = {"double_mellin", "pair_coeffs", "product_assembly"}  # read T, made from P
 PSI = {"gauss_trivial", "gauss_norm", "jacobi_gauss_ratio", "hasse_davenport",
        "gauss_summation_at_one", "kummer_value", "hyper_kernel", "main_identity",
        "corner_value", "zero_row_factorization", "imaginary_drift", "tau_branch",
@@ -414,11 +415,12 @@ FAULTS = {
                         | MELLIN_P),
     # only the second route is wrong, and only negation_symmetry reads it
     "late_column_window": (late_window(1), {"negation_symmetry"}),
-    # the second route computes the moved entry afresh
-    "held_s_entry": (move_held_entry,
+    # the second route computes the moved cell afresh, and P(j, 0), the
+    # diagonal of S, does not read it
+    "stream_entry": (move_stream_entry,
                      {"main_identity", "negation_symmetry", "tau_branch"} | MELLIN_P),
-    # T is scattered from the held S, not from P, which mellin_p0 read
-    "held_s_entry_after_p0": (move_held_entry_after_p0, MELLIN_P),
+    # T is made from P after mellin_p0 read it
+    "p_entry_after_p0": (move_p_entry_after_p0, MELLIN_P),
     # every sum over psi; both routes of S take the same psi, and the
     # substitution x -> a/x holds for any additive character, so
     # negation_symmetry cannot see it

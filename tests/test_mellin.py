@@ -13,7 +13,6 @@ from mixedsums import (
 )
 from mixedsums import mellin as ml
 from mixedsums.mellin import FourthPowerTrivial
-from mixedsums.mixed import squares_table
 from mixedsums.sums import exponent_sweep, gauss_table, hyp2f1_many
 import oracles
 from oracles import (chi_val, naive_double_mellin, naive_hyper_kernel, naive_mellin_p0,
@@ -82,7 +81,8 @@ def test_mellin_transforms_match_oracles(p, n):
     for a in (1, f.g, q - 1):
         ctx = make_context(f, a)
         V, P = state_vector(ctx), mixed_table(ctx)
-        S, T0, T = ml.mellin_v_all(ctx), ml.mellin_p0_all(ctx), ml.double_mellin_matrix(ctx)
+        S, T0 = ml.mellin_v_all(ctx), ml.mellin_p0_all(f, P)
+        T = ml.double_mellin_matrix(f, mixed_table(ctx))
         for m1 in range(q - 1):
             assert abs(S[m1] - naive_mellin_v(f, V, m1)) < 1e-10
             assert abs(T0[m1] - naive_mellin_p0(f, P, m1)) < 1e-10
@@ -131,7 +131,7 @@ def test_mellin_p0_direct_equals_closed(f13):
     for f, a_list in ((f13, (1, 2, 6)), (f17, (3,))):
         for a in a_list:
             ctx = make_context(f, a)
-            T = ml.mellin_p0_all(ctx)
+            T = ml.mellin_p0_all(f, mixed_table(ctx))
             for m in range(f.q - 1):
                 assert abs(T[m] - ml.mellin_p0_closed(ctx, m)) < 1e-9
 
@@ -321,7 +321,7 @@ def test_double_mellin_assembly_from_parts(f13):
     ctx = make_context(f13, 2)
     h = ctx.phi.m
     G = gauss_table(f13)
-    T_all = ml.double_mellin_matrix(ctx)
+    T_all = ml.double_mellin_matrix(f13, mixed_table(ctx))
     for m1, m2 in [(0, 0), (1, 1), (2, 3), (5, 1), (3, 9)]:
         d = 1 if 2 * (m1 + m2) % 12 == 0 else 0  # (lam1 lam2)^2 trivial
         T = T_all[(2 * m1 + h) % 12, (2 * m2 + h) % 12]
@@ -337,32 +337,29 @@ def test_double_mellin_assembly_from_parts(f13):
 @pytest.mark.parametrize("pn", [(5, 1), (3, 2), (13, 1), (17, 1), (5, 2), (29, 1), (7, 2),
                                 (3, 4), (257, 1), (5, 4)])
 def test_double_mellin_matrix_is_the_gathered_transform(pn):
-    # T is scattered from S's row blocks in log order, half of it copied
-    # through P(-j, -k) = P(j, k), and never reads P: it is the transform of
-    # P gathered in log order bit for bit, whether S is streamed or held,
-    # and a held S is dropped once T is built
+    # T is P put in log order within P's own buffer, columns by row blocks
+    # and rows along the cycles of s -> g^s: it is the transform of P
+    # gathered into a second array bit for bit, a view of P's buffer
     f = build_field(*pn)
     for a in dict.fromkeys((1, f.g, int(f.neg_table[1]), 3)):
-        expect = oracles.gathered_double_mellin(make_context(f, a)).tobytes()
-        for held in (False, True):
-            ctx = make_context(f, a)
-            if held:
-                squares_table(ctx)
-            T = ml.double_mellin_matrix(ctx)
-            assert T.shape == (f.q - 1, f.q - 1)
-            assert np.ascontiguousarray(T).tobytes() == expect, (a, held)
-            assert "squares" not in ctx._cache
+        ctx = make_context(f, a)
+        expect = oracles.gathered_double_mellin(ctx).tobytes()
+        P = mixed_table(ctx)
+        T = ml.double_mellin_matrix(f, P)
+        assert T.shape == (f.q - 1, f.q - 1)
+        assert np.shares_memory(T, P)
+        assert np.ascontiguousarray(T).tobytes() == expect, a
 
 
 def test_double_mellin_symmetric(f13):
     ctx = make_context(f13, 1)
-    T = ml.double_mellin_matrix(ctx)
+    T = ml.double_mellin_matrix(f13, mixed_table(ctx))
     assert np.abs(T - T.T).max() < 1e-9
 
 
 def test_double_mellin_vanishes(f13):
     ctx = make_context(f13, 3)
-    T = ml.double_mellin_matrix(ctx)
+    T = ml.double_mellin_matrix(f13, mixed_table(ctx))
     for m1 in range(12):
         for m2 in range(12):
             if m1 % 4 and m2 % 4 or (m1 % 4 == 0) != (m2 % 4 == 0):
@@ -371,14 +368,14 @@ def test_double_mellin_vanishes(f13):
 
 def test_double_mellin_direct_equals_closed(f13):
     ctx = make_context(f13, 1)
-    direct = ml.double_mellin_matrix(ctx)[4, 8]
+    direct = ml.double_mellin_matrix(f13, mixed_table(ctx))[4, 8]
     closed = ml.double_mellin_closed(ctx, 1, 2)
     assert abs(direct - closed) < 1e-9
 
 
 def test_double_mellin_q17_example(f17):
     ctx = make_context(f17, 5)
-    direct = ml.double_mellin_matrix(ctx)[4, 12]
+    direct = ml.double_mellin_matrix(f17, mixed_table(ctx))[4, 12]
     closed = ml.double_mellin_closed(ctx, 1, 3)
     assert abs(direct - closed) < 1e-9
 
@@ -402,7 +399,7 @@ def test_double_mellin_closed_root_shift(f13):
 def test_pair_coeffs(f13):
     for a in (1, 2):
         ctx = make_context(f13, a)
-        T = ml.double_mellin_matrix(ctx)
+        T = ml.double_mellin_matrix(f13, mixed_table(ctx))
         A4a = ctx.A4(ctx.a)
         for nu1 in range(f13.q - 1):
             rj = ml.pair_coeffs(ctx, nu1)

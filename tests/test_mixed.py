@@ -15,8 +15,8 @@ from mixedsums import (
     state_vector,
 )
 from mixedsums import harness, mixed
-from mixedsums.mixed import cell_logs, log_order, square_rows, squares_table
-from oracles import naive_mixed_sum, naive_state_value
+from mixedsums.mixed import cell_logs, log_order, square_rows
+from oracles import naive_mixed_sum, naive_state_value, squares_table
 
 
 def find_a(field, quartic_value):
@@ -156,7 +156,7 @@ def square_column(f):
 @pytest.mark.parametrize("pn", [(5, 1), (3, 2), (13, 1), (5, 2), (13, 2), (5, 4)])
 def test_main_stream_is_squares_table(pn, monkeypatch):
     # run_main reads each row block of S once, as square_rows yields it:
-    # the blocks its main_identity counts, in order, are squares_table bit
+    # the blocks its main_identity counts, in order, are the whole S bit
     # for bit, and its negation_symmetry blocks, from the second route, are
     # S's transpose to rounding; at q = 625 S comes in 13 blocks
     f = build_field(*pn)
@@ -198,7 +198,7 @@ def test_cell_logs_place_each_cell_at_its_squares(pn):
 
 @pytest.mark.parametrize("pn, a", [((13, 1), 2), ((5, 2), 3), ((29, 1), 1), ((13, 2), 5)])
 def test_square_rows_second_route_is_the_transpose(pn, a):
-    # the first route is squares_table bit for bit, and the second, through
+    # the first route is the whole S bit for bit, and the second, through
     # x -> a/x, a kernel free of a and windows shifted by log a, is S(., u)
     f = build_field(*pn)
     ctx = make_context(f, a)
@@ -209,17 +209,20 @@ def test_square_rows_second_route_is_the_transpose(pn, a):
     assert all(cols is None for _, _, cols in square_rows(ctx))
 
 
-@pytest.mark.parametrize("held, columns, built", [
-    (False, False, 1), (False, True, 2), (True, False, 0), (True, True, 1)])
-def test_square_rows_builds_only_the_routes_it_runs(monkeypatch, held, columns, built):
-    # route 0 (S's rows) runs unless S is held, and route 1 (its columns)
-    # only when columns asks for it: each route built is one kernel
-    # transform, and the blocks are S's rows either way
+@pytest.mark.parametrize("streamed, columns, built", [
+    (False, False, 1), (False, True, 2), (True, False, 1), (True, True, 2)])
+def test_square_rows_builds_only_the_routes_it_runs(monkeypatch, streamed, columns, built):
+    # route 0 (S's rows) always runs, and route 1 (its columns) only when
+    # columns asks for it: each route built is one kernel transform, and
+    # the blocks are S's rows either way.  A context that has streamed S
+    # before (as main does before mellin) keeps nothing of it, so a second
+    # stream builds its routes again
     f = build_field(13, 2)
     ctx = make_context(f, 3)
     S = squares_table(make_context(f, 3))
-    if held:
+    if streamed:
         squares_table(ctx)
+        assert "squares" not in ctx._cache
     kernels = []
     convolver = mixed.convolver
     monkeypatch.setattr(mixed, "convolver", lambda f, k: kernels.append(k) or convolver(f, k))
@@ -232,22 +235,19 @@ def test_square_rows_builds_only_the_routes_it_runs(monkeypatch, held, columns, 
 def test_mixed_table_reads_squares_at_field_sums():
     # over the full grid at q = 289, where S comes in three row blocks, P(j,k)
     # is the squares table at the columns of (j+k)^2 and (j-k)^2 found by
-    # field addition, bit for bit, whether S is streamed or already built
+    # field addition, bit for bit
     f = build_field(17, 2)
     jj = np.arange(f.q)
     slot = square_column(f)
     add, sub = slot[f.add(jj[:, None], jj)], slot[f.sub(jj[:, None], jj)]
-    cold, warm = make_context(f, 3), make_context(f, 3)
-    S = squares_table(warm)
+    ctx = make_context(f, 3)
+    S = squares_table(ctx)
     assert len(list(f.blocks(S[:, 0]))) == 3
-    for ctx in (cold, warm):
-        P = mixed_table(ctx)
-        assert P.tobytes() == S[add, sub].tobytes()
-        # P is built on each call and not cached, and a held S is kept for
-        # the double transform, which reads it last
-        assert mixed_table(ctx) is not P
-        assert "mixed" not in ctx._cache
-        assert ctx._cache.get("squares") is (S if ctx is warm else None)
+    P = mixed_table(ctx)
+    assert P.tobytes() == S[add, sub].tobytes()
+    # P is built on each call, and neither P nor S is cached
+    assert mixed_table(ctx) is not P
+    assert not ctx._cache.keys() & {"mixed", "squares"}
 
 
 @pytest.mark.parametrize("pn", [(5, 1), (13, 1), (5, 2), (13, 2), (5, 4)])
