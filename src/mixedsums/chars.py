@@ -42,7 +42,9 @@ def dft(field: FieldTable, h, axes=(-1,), out=None) -> np.ndarray:
     h = np.asarray(h)
     if any(h.shape[ax] != field.q - 1 for ax in axes):
         raise ValueError(f"dft axes {axes} of shape {h.shape} are not of length q-1")
-    return np.fft.ifftn(h, axes=axes, norm="forward", out=out)
+    for ax in reversed(axes):  # the last axis first, as ifftn, whose result this is bit for bit
+        h = np.fft.ifft(h, axis=ax, norm="forward", out=out)
+    return h
 
 
 def convolver(field: FieldTable, k):

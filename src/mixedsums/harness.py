@@ -34,6 +34,8 @@ from . import mellin as ml
 SUITES = ("classical", "transforms", "main", "mellin")
 A_POLICIES = ("all", "sample")
 BRANCH_TOL = 1e-12  # tau_branch: V from either quartic character factors P
+_JSON = {str: json.encoder.encode_basestring_ascii, int: int.__repr__, float: float.__repr__,
+         bool: {True: "true", False: "false"}.get, type(None): {None: "null"}.get}
 
 
 class ConfigError(ValueError):
@@ -99,7 +101,7 @@ class Scratch:
         n = math.prod(shape)
         if n > self.diff.size:
             self.diff, self.err, self.mask = (np.empty(n, dtype=t) for t in self.DTYPES)
-        return (a[:n].reshape(shape) for a in (self.diff, self.err, self.mask))
+        return [a[:n].reshape(shape) for a in (self.diff, self.err, self.mask)]
 
 
 class Checker:
@@ -128,12 +130,13 @@ class Checker:
         and rhs are both real, the difference is taken in err, with no
         complex difference."""
         lhs, rhs = np.asarray(lhs), np.asarray(rhs)
-        shape = np.broadcast(lhs, rhs).shape or (1,)
+        shape = (lhs.shape if lhs.shape == rhs.shape or not rhs.ndim
+                 else np.broadcast_shapes(lhs.shape, rhs.shape)) or (1,)
         diff, err, mask = self.scratch.arrays(shape)
-        self.instances += diff.size if count is None else count
-        if not diff.size:
+        self.instances += err.size if count is None else count
+        if not err.size:
             return
-        real = not (np.iscomplexobj(lhs) or np.iscomplexobj(rhs))
+        real = lhs.dtype.kind != "c" and rhs.dtype.kind != "c"
         np.abs(np.subtract(lhs, rhs, out=err if real else diff), out=err)
         # max propagates NaN, so a finite max means every error is finite
         worst = float(err.max())
@@ -444,6 +447,11 @@ def _json_row(r: CheckReport) -> dict:
             "tol": r.tol, "passed": r.passed}
 
 
+def _json_line(r: CheckReport) -> str:
+    """json.JSONEncoder(allow_nan=False).encode(_json_row(r)), byte for byte."""
+    return "{" + ", ".join([f'"{k}": {_JSON[type(v)](v)}' for k, v in _json_row(r).items()]) + "}"
+
+
 def check_out_path(path: str) -> None:
     """Raise ConfigError, naming path, unless a file can be written there."""
     why = "it is a directory" if os.path.isdir(path) else "no such directory"
@@ -453,12 +461,14 @@ def check_out_path(path: str) -> None:
 
 @contextmanager
 def replacing(path: str):
-    """A text file that replaces the file at path only once the block has
-    run to its end: it is written as a temp file in path's directory and
-    renamed over path, so a failure leaves path as it was."""
+    """A text file that replaces path once the block has run to its end: a
+    temp file in path's directory, renamed over path (so a failure leaves
+    path as it was), with path's mode, or for a new file the mode of open()."""
     check_out_path(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".report-")
     try:
+        os.umask(umask := os.umask(0o022))  # reads the umask
+        os.fchmod(fd, os.stat(path).st_mode & 0o7777 if os.path.exists(path) else 0o666 & ~umask)
         with os.fdopen(fd, "w", newline="") as fh:
             yield fh
         os.replace(tmp, path)
@@ -473,9 +483,8 @@ def emit_report(reports: list[CheckReport], format: str, path: str,
     """Write the report atomically (temp file + rename, see replacing).
 
     JSON output is a list of {field: {...}, runs: [...]} groups, one per
-    (p, n) in fields, in that order, with one run per line: each line is
-    encoded with no indent, which runs the C encoder (an indent selects the
-    pure-Python one). CSV is one row per check.
+    (p, n) in fields, in that order, with one run per line (_json_line, as
+    json.JSONEncoder writes it with no indent). CSV is one row per check.
     """
     if format not in ("json", "csv"):
         raise ConfigError(f"unknown format {format!r}")
@@ -484,7 +493,7 @@ def emit_report(reports: list[CheckReport], format: str, path: str,
             encode = json.JSONEncoder(allow_nan=False).encode
             groups = []
             for p, n in fields:
-                runs = ",\n".join(encode(_json_row(r)) for r in reports if r.q == p**n)
+                runs = ",\n".join(_json_line(r) for r in reports if r.q == p**n)
                 groups.append(f'{{"field": {encode(_field_header(p, n))}, "runs": [\n{runs}\n]}}')
             fh.write("[\n" + ",\n".join(groups) + "\n]\n")
         else:

@@ -63,8 +63,8 @@ def mellin_v_all(ctx: MixedSumContext) -> np.ndarray:
 
 def _root_sum(ctx: MixedSumContext, nu) -> np.ndarray:
     """conj(nu)(a) sum over k of conj(A4)^(k-1)(a) G(nu A4^(k-1)) G(nu A4^k),
-    the factor S(nu^4) and T(nu^4) share, elementwise over the exponent
-    array nu, read from one length-(q-1) vector cached per context."""
+    the factor of S(nu^4), T(nu^4) and T(nu1^4, nu2^4), elementwise over the
+    exponent array nu, read from one length-(q-1) vector cached per context."""
     def build(ctx):
         f, e, n = ctx.field, ctx.A4.m, np.arange(ctx.field.q - 1)
         total = sum(char_at(f, (1 - k) * e, ctx.a) * g for k, g in enumerate(_gauss_pairs(ctx, n)))
@@ -124,10 +124,11 @@ def mellin_p0_all(field: FieldTable, P) -> np.ndarray:
 
 def mellin_p0_closed_root(ctx: MixedSumContext, nu) -> np.ndarray:
     """Gauss-sum evaluation of T(nu^4) for explicit fourth roots nu
-    (an exponent array)."""
+    (an exponent array), with the factor before _root_sum cached per context."""
     f, e = ctx.field, ctx.A4.m
-    prefac = (char_at(f, -e, ctx.a) * _gauss(f, e) + _gauss(f, -e)) / f.q
-    return char_at(f, e, f.neg_table[1]) * prefac * _root_sum(ctx, nu)
+    c = ctx.cached("p0_prefactor", lambda ctx: np.asarray(char_at(f, e, f.neg_table[1]) * (
+        (char_at(f, -e, ctx.a) * _gauss(f, e) + _gauss(f, -e)) / f.q)))
+    return c * _root_sum(ctx, nu)
 
 
 def mellin_p0_closed(ctx: MixedSumContext, m) -> np.ndarray:
@@ -248,18 +249,18 @@ def null_locus_sum(ctx: MixedSumContext, lam1) -> np.ndarray:
     where chi1 = lam1^2 phi, for an exponent array lam1.  The locus is
     solved, not searched: x^2 (j+1)^2 = -a (j-1)^2 has no x at j = +-1, and
     else x = +-r (j-1)/(j+1) with r^2 = -a, so it is empty unless -a is a
-    square.  chi1(j) = zeta^(lam1 2 log j) phi(j), so one exponent sweep
-    covers every lam1."""
+    square; both x give the same term, and logs come from the Zech table.
+    chi1(j) = zeta^(lam1 2 log j) phi(j), so one exponent sweep covers every lam1."""
     f = ctx.field
-    log_r2 = f.log_table[f.neg_table[ctx.a]]  # log(-a)
+    n, half = f.q - 1, (f.q - 1) // 2
+    log_r2 = (f.log_table[ctx.a] + half) % n  # log(-a)
     j = np.arange(2, f.q) if log_r2 % 2 == 0 else np.arange(0)  # j != 0, 1; no r: no locus
-    j = j[j != f.neg_table[1]]
-    x = f.mul(f.exp_table[log_r2 // 2],  # r (j-1)/(j+1)
-              f.mul(f.sub(j, 1), f.inv_table[f.add(j, 1)]))
-    x = np.sort(np.stack([x, f.neg_table[x]], axis=-1), axis=-1).ravel()  # each j's x ascending
-    j = np.repeat(j, 2)
-    w = ctx.phi(f.sub(x, f.mul(ctx.a, f.inv_table[x]))) * ctx.phi(j)
-    return exponent_sweep(f, 2 * f.log_table[j], w)[np.mod(lam1, f.q - 1)]
+    lj = f.log_table[j[j != f.neg_table[1]]]
+    lx = (log_r2 // 2 + half + f.zech[lj - half] - f.zech[lj]) % n  # log r (j-1)/(j+1)
+    t = (log_r2 - 2 * lx) % n  # x - a/x = x (1 + g^t), and 0 at t = log(-1)
+    roots = unit_roots(f)
+    w = np.where(t == half, 0.0, roots[half * (lx + f.zech[t]) % n]) * roots[half * lj % n]
+    return exponent_sweep(f, np.repeat(2 * lj, 2), np.repeat(w, 2))[np.mod(lam1, n)]
 
 
 def null_locus_closed(ctx: MixedSumContext, nu1) -> np.ndarray:
@@ -310,15 +311,12 @@ def double_mellin_matrix(field: FieldTable, P) -> np.ndarray:
 
 
 def double_mellin_closed(ctx: MixedSumContext, nu1, nu2) -> np.ndarray:
-    """Gauss-sum evaluation of T(nu1^4, nu2^4), elementwise over the
-    broadcast exponent arrays nu1 and nu2."""
-    f, e = ctx.field, ctx.A4.m
-    mu = np.mod(np.add(nu1, nu2), f.q - 1)
-    g1, g2 = _gauss_pairs(ctx, nu1), _gauss_pairs(ctx, nu2)
-    # chi(-mu - s e)(a) takes 7 distinct values per mu, s = m + n = 0..6
-    c = char_at(f, -np.arange(f.q - 1) - e * np.arange(7)[:, None], ctx.a)
-    total = sum(c[m + n][mu] * g1[n] * g2[m] for m in range(4) for n in range(4))
-    return char_at(f, e, f.neg_table[ctx.a]) * total / f.q
+    """Gauss-sum evaluation of T(nu1^4, nu2^4), elementwise over the broadcast
+    exponent arrays nu1 and nu2: its 16 terms factor, as chi(-nu1 - nu2 - (m + n) e)(a)
+    splits, into A4(-1/a) _root_sum(nu1) _root_sum(nu2) / q."""
+    f = ctx.field
+    c = char_at(f, ctx.A4.m, f.neg_table[f.inv_table[ctx.a]]) / f.q
+    return c * _root_sum(ctx, nu1) * _root_sum(ctx, nu2)
 
 
 def pair_coeffs(ctx: MixedSumContext, nu1) -> np.ndarray:

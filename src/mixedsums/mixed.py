@@ -102,13 +102,13 @@ def square_routes(ctx: MixedSumContext, i: int) -> Route:
         F(g^r, u) = sum_s [w(g^(-s)) psi(g^(s+2t+log a))] psi(g^(r-s)),
     whose kernel is free of a.  A route's bracket is weight times the
     window of psi(g^s) that starts at 2t + shift, and conv convolves it
-    with the route's kernel, transformed once here.  S(u, v) =
+    with the route's kernel, transformed once here (w is cached).  S(u, v) =
     F(u, v) / G(phi) + delta(v, 0) + delta(u, 0), so either route adds 1
     to column 0 and to row 0.
     """
     f = ctx.field
     x = f.exp_table  # x = g^s
-    w = ctx.phi(f.sub(f.mul(ctx.a, f.inv_table[x]), x))
+    w = ctx.cached("square_weight", lambda ctx: ctx.phi(f.sub(f.mul(ctx.a, f.inv_table[x]), x)))
     psi = psi_table(f)
     return (Route(w, 0, convolver(f, psi[f.mul(ctx.a, x)])) if i == 0 else
             Route(w[-np.arange(f.q - 1)], f.log_table[ctx.a], convolver(f, psi[x])))
@@ -128,8 +128,9 @@ def square_rows(ctx: MixedSumContext, columns: bool = False):
     routes = [square_routes(ctx, i) for i in range(1 + columns)]
     # psi(u x) over s is a window of psi(g^s) taken over three periods,
     # starting at 2t + shift < 2(q-1) for u = g^(2t), so the windows of
-    # consecutive rows are one strided view; psi(0 x) is all ones
-    windows = sliding_window_view(np.tile(psi_table(f)[f.exp_table], 3), n)
+    # consecutive rows are one strided view, cached; psi(0 x) is all ones
+    windows = f.cached("psi_windows", lambda f: sliding_window_view(
+        np.tile(psi_table(f)[f.exp_table], 3), n))
     g_phi = gauss(ctx.phi)
     blocks = list(f.blocks(np.arange(half + 1)))
     h = np.empty((len(blocks[0]), n), dtype=complex)

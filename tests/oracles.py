@@ -5,8 +5,10 @@ expected values are computed independently of the vectorized library path,
 but squares_table, which fills the squares table from its row blocks,
 p_order_main, which replays the main suite on the full table of P,
 gathered_double_mellin, which takes the double transform of P gathered in
-log order, and per_z_quad_transform and per_j_hyper_kernel, which replay
-one check each with one element per library call.
+log order, per_z_quad_transform and per_j_hyper_kernel, which replay
+one check each with one element per library call, and
+sixteen_term_double_mellin_closed, the closed form of the double transform
+as its 16 gathered Gauss-sum products.
 """
 
 import cmath
@@ -14,9 +16,10 @@ from itertools import product
 
 import numpy as np
 
-from mixedsums.chars import dft
+from mixedsums.chars import char_at, dft
 from mixedsums.harness import BRANCH_TOL, Checker, Checks
-from mixedsums.mellin import cross_form, hyper_kernel_closed_row, hyper_kernel_row
+from mixedsums.mellin import (_gauss_pairs, cross_form, hyper_kernel_closed_row,
+                              hyper_kernel_row)
 from mixedsums.mixed import make_context, mixed_table, square_rows, state_vector
 from mixedsums.sums import DEFAULT_TOL, exponent_sweep, gauss, quad_transform
 
@@ -265,6 +268,21 @@ def naive_double_mellin_closed(ctx, nu1, nu2):
             total += (coeff * naive_gauss(f, nu1 + (n - 1) * e) * naive_gauss(f, nu1 + n * e)
                       * gm)
     return chi_val(f, e, int(f.neg(a))) * total / f.q
+
+
+def sixteen_term_double_mellin_closed(ctx, nu1, nu2):
+    """The closed form of T(nu1^4, nu2^4) as the 16 gathered Gauss-sum
+    products, elementwise over the broadcast exponent arrays: A4(-a)/q
+    times the sum over m, n = 0..3 of chi(-nu1 - nu2 - (m + n) e)(a)
+    G(nu1 A4^(n-1)) G(nu1 A4^n) G(nu2 A4^(m-1)) G(nu2 A4^m), e the exponent
+    of A4, from the library's Gauss-sum pairs."""
+    f, e = ctx.field, ctx.A4.m
+    mu = np.mod(np.add(nu1, nu2), f.q - 1)
+    g1, g2 = _gauss_pairs(ctx, nu1), _gauss_pairs(ctx, nu2)
+    # chi(-mu - s e)(a) takes 7 distinct values per mu, s = m + n = 0..6
+    c = char_at(f, -np.arange(f.q - 1) - e * np.arange(7)[:, None], ctx.a)
+    total = sum(c[m + n][mu] * g1[n] * g2[m] for m in range(4) for n in range(4))
+    return char_at(f, e, f.neg_table[ctx.a]) * total / f.q
 
 
 def naive_pair_coeffs(ctx, nu1):

@@ -21,6 +21,22 @@ def test_dft_is_the_character_matrix_product(f13, f9):
             dft(f, np.ones(qm1 + 1))
 
 
+@pytest.mark.parametrize("pn", [(13, 1), (3, 4), (257, 1)])
+def test_dft_is_ifftn_bit_for_bit(pn):
+    # one ifft per axis, the last first, is np.fft.ifftn's own order: the
+    # same bits on one axis, and on two axes transformed in place
+    f = build_field(*pn)
+    n = f.q - 1
+    rng = np.random.default_rng(n)
+    for shape, axes in (((n,), (-1,)), ((3, n), (-1,)), ((n, 5), (0,)), ((n, n), (0, 1))):
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expect = np.fft.ifftn(h, axes=axes, norm="forward")
+        assert dft(f, h, axes).tobytes() == expect.tobytes()
+        if len(axes) == 2:
+            assert dft(f, h, axes, out=h) is h
+            assert h.tobytes() == expect.tobytes()
+
+
 def test_zero_maps_to_zero(f13):
     for m in range(f13.q - 1):
         assert MultChar(f13, m)(0) == 0

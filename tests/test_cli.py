@@ -71,6 +71,25 @@ def test_table_p(tmp_path):
         float(row[2]), float(row[3])
 
 
+def test_written_files_get_the_mode_open_would_give(tmp_path):
+    # a new report gets 0666 less the umask, and a file written over keeps
+    # its own mode, not the 0600 of the temp file it is renamed from
+    old = os.umask(0o022)
+    try:
+        report = tmp_path / "r.json"
+        assert main(["verify", "--q", "5", "--a", "1", "--suite", "main",
+                     "--out", str(report)]) == 0
+        assert report.stat().st_mode & 0o777 == 0o644
+        table = tmp_path / "p.csv"
+        table.write_text("old")
+        table.chmod(0o640)
+        assert main(["table", "--q", "5", "--a", "2", "--object", "P", "--out", str(table)]) == 0
+        assert table.stat().st_mode & 0o777 == 0o640
+        assert table.read_text().startswith("j,k,re,im")
+    finally:
+        os.umask(old)
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["table", "--q", "5", "--object", "Q"]) == 2
 

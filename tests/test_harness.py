@@ -17,7 +17,7 @@ from mixedsums import mellin as ml
 from mixedsums import sums
 from mixedsums.chars import psi_table, unit_roots
 from mixedsums.gf import FieldTable
-from mixedsums.harness import (SUITES, Checker, _factor_prime_power, _json_row,
+from mixedsums.harness import (SUITES, Checker, _factor_prime_power, _json_line, _json_row,
                                resolve_a_values, run_classical, run_main, run_mellin,
                                run_mellin_field, run_transforms)
 from mixedsums.mellin import mellin_v_closed, null_locus_sum
@@ -640,6 +640,18 @@ def test_json_row_is_asdict():
     nan = CheckReport("demo", 5, None, 3, math.nan, 1e-8, False)
     assert _json_row(nan) == {**asdict(nan), "max_abs_err": "nan"}
     assert list(_json_row(nan)) == list(asdict(nan))
+
+
+@pytest.mark.parametrize("err", [1.25e-11, 0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("a, instances", [(3, 10), (None, 1), (7, 2**31 + 5)])
+def test_json_line_is_the_encoders_row(err, a, instances):
+    # the row writer gives the bytes the standard encoder gives for
+    # _json_row, through encode_basestring_ascii for the strings
+    encode = json.JSONEncoder(allow_nan=False).encode
+    for check_id, passed in (("double_mellin", True), ("\u00e9t\u00e9 \"q\"\n", False)):
+        r = CheckReport(check_id, 49, a, instances, err, 1e-8, passed)
+        assert _json_line(r) == encode(_json_row(r))
+        assert _json_line(r).isascii()
 
 
 def test_json_and_csv_rows_of_one_run_agree(tmp_path):

@@ -396,6 +396,27 @@ def test_double_mellin_closed_root_shift(f13):
             assert abs(base - ml.double_mellin_closed(ctx, m1 + e, m2)) < 1e-9
 
 
+@pytest.mark.parametrize("pn", [(13, 1), (5, 2), (29, 1), (7, 2), (3, 4)])
+def test_double_mellin_closed_is_the_sixteen_term_sum(pn):
+    # chi(-nu1 - nu2 - (m + n) e)(a) = chi(-nu1 - n e)(a) chi(-nu2 - m e)(a),
+    # so the 16 gathered Gauss-sum products are one product of two root
+    # sums: for every pair of exponents, at a in {1, g, -1} and with either
+    # quartic character, the two agree to rounding.  The 8 x 8 part of
+    # run_mellin's root_shift_invariance compares the closed form at
+    # (nu1, nu2) and (nu1 + e, nu2 - e).  In either form that shift permutes
+    # the same 16 terms: each root sum's four Gauss-sum pairs move one place,
+    # and the character values move with them.  So the two sides differ only
+    # in rounding, and the row may read exactly 0, as it does at q = 5, a = 1.
+    f = build_field(*pn)
+    m = np.arange(f.q - 1)
+    for a in dict.fromkeys((1, f.g, int(f.neg_table[1]))):
+        for conj in (False, True):
+            ctx = make_context(f, a, conjugate_quartic=conj)
+            T = oracles.sixteen_term_double_mellin_closed(ctx, m[:, None], m)
+            got = ml.double_mellin_closed(ctx, m[:, None], m)
+            assert np.all(np.abs(got - T) <= 1e-12 * (1 + np.abs(T))), (a, conj)
+
+
 def test_pair_coeffs(f13):
     for a in (1, 2):
         ctx = make_context(f13, a)
