@@ -207,7 +207,9 @@ class FieldTable:
     def blocks(self, xs: np.ndarray, rows: int = 1):
         """Consecutive slices of xs of at most max(16, 2**14 // q) // rows entries
         (at least 1), each standing for rows rows of a sweep, so that each table
-        of a sweep stays near 2**14 values, or 16 rows at q > 1024."""
+        of a sweep stays near 2**14 values, or 16 rows at q > 1024.  The
+        harness cuts the values of a into batches as blocks(a_values, q), so
+        that a batch's q x q table P stays near 2**14 values."""
         step = max(1, max(16, 2**14 // self.q) // rows)
         return (xs[i:i + step] for i in range(0, len(xs), step))
 

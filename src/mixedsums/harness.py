@@ -27,8 +27,8 @@ from .sums import (
     jacobi,
     quad_transform,
 )
-from .mixed import (MixedSumContext, cell_logs, log_order, make_context, mixed_table,
-                    square_rows, state_vector)
+from .mixed import (MixedSumContext, cell_logs, log_order, make_context, mixed_table, per_a,
+                    scalar_mul, square_rows, state_vector)
 from . import mellin as ml
 
 SUITES = ("classical", "transforms", "main", "mellin")
@@ -105,69 +105,72 @@ class Scratch:
 
 
 class Checker:
-    """Folds comparisons of whole arrays into one CheckReport."""
+    """Folds comparisons of whole arrays into one CheckReport per a: with a
+    batch of a (a 1-D array), every comparison leads with its a axis, and
+    each a keeps its own worst error and verdict, in max_abs_err[i] and
+    passed[i] (i = 0 alone for one a, or for none)."""
 
-    def __init__(self, check_id: str, field: FieldTable, a: int | None, tol: float,
+    def __init__(self, check_id: str, field: FieldTable, a, tol: float,
                  scratch: Scratch | None = None):
         self.check_id = check_id
         self.q = field.q
         self.a = a
+        self.a_values = np.ravel(a).tolist()  # [None] for none
         self.tol = tol
         self.scratch = Scratch() if scratch is None else scratch
-        self.instances = 0
-        self.max_abs_err = 0.0
-        self.passed = True
+        self.instances = 0  # per a
+        self.max_abs_err = np.zeros(len(self.a_values))
+        self.passed = np.ones(len(self.a_values), dtype=bool)
 
     def compare_arrays(self, lhs, rhs, count=None):
         """Compare lhs with rhs elementwise after broadcasting them to one
         shape, with |lhs - rhs| <= tol * (1 + max(|lhs|, |rhs|)) at every
-        entry, counted as count instances (by default one per entry; an
-        entry may stand for several instances). A NaN error is kept once
-        seen, and a non-finite error always fails. A finite worst error of
-        at most tol passes with no bound computed: every bound is
-        tol * (1 + max(...)) >= tol in floating point. Every temporary of
-        the size of the comparison is a view of the scratch arrays; when lhs
-        and rhs are both real, the difference is taken in err, with no
-        complex difference."""
+        entry, counted as count instances per a (by default one per entry
+        of each a's row; an entry may stand for several instances). A NaN
+        error is kept once seen, and a non-finite error always fails. A
+        finite worst error of at most tol passes with no bound computed:
+        every bound is tol * (1 + max(...)) >= tol in floating point. Every
+        temporary of the size of the comparison is a view of the scratch
+        arrays; when lhs and rhs are both real, the difference is taken in
+        err, with no complex difference."""
         lhs, rhs = np.asarray(lhs), np.asarray(rhs)
         shape = (lhs.shape if lhs.shape == rhs.shape or not rhs.ndim
                  else np.broadcast_shapes(lhs.shape, rhs.shape)) or (1,)
         diff, err, mask = self.scratch.arrays(shape)
-        self.instances += err.size if count is None else count
+        self.instances += err.size // len(self.passed) if count is None else count
         if not err.size:
             return
         real = lhs.dtype.kind != "c" and rhs.dtype.kind != "c"
         np.abs(np.subtract(lhs, rhs, out=err if real else diff), out=err)
-        # max propagates NaN, so a finite max means every error is finite
-        worst = float(err.max())
-        if worst > self.max_abs_err or math.isnan(worst):
-            self.max_abs_err = worst
-        if not math.isfinite(worst):
-            self.passed = False
+        # max propagates NaN, so a finite max means every error of its a is
+        # finite, and maximum keeps a NaN once seen
+        rows = err.reshape(len(self.passed), -1)  # each a's entries, in a row
+        worst = rows.max(axis=1)
+        np.maximum(self.max_abs_err, worst, out=self.max_abs_err)
+        if all(w <= self.tol for w in worst.tolist()):  # False for NaN
             return
-        if worst <= self.tol:
-            return
+        self.passed &= np.isfinite(worst)
         # diff is spent: its memory holds the bound and |rhs|
         bound, abs_rhs = diff.reshape(-1).view(float).reshape((2,) + shape)
         np.abs(lhs, out=bound)
         np.maximum(bound, np.abs(rhs, out=abs_rhs), out=bound)
         bound += 1.0
         bound *= self.tol
-        if not np.less_equal(err, bound, out=mask).all():
-            self.passed = False
+        self.passed &= np.less_equal(err, bound, out=mask).reshape(rows.shape).all(axis=1)
 
     compare = compare_arrays
 
-    def report(self) -> CheckReport:
-        return CheckReport(self.check_id, self.q, self.a, self.instances,
-                           self.max_abs_err, self.tol, self.passed)
+    def report(self, i: int = 0) -> CheckReport:
+        """The report of the a at index i of the batch (of the one a by default)."""
+        return CheckReport(self.check_id, self.q, self.a_values[i], self.instances,
+                           float(self.max_abs_err[i]), self.tol, bool(self.passed[i]))
 
 
 class Checks(dict):
     """check_id -> Checker, each created on first use, all sharing one
     Scratch."""
 
-    def __init__(self, field: FieldTable, a: int | None, tol: float):
+    def __init__(self, field: FieldTable, a, tol: float):
         super().__init__()
         self.field, self.a, self.tol = field, a, tol
         self.scratch = Scratch()
@@ -180,8 +183,8 @@ class Checks(dict):
         return c
 
     def reports(self) -> list[CheckReport]:
-        """One report per check, in first-use order."""
-        return [c.report() for c in self.values()]
+        """One report per check, in first-use order, for each a in turn."""
+        return [c.report(i) for i in range(np.size(self.a)) for c in self.values()]
 
 
 # --- suites ---
@@ -263,7 +266,8 @@ def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckReport
     mixed.cell_logs: a row of S but its first stands for 2q pairs, the
     first for q.  So run_main never reads P and holds no S.  The zero row
     P(j, 0) is the diagonal u = v, P(k, j) is the cell itself, and P(-j, k)
-    is S(v, u), which the second route of square_rows computes."""
+    is S(v, u), which the second route of square_rows computes.  A batch
+    of a runs as one stream, with the a axis first in every array."""
     f = ctx.field
     q, n = f.q, f.q - 1
     half = n // 2
@@ -279,10 +283,11 @@ def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckReport
     branch.compare_arrays(W**2, V**2)  # W = +-V
 
     sides = [(log_order(f, X), check) for X, check in ((V, main), (W, branch))]
-    diagonal = np.append(V[0], V[f.exp_table[:half]])  # V(j) with j^2 = u, for each row u
-    m = len(next(f.blocks(diagonal)))
+    # V(j) with j^2 = u, for each row u
+    diagonal = np.concatenate((V[..., :1], V[..., f.exp_table[:half]]), axis=-1)
+    m = len(next(f.blocks(np.arange(half + 1))))
     logs = np.empty((2, m, half + 1), dtype=np.int64)
-    other = np.empty((m, half + 1), dtype=complex)
+    other = np.empty(np.shape(ctx.a) + (m, half + 1), dtype=complex)
     for rows, S, T in square_rows(ctx, columns=True):
         b = len(rows)
         top = int(rows[0] == 0)
@@ -292,21 +297,23 @@ def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckReport
         negation.compare_arrays(T, S, count)
         symmetry.compare_arrays(S, S, count)
         drift.compare_arrays(S.imag, 0.0, count)
-        zero_row.compare_arrays(S[np.arange(b), rows], V[0] * diagonal[rows], 2 * b - top)
+        zero_row.compare_arrays(S[..., np.arange(b), rows], V[..., :1] * diagonal[..., rows],
+                                2 * b - top)
         if top:  # j = k = 0
             expect = 2 + 2 * (gauss(ctx.A4) ** 2 / (q * ctx.A4(f.neg_table[ctx.a]))).real
-            corner.compare_arrays(S[0, 0], [expect, V[0] ** 2])
+            corner.compare_arrays(S[..., 0, :1],
+                                  np.array([expect, scalar_mul(V[..., 0], V[..., 0])]).T)
         jk = cell_logs(f, rows, logs[:, :b])
         for Xl, check in sides:  # T is spent: its buffer holds the products
-            Xk = Xl.take(jk[1], out=other[:b], mode="clip")
-            Xj = Xl.take(jk[0], out=T, mode="clip")
+            Xk = Xl.take(jk[1], axis=-1, out=other[..., :b, :], mode="clip")
+            Xj = Xl.take(jk[0], axis=-1, out=T, mode="clip")
             check.compare_arrays(S, np.multiply(Xj, Xk, out=T), count)
             # the pairs (k, j) and (-k, -j) give X(k)X(j), which rounds
             # apart from X(j)X(k) in its last bit
-            Xj = Xl.take(jk[0], out=T, mode="clip")
+            Xj = Xl.take(jk[0], axis=-1, out=T, mode="clip")
             check.compare_arrays(S, np.multiply(Xk, Xj, out=T), 0)
     j = f.units()
-    quarter.compare_arrays(V[f.mul(j, f.i_elem)], V[j])
+    quarter.compare_arrays(V[..., f.mul(j, f.i_elem)], V[..., j])
     return checks.reports()
 
 
@@ -336,9 +343,10 @@ def run_mellin(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckRepo
     assembly, and inverse-transform reconstruction.
 
     P is built once, read for P(j, 0) and turned into T in place.  T is
-    compared in FieldTable.blocks row blocks, read as views, against two
-    block buffers; it vanishes off the fourth-power pairs, whose closed form
-    each block computes."""
+    compared in FieldTable.blocks row blocks, read as views, against one
+    block buffer; it vanishes off the fourth-power pairs, whose closed form
+    each block computes.  A batch of a runs as one pass, with the a axis
+    first in every array."""
     f = ctx.field
     qm1 = f.q - 1
     m = np.arange(qm1)
@@ -351,7 +359,8 @@ def run_mellin(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckRepo
     checks["mellin_v"].compare_arrays(s_direct, s_closed)
     if qm1 % 8 == 0:
         checks["mellin_v_octic"].compare_arrays(
-            [s_closed[phi_m], s_direct[phi_m]], ml.mellin_v_octic(ctx))
+            np.stack([s_closed[..., phi_m], s_direct[..., phi_m]], axis=-1),
+            ml.mellin_v_octic(ctx)[..., None])
     P = mixed_table(ctx)
     checks["mellin_p0"].compare_arrays(ml.mellin_p0_all(f, P), ml.mellin_p0_closed(ctx, m))
     chi1 = (2 * m + phi_m) % qm1  # lam1^2 phi for lam1 = chi_m
@@ -363,25 +372,30 @@ def run_mellin(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckRepo
                                                       "product_assembly"))
     T = ml.double_mellin_matrix(f, P)
     roots = np.arange(qm1 // 4)
-    closed, outer = (np.empty((len(next(f.blocks(m))), qm1), dtype=complex) for _ in range(2))
+    buf = np.empty(np.shape(ctx.a) + (len(next(f.blocks(m))), qm1), dtype=complex)
     for rows in f.blocks(m):
         b = len(rows)
         fourth = rows % 4 == 0
-        closed[:b] = 0.0
-        closed[:b][fourth, ::4] = ml.double_mellin_closed(ctx, rows[fourth, None] // 4, roots)
-        Tb = T[rows[0]:rows[0] + b]
-        double.compare_arrays(Tb, closed[:b])
-        assembly.compare_arrays(np.multiply.outer(s_direct[rows], s_direct, out=outer[:b]), Tb)
+        other = buf[..., :b, :]  # the closed form, then the outer product
+        other[...] = 0.0
+        other[..., fourth, ::4] = ml.double_mellin_closed(ctx, rows[fourth, None] // 4, roots)
+        Tb = T[..., rows[0]:rows[0] + b, :]
+        double.compare_arrays(Tb, other)
+        assembly.compare_arrays(np.multiply(s_direct[..., rows, None], s_direct[..., None, :],
+                                            out=other), Tb)
     rj = ml.pair_coeffs(ctx, m)
     m4 = 4 * m
-    coeffs.compare_arrays(rj, ml.pair_coeffs_gauss(ctx, m))
-    coeffs.compare_arrays((rj * ctx.A4(ctx.a) ** np.arange(4)).sum(axis=1),
-                          T[m4 % qm1, -m4 % qm1])
+    # the coefficients are free of a, so every a gets the same comparison
+    coeffs.compare_arrays(np.broadcast_to(rj, np.shape(ctx.a) + rj.shape),
+                          ml.pair_coeffs_gauss(ctx, m))
+    coeffs.compare_arrays((rj * per_a(ctx, ctx.A4(ctx.a), 2) ** np.arange(4)).sum(axis=-1),
+                          T[..., m4 % qm1, -m4 % qm1])
     checks["inverse_mellin"].compare_arrays(ml.inverse_mellin(f, s_closed, f.units()),
-                                            state_vector(ctx)[1:])
+                                            state_vector(ctx)[..., 1:])
     checks["root_shift_invariance"].compare_arrays(
-        [ml.mellin_v_closed_root(ctx, m), ml.mellin_p0_closed_root(ctx, m)],
-        [ml.mellin_v_closed_root(ctx, m + e), ml.mellin_p0_closed_root(ctx, m + e)])
+        np.stack([ml.mellin_v_closed_root(ctx, m), ml.mellin_p0_closed_root(ctx, m)], axis=-2),
+        np.stack([ml.mellin_v_closed_root(ctx, m + e), ml.mellin_p0_closed_root(ctx, m + e)],
+                 axis=-2))
     few = m[:8]
     checks["root_shift_invariance"].compare_arrays(
         ml.double_mellin_closed(ctx, few[:, None], few),
@@ -405,7 +419,12 @@ def resolve_a_values(field: FieldTable, a_policy) -> list[int]:
 
 def run(config: SuiteConfig) -> list[CheckReport]:
     """Every suite of config over each field and each of its values of a, the
-    report written to config.out_path if set."""
+    report written to config.out_path if set.
+
+    main and mellin run once per batch of values of a, cut by
+    field.blocks(a_values, q) so that a batch's P stays near 2**14
+    entries; a batch of one runs as its one a.  The rows come per field:
+    the field suites, then for each a its main rows and its mellin rows."""
     reports: list[CheckReport] = []
     for p, n in config.fields:
         field = build_field(p, n)
@@ -415,12 +434,15 @@ def run(config: SuiteConfig) -> list[CheckReport]:
             reports.extend(run_transforms(field, config.tol))
         if "mellin" in config.suites:
             reports.extend(run_mellin_field(field, config.tol))
-        for a in resolve_a_values(field, config.a_policy):
-            ctx = make_context(field, a)
+        for batch in field.blocks(np.array(resolve_a_values(field, config.a_policy)), field.q):
+            ctx = make_context(field, batch if len(batch) > 1 else batch[0])
+            rows = []
             if "main" in config.suites:
-                reports.extend(run_main(ctx, config.tol))
+                rows += run_main(ctx, config.tol)
             if "mellin" in config.suites:
-                reports.extend(run_mellin(ctx, config.tol))
+                rows += run_mellin(ctx, config.tol)
+            position = {a: i for i, a in enumerate(batch.tolist())}
+            reports.extend(sorted(rows, key=lambda r: position[r.a]))  # stable: main first
     if config.out_path:
         emit_report(reports, config.format, config.out_path, config.fields)
     return reports
@@ -463,18 +485,22 @@ def check_out_path(path: str) -> None:
 def replacing(path: str):
     """A text file that replaces path once the block has run to its end: a
     temp file in path's directory, renamed over path (so a failure leaves
-    path as it was), with path's mode, or for a new file the mode of open()."""
+    path as it was), with path's mode, or for a new file the mode of open().
+    An OSError on the way names path, not the temp file."""
     check_out_path(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".report-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".report-")
         os.umask(umask := os.umask(0o022))  # reads the umask
         os.fchmod(fd, os.stat(path).st_mode & 0o7777 if os.path.exists(path) else 0o666 & ~umask)
         with os.fdopen(fd, "w", newline="") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror or str(exc), path) from exc
         raise
 
 

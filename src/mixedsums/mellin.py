@@ -10,7 +10,8 @@ strictly independent of each other.
 Characters enter as integer exponents (m stands for chi_m, reduced mod
 q-1), and the closed forms work elementwise over exponent arrays; only
 hyper_kernel_closed, the one-value view of hyper_kernel_closed_row, reads
-the exponent off a MultChar.
+the exponent off a MultChar.  A function of a context with a batch of a
+puts the a axis before the exponent axes (see mixed).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .gf import FieldError, FieldTable, ZeroArgument
 from .chars import MultChar, char_at, dft, unit_roots
-from .mixed import MixedSumContext, state_vector
+from .mixed import MixedSumContext, per_a, scalar_mul, state_vector
 from .sums import exponent_sweep, gauss_table, hyp2f1_many, jacobi
 
 
@@ -58,24 +59,24 @@ def mellin_v_all(ctx: MixedSumContext) -> np.ndarray:
     """S(chi_m) = sum over j != 0 of chi_m(j) V(j), for all m at once,
     as one DFT over log j."""
     f = ctx.field
-    return dft(f, state_vector(ctx)[f.exp_table])
+    return dft(f, state_vector(ctx)[..., f.exp_table])
 
 
 def _root_sum(ctx: MixedSumContext, nu) -> np.ndarray:
     """conj(nu)(a) sum over k of conj(A4)^(k-1)(a) G(nu A4^(k-1)) G(nu A4^k),
     the factor of S(nu^4), T(nu^4) and T(nu1^4, nu2^4), elementwise over the
-    exponent array nu, read from one length-(q-1) vector cached per context."""
+    exponent array nu, read from one length-(q-1) vector per a cached per context."""
     def build(ctx):
-        f, e, n = ctx.field, ctx.A4.m, np.arange(ctx.field.q - 1)
-        total = sum(char_at(f, (1 - k) * e, ctx.a) * g for k, g in enumerate(_gauss_pairs(ctx, n)))
-        return char_at(f, -n, ctx.a) * total
-    return ctx.cached("root_sum", build)[np.mod(nu, ctx.field.q - 1)]
+        f, e, n, a = ctx.field, ctx.A4.m, np.arange(ctx.field.q - 1), per_a(ctx, ctx.a)
+        total = sum(char_at(f, (1 - k) * e, a) * g for k, g in enumerate(_gauss_pairs(ctx, n)))
+        return char_at(f, -n, a) * total
+    return ctx.cached("root_sum", build)[..., np.mod(nu, ctx.field.q - 1)]
 
 
 def mellin_v_closed_root(ctx: MixedSumContext, nu) -> np.ndarray:
     """Gauss-sum evaluation of S(nu^4) for explicit fourth roots nu
     (an exponent array)."""
-    return _root_sum(ctx, nu) / ctx.tau
+    return _root_sum(ctx, nu) / per_a(ctx, ctx.tau, np.ndim(nu))
 
 
 def mellin_v_closed(ctx: MixedSumContext, m) -> np.ndarray:
@@ -85,24 +86,20 @@ def mellin_v_closed(ctx: MixedSumContext, m) -> np.ndarray:
     return np.where(m % 4 == 0, mellin_v_closed_root(ctx, m // 4), 0.0)
 
 
-def mellin_v_octic(ctx: MixedSumContext) -> complex:
+def mellin_v_octic(ctx: MixedSumContext) -> np.ndarray:
     """S(phi) written through the octic character chi_o, o = +-(q-1)/8 with
-    the sign that makes chi_o^2 the context's quartic character; valid when
-    8 | q-1."""
+    the sign that makes chi_o^2 the context's quartic character, one value
+    per a; valid when 8 | q-1."""
     f = ctx.field
     if (f.q - 1) % 8 != 0:
         raise FieldError("no octic character: 8 does not divide q-1")
     o = (f.q - 1) // 8
     if ctx.A4.m != 2 * o:
         o = -o
-    a = ctx.a
-    total = (
-        char_at(f, o, a) * _gauss(f, o) * _gauss(f, -o)
-        + char_at(f, 5 * o, a) * _gauss(f, 3 * o) * _gauss(f, -3 * o)
-        + char_at(f, 3 * o, a) * _gauss(f, -o) * _gauss(f, -3 * o)
-        + char_at(f, -o, a) * _gauss(f, o) * _gauss(f, 3 * o)
-    )
-    return complex(total / ctx.tau)
+    terms = np.array([(o, o, -o), (5 * o, 3 * o, -3 * o), (3 * o, -o, -3 * o), (-o, o, 3 * o)])
+    c, g1, g2 = terms.T.reshape((3, 4) + (1,) * np.ndim(ctx.a))  # a term on a first axis
+    t = scalar_mul(scalar_mul(char_at(f, c, ctx.a), _gauss(f, g1)), _gauss(f, g2))
+    return (t[0] + t[1] + t[2] + t[3]) / ctx.tau
 
 
 def v_moment_sum(ctx: MixedSumContext, lam: int) -> complex:
@@ -119,16 +116,16 @@ def v_moment_sum(ctx: MixedSumContext, lam: int) -> complex:
 def mellin_p0_all(field: FieldTable, P) -> np.ndarray:
     """T(chi_m) = sum over j != 0 of chi_m(j) P(j, 0), for all m at once,
     from the table P of mixed.mixed_table."""
-    return dft(field, P[field.exp_table, 0])
+    return dft(field, P[..., field.exp_table, 0])
 
 
 def mellin_p0_closed_root(ctx: MixedSumContext, nu) -> np.ndarray:
     """Gauss-sum evaluation of T(nu^4) for explicit fourth roots nu
     (an exponent array), with the factor before _root_sum cached per context."""
     f, e = ctx.field, ctx.A4.m
-    c = ctx.cached("p0_prefactor", lambda ctx: np.asarray(char_at(f, e, f.neg_table[1]) * (
-        (char_at(f, -e, ctx.a) * _gauss(f, e) + _gauss(f, -e)) / f.q)))
-    return c * _root_sum(ctx, nu)
+    c = ctx.cached("p0_prefactor", lambda ctx: scalar_mul(char_at(f, e, f.neg_table[1]), (
+        scalar_mul(char_at(f, -e, ctx.a), _gauss(f, e)) + _gauss(f, -e)) / f.q))
+    return per_a(ctx, c, np.ndim(nu)) * _root_sum(ctx, nu)
 
 
 def mellin_p0_closed(ctx: MixedSumContext, m) -> np.ndarray:
@@ -250,17 +247,20 @@ def null_locus_sum(ctx: MixedSumContext, lam1) -> np.ndarray:
     solved, not searched: x^2 (j+1)^2 = -a (j-1)^2 has no x at j = +-1, and
     else x = +-r (j-1)/(j+1) with r^2 = -a, so it is empty unless -a is a
     square; both x give the same term, and logs come from the Zech table.
-    chi1(j) = zeta^(lam1 2 log j) phi(j), so one exponent sweep covers every lam1."""
+    chi1(j) = zeta^(lam1 2 log j) phi(j), so one exponent sweep covers every lam1.
+    In a batch, the terms of an a with no locus weigh 0."""
     f = ctx.field
     n, half = f.q - 1, (f.q - 1) // 2
-    log_r2 = (f.log_table[ctx.a] + half) % n  # log(-a)
-    j = np.arange(2, f.q) if log_r2 % 2 == 0 else np.arange(0)  # j != 0, 1; no r: no locus
+    log_r2 = per_a(ctx, (f.log_table[ctx.a] + half) % n)  # log(-a)
+    empty = log_r2 % 2 == 1  # no r: no locus
+    j = np.arange(0) if empty.all() else np.arange(2, f.q)  # j != 0, 1
     lj = f.log_table[j[j != f.neg_table[1]]]
     lx = (log_r2 // 2 + half + f.zech[lj - half] - f.zech[lj]) % n  # log r (j-1)/(j+1)
     t = (log_r2 - 2 * lx) % n  # x - a/x = x (1 + g^t), and 0 at t = log(-1)
     roots = unit_roots(f)
-    w = np.where(t == half, 0.0, roots[half * (lx + f.zech[t]) % n]) * roots[half * lj % n]
-    return exponent_sweep(f, np.repeat(2 * lj, 2), np.repeat(w, 2))[np.mod(lam1, n)]
+    w = np.where((t == half) | empty, 0.0, roots[half * (lx + f.zech[t]) % n])
+    w = w * roots[half * lj % n]
+    return exponent_sweep(f, np.repeat(2 * lj, 2), np.repeat(w, 2, axis=-1))[..., np.mod(lam1, n)]
 
 
 def null_locus_closed(ctx: MixedSumContext, nu1) -> np.ndarray:
@@ -268,7 +268,7 @@ def null_locus_closed(ctx: MixedSumContext, nu1) -> np.ndarray:
     exponent array nu1."""
     f, e = ctx.field, ctx.A4.m
     jsum = sum(_jacobi_phi(f, np.add(nu1, k * e)) for k in range(4))
-    return (char_at(f, e, ctx.a) + char_at(f, -e, ctx.a)) * jsum
+    return per_a(ctx, char_at(f, e, ctx.a) + char_at(f, -e, ctx.a), np.ndim(nu1)) * jsum
 
 
 def cross_form_sum(ctx: MixedSumContext, lam1: int, lam2: int) -> complex:
@@ -290,33 +290,41 @@ def double_mellin_matrix(field: FieldTable, P) -> np.ndarray:
     this uses up P, the q x q table of mixed.mixed_table.  P is put in log
     order, index s for g^s and the element 0 last, by columns in row blocks
     through one reused block buffer, then by rows along the cycles of the
-    permutation s -> g^s, and T is its (q-1) x (q-1) view."""
+    permutation s -> g^s, and T is its (q-1) x (q-1) view.  The last two
+    axes of P are (j, k); a batch's a axis comes before them."""
     order = np.append(field.exp_table, 0)  # position s holds the element g^s
-    buf = np.empty((len(next(field.blocks(order))), field.q), dtype=complex)
-    for lo in range(0, field.q, len(buf)):
-        block = P[lo:lo + len(buf)]
-        block[:] = block.take(order, axis=1, out=buf[:len(block)], mode="clip")
-    moved, spare = np.zeros(field.q, dtype=bool), buf[0]
+    rows = len(next(field.blocks(order)))
+    buf = np.empty(P.shape[:-2] + (rows, field.q), dtype=complex)
+    for lo in range(0, field.q, rows):
+        block = P[..., lo:lo + rows, :]
+        block[...] = block.take(order, axis=-1, out=buf[..., :block.shape[-2], :], mode="clip")
+    by_row = np.moveaxis(P, -2, 0)  # by_row[s]: row s of P, for every a
+    moved, spare = np.zeros(field.q, dtype=bool), buf[..., 0, :]
     for start in range(field.q):
         if moved[start]:
             continue
-        spare[:] = P[start]
+        spare[...] = by_row[start]
         s = start
         while not moved[s]:  # row s takes row order[s], and the last the spare
             moved[s], t = True, order[s]
-            P[s] = spare if t == start else P[t]
+            by_row[s] = spare if t == start else by_row[t]
             s = t
-    T = P[:-1, :-1]
-    return dft(field, T, axes=(0, 1), out=T)
+    T = P[..., :-1, :-1]
+    return dft(field, T, axes=(-2, -1), out=T)
 
 
 def double_mellin_closed(ctx: MixedSumContext, nu1, nu2) -> np.ndarray:
     """Gauss-sum evaluation of T(nu1^4, nu2^4), elementwise over the broadcast
     exponent arrays nu1 and nu2: its 16 terms factor, as chi(-nu1 - nu2 - (m + n) e)(a)
-    splits, into A4(-1/a) _root_sum(nu1) _root_sum(nu2) / q."""
+    splits, into A4(-1/a) _root_sum(nu1) _root_sum(nu2) / q.  The product
+    is taken for one a at a time, in the shapes of nu1 and nu2: numpy rounds
+    a complex product of one entry that it broadcasts with no fused
+    multiply-add, and larger ones with it, so each a keeps its own bits."""
     f = ctx.field
     c = char_at(f, ctx.A4.m, f.neg_table[f.inv_table[ctx.a]]) / f.q
-    return c * _root_sum(ctx, nu1) * _root_sum(ctx, nu2)
+    r1, r2 = (_root_sum(ctx, nu).reshape((-1,) + np.shape(nu)) for nu in (nu1, nu2))
+    products = [ci * x * y for ci, x, y in zip(np.ravel(c), r1, r2)]
+    return np.array(products).reshape(np.shape(ctx.a) + products[0].shape)
 
 
 def pair_coeffs(ctx: MixedSumContext, nu1) -> np.ndarray:
@@ -360,4 +368,4 @@ def inverse_mellin(field: FieldTable, spec, j) -> np.ndarray:
     j = np.asarray(j)
     if np.any(j == 0):
         raise ZeroArgument("inverse transform is defined on F_q* only")
-    return dft(field, spec)[np.mod(-field.log_table[j], field.q - 1)] / (field.q - 1)
+    return dft(field, spec)[..., np.mod(-field.log_table[j], field.q - 1)] / (field.q - 1)

@@ -6,6 +6,10 @@ parameter a in F_q*, the quartic character, and the normalizing constant
 tau with tau^2 = q * A4(-a).  The branch of the square root is fixed
 deterministically (see make_context); the other branch would negate
 every V(j) and leave P = V(j)V(k) unchanged.
+
+a is an axis: a context may hold one a or a 1-D array of B values, and
+every per-context array then has a leading axis of length B (none for
+one a), each of whose rows is what that a alone gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ class ParameterOutOfRange(FieldError):
 @dataclass
 class MixedSumContext:
     field: FieldTable
-    a: int
+    a: int | np.ndarray  # one a, or a 1-D array of them
     A4: MultChar
-    tau: complex
+    tau: complex | np.ndarray  # one per a
     _cache: dict = dc_field(default_factory=dict, repr=False)
 
     @property
@@ -40,23 +44,45 @@ class MixedSumContext:
     cached = FieldTable.cached  # a per-context table, built once and read-only
 
 
-def make_context(field: FieldTable, a: int, conjugate_quartic: bool = False) -> MixedSumContext:
-    """Fix (a, A4, tau) over the given field.
+def make_context(field: FieldTable, a, conjugate_quartic: bool = False) -> MixedSumContext:
+    """Fix (a, A4, tau) over the given field, for one a or for a 1-D array
+    of values of a (a batch, with one tau per a).
 
     tau is minus the principal square root of q * A4(-a): the quartic value
     A4(-a) is i^k for an exact k in {0,1,2,3}, and the principal root
     sqrt(q) * exp(i*pi*k/4) is the one with argument in [0, pi).
     """
-    a = int(a)
-    if a == 0:
+    batch = np.ndim(a) > 0
+    a = np.array(a, dtype=np.int64) if batch else int(a)
+    values = np.ravel(a).tolist()
+    if 0 in values:
         raise ZeroArgument("the parameter a must be nonzero")
-    if not 1 <= a < field.q:
-        raise ParameterOutOfRange(f"a = {a} is not an element index in 1..{field.q - 1}")
+    bad = [x for x in values if not 1 <= x < field.q]
+    if bad:
+        raise ParameterOutOfRange(f"a = {bad[0]} is not an element index in 1..{field.q - 1}")
     quarter = (field.q - 1) // 4
     A4 = MultChar(field, -quarter if conjugate_quartic else quarter)
     k = ((A4.m * field.log_table[field.neg_table[a]]) % (field.q - 1)) // quarter
     tau = -np.sqrt(field.q) * np.exp(1j * np.pi * k / 4)
-    return MixedSumContext(field=field, a=a, A4=A4, tau=complex(tau))
+    return MixedSumContext(field=field, a=a, A4=A4, tau=tau if batch else complex(tau))
+
+
+def per_a(ctx: MixedSumContext, x, ndim: int = 1) -> np.ndarray:
+    """x, one value per a of ctx, with ndim axes of length 1 after the a
+    axis, so that it broadcasts over a per-context array with ndim axes
+    after it."""
+    return np.asarray(x).reshape(np.shape(ctx.a) + (1,) * ndim)
+
+
+def scalar_mul(x, y) -> np.ndarray:
+    """x * y elementwise, rounded as numpy rounds the product of two complex
+    scalars, with no fused multiply-add (numpy's complex array loops may
+    fuse): a per-a value that one a computes from scalars keeps its bits
+    in a batch."""
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    out = np.asarray(x.real * y.real - x.imag * y.imag, dtype=complex)
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
 
 
 def state_vector(ctx: MixedSumContext) -> np.ndarray:
@@ -70,15 +96,18 @@ def state_vector(ctx: MixedSumContext) -> np.ndarray:
         K[r] = sum_s A4(g^s) psi(g^s) psi(g^(r-s)),
     one FFT product for every c at once, and tau V(j) = K[log a + 4 log j].
     K does not depend on a, so it is cached per field and quartic exponent.
+    V(0) is taken in Python complex arithmetic, one a at a time, as for one a.
     """
     def build(ctx):
         f = ctx.field
         K = f.cached(("state_kernel", ctx.A4.m), lambda f: convolver(  # x = g^s
             f, psi_table(f)[f.exp_table])(ctx.A4(f.exp_table) * psi_table(f)[f.exp_table]))
-        v = np.empty(f.q, dtype=complex)
-        v[1:] = K[(f.log_table[ctx.a] + 4 * f.log_table[1:]) % (f.q - 1)] / ctx.tau
+        v = np.empty(np.shape(ctx.a) + (f.q,), dtype=complex)
+        logs = per_a(ctx, f.log_table[ctx.a]) + 4 * f.log_table[1:]
+        v[..., 1:] = K[logs % (f.q - 1)] / per_a(ctx, ctx.tau)
         g4 = gauss(ctx.A4)
-        v[0] = g4 / ctx.tau + ctx.tau / g4
+        v[..., 0] = np.reshape([g4 / t + t / g4 for t in np.ravel(ctx.tau).tolist()],
+                               np.shape(ctx.a))
         return v
     return ctx.cached("state", build)
 
@@ -108,10 +137,11 @@ def square_routes(ctx: MixedSumContext, i: int) -> Route:
     """
     f = ctx.field
     x = f.exp_table  # x = g^s
-    w = ctx.cached("square_weight", lambda ctx: ctx.phi(f.sub(f.mul(ctx.a, f.inv_table[x]), x)))
+    a = per_a(ctx, ctx.a)
+    w = ctx.cached("square_weight", lambda ctx: ctx.phi(f.sub(f.mul(a, f.inv_table[x]), x)))
     psi = psi_table(f)
-    return (Route(w, 0, convolver(f, psi[f.mul(ctx.a, x)])) if i == 0 else
-            Route(w[-np.arange(f.q - 1)], f.log_table[ctx.a], convolver(f, psi[x])))
+    return (Route(w, 0, convolver(f, psi[f.mul(a, x)][..., None, :])) if i == 0 else
+            Route(w[..., -np.arange(f.q - 1)], f.log_table[ctx.a], convolver(f, psi[x])))
 
 
 def square_rows(ctx: MixedSumContext, columns: bool = False):
@@ -119,13 +149,17 @@ def square_rows(ctx: MixedSumContext, columns: bool = False):
     ((j+k)^2, (j-k)^2), in FieldTable.blocks row blocks, each from one
     convolution per row: yields (rows, block, cols) with block = S[rows]
     from route 0 of square_routes, and cols None, or with columns,
-    cols[i, v] = S(v, rows[i]) from route 1.  The blocks are views of
-    buffers that the next step overwrites, so no array grows as q^2.
+    cols[i, v] = S(v, rows[i]) from route 1, each after the a axis.  The
+    blocks are views of buffers that the next step overwrites, so no array
+    grows as q^2.
     """
     f = ctx.field
     n = f.q - 1
     half = n // 2
     routes = [square_routes(ctx, i) for i in range(1 + columns)]
+    # (index, shift) of each window a route copies: route 0's shift is free
+    # of a, so one copy fills every a; route 1 shifts by log a, one per a
+    shifts = [list(np.ndenumerate(np.asarray(route.shift))) for route in routes]
     # psi(u x) over s is a window of psi(g^s) taken over three periods,
     # starting at 2t + shift < 2(q-1) for u = g^(2t), so the windows of
     # consecutive rows are one strided view, cached; psi(0 x) is all ones
@@ -133,23 +167,25 @@ def square_rows(ctx: MixedSumContext, columns: bool = False):
         np.tile(psi_table(f)[f.exp_table], 3), n))
     g_phi = gauss(ctx.phi)
     blocks = list(f.blocks(np.arange(half + 1)))
-    h = np.empty((len(blocks[0]), n), dtype=complex)
-    out = np.empty((2, len(h), half + 1), dtype=complex)
+    lead = np.shape(ctx.a)
+    h = np.empty(lead + (len(blocks[0]), n), dtype=complex)
+    out = np.empty((2,) + h.shape[:-1] + (half + 1,), dtype=complex)
     for rows in blocks:
         b = len(rows)
         top = int(rows[0] == 0)
         lo = 2 * (rows[top] - 1)  # 2t for the first row u = g^(2t)
-        hb = h[:b]
-        for o, route in zip(out[:, :b], routes):
-            hb[:top] = 1.0
-            hb[top:] = windows[lo + route.shift:lo + route.shift + 2 * (b - top):2]
-            hb *= route.weight
-            o[:, 0] = hb.sum(axis=1)
-            o[:, 1:] = route.conv(hb, out=hb)[:, ::2]
+        hb, ob = h[..., :b, :], out[..., :b, :]
+        for o, route, starts in zip(ob, routes, shifts):
+            hb[..., :top, :] = 1.0
+            for i, shift in starts:
+                hb[i][..., top:, :] = windows[lo + shift:lo + shift + 2 * (b - top):2]
+            hb *= route.weight[..., None, :]
+            o[..., 0] = hb.sum(axis=-1)
+            o[..., 1:] = route.conv(hb, out=hb)[..., ::2]
             o /= g_phi
-            o[:, 0] += 1.0
-            o[:top] += 1.0  # the row u = 0, in the first block
-        yield rows, out[0, :b], out[1, :b] if columns else None
+            o[..., 0] += 1.0
+            o[..., :top, :] += 1.0  # the row u = 0, in the first block
+        yield rows, ob[0], ob[1] if columns else None
 
 
 def log_order(field: FieldTable, X) -> np.ndarray:
@@ -157,8 +193,8 @@ def log_order(field: FieldTable, X) -> np.ndarray:
     for s = 0..q-2, again for s = 0..(q-1)/2 - 1, then X(0) (q-1)/2
     times, 2(q-1) entries."""
     half = (field.q - 1) // 2
-    Xl = X[field.exp_table]
-    return np.concatenate((Xl, Xl[:half], np.full(half, X[0])))
+    Xl = X[..., field.exp_table]
+    return np.concatenate((Xl, Xl[..., :half], np.repeat(X[..., :1], half, axis=-1)), axis=-1)
 
 
 def cell_logs(field: FieldTable, rows, out) -> np.ndarray:
@@ -214,11 +250,11 @@ def mixed_table(ctx: MixedSumContext) -> np.ndarray:
     f = ctx.field
     half = (f.q - 1) // 2
     elems = log_order(f, np.arange(f.q))
-    P = np.empty((f.q, f.q), dtype=complex)
+    P = np.empty(np.shape(ctx.a) + (f.q, f.q), dtype=complex)
     for rows, block, _ in square_rows(ctx):
         jk = cell_logs(f, rows, np.empty((2, len(rows), half + 1), dtype=np.int64))
         j, k = elems.take(jk, out=jk, mode="clip")  # in place: each entry reads only itself
         nj, nk = f.neg_table[jk]
         for x, y in ((j, k), (k, j), (nj, nk), (nk, nj)):
-            P[x, y] = block
+            P[..., x, y] = block
     return P

@@ -258,3 +258,20 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "error:" in err.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("target", ["tempfile.mkstemp", "os.replace"])
+def test_io_error_names_the_report_path(monkeypatch, capsys, tmp_path, target):
+    # an OSError from making the temp file or from renaming it over the
+    # report names the report path the user gave, not the temp file; the
+    # exit code is 2 and no temp file is left behind
+    def refused(*args, **kwargs):
+        temp = tmp_path / ".report-abc123"
+        raise OSError(13, "Permission denied", str(temp), *([args[1]] if args[1:] else []))
+
+    monkeypatch.setattr(target, refused)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--q", "5", "--a", "1", "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err == f"io error: [Errno 13] Permission denied: {str(out)!r}\n"

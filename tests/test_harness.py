@@ -254,7 +254,8 @@ def test_suites_build_p_once_and_hold_no_squares_table(monkeypatch):
     # main and mellin each stream S, and no context keeps it; run_mellin
     # builds P once per context (mixed_table), reads P(j, 0) from it and
     # turns it into T, and nothing else builds P, for every choice of
-    # suites that includes main, mellin or both
+    # suites that includes main, mellin or both.  Each field's two values
+    # of a run as one batch, in one context
     contexts, mellin_runs, built = [], [], []
 
     def keep(seen, x):
@@ -274,7 +275,8 @@ def test_suites_build_p_once_and_hold_no_squares_table(monkeypatch):
         reports = run(SuiteConfig(fields=[(5, 1), (13, 1)], a_policy=[1, 2], suites=suites))
         assert all(r.passed for r in reports), suites
         assert contexts and not any("squares" in ctx._cache for ctx in contexts), suites
-        assert len(mellin_runs) == (4 if "mellin" in suites else 0), suites
+        assert len(mellin_runs) == (2 if "mellin" in suites else 0), suites
+        assert all(list(ctx.a) == [1, 2] for ctx in mellin_runs), suites
         assert list(map(id, built)) == list(map(id, mellin_runs)), suites
 
 
