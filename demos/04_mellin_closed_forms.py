@@ -11,6 +11,7 @@ import numpy as np
 
 from mixedsums import build_field, make_context, mixed_table, state_vector
 from mixedsums import mellin as ml
+from mixedsums.mixed import element_order
 
 f = build_field(13, 1)
 ctx = make_context(f, 3)
@@ -24,12 +25,18 @@ print(f"  nonzero entries (fourth powers only): "
 print(f"  max |direct - closed| over all chi: "
       f"{np.abs(direct_S - closed_S).max():.3e}")
 
+# P is in log order on both axes (index s for g^s, the last for 0), the
+# layout the transforms read; element_order reads it by element.
 P = mixed_table(ctx)
+i = element_order(f)
+zero_row = P[i, i[0]]  # P(j, 0) for j = 0..q-1
 direct_T = ml.mellin_p0_all(f, P)
 closed_T = ml.mellin_p0_closed(ctx, m)
 print("T(chi): transform of the zero row of P")
 print(f"  max |direct - closed| over all chi: "
       f"{np.abs(direct_T - closed_T).max():.3e}")
+print(f"  |T(trivial) - sum of P(j, 0) over j != 0| = "
+      f"{abs(direct_T[0] - zero_row[1:].sum()):.3e}")
 
 # The double transform of the full table is the outer product of S with itself;
 # it is computed in P's own buffer, which it uses up.

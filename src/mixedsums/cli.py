@@ -12,10 +12,8 @@ import contextlib
 import csv
 import sys
 
-import numpy as np
-
 from .gf import FieldError, build_field
-from .mixed import make_context, mixed_table, state_vector
+from .mixed import element_order, make_context, mixed_table, state_vector
 from .harness import (A_POLICIES, SUITES, ConfigError, SuiteConfig, _factor_prime_power,
                       replacing, run)
 from .sums import DEFAULT_TOL
@@ -74,13 +72,11 @@ def cmd_verify(args) -> int:
     config = SuiteConfig(fields=fields, a_policy=_parse_a(args.a), suites=suites,
                          tol=args.tol, out_path=args.out, format=args.format)
     reports = run(config)
-    for r in reports:
-        status = "pass" if r.passed else "FAIL"
-        a_part = f" a={r.a}" if r.a is not None else ""
-        print(f"{status} {r.check_id} q={r.q}{a_part} "
-              f"instances={r.instances} max_err={r.max_abs_err:.3e}")
     failed = sum(not r.passed for r in reports)
-    print(f"{len(reports) - failed}/{len(reports)} checks passed")
+    lines = [f"{'pass' if r.passed else 'FAIL'} {r.check_id} q={r.q}"
+             + ("" if r.a is None else f" a={r.a}")
+             + f" instances={r.instances} max_err={r.max_abs_err:.3e}\n" for r in reports]
+    sys.stdout.write("".join(lines) + f"{len(reports) - failed}/{len(reports)} checks passed\n")
     return 1 if failed else 0
 
 
@@ -96,8 +92,10 @@ def cmd_table(args) -> int:
                 writer.writerow([j, repr(float(v.real)), repr(float(v.imag))])
         else:
             writer.writerow(["j", "k", "re", "im"])
-            for (j, k), z in np.ndenumerate(mixed_table(ctx)):
-                writer.writerow([j, k, repr(float(z.real)), repr(float(z.imag))])
+            P, at = mixed_table(ctx), element_order(field)
+            for j, row in enumerate(at):  # P(j, k) by element, one row at a time
+                for k, z in enumerate(P[row, at].tolist()):
+                    writer.writerow([j, k, repr(z.real), repr(z.imag)])
     return 0
 
 

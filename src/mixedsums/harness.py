@@ -517,18 +517,18 @@ def emit_report(reports: list[CheckReport], format: str, path: str,
     with replacing(path) as fh:
         if format == "json":
             encode = json.JSONEncoder(allow_nan=False).encode
-            groups = []
-            for p, n in fields:
-                runs = ",\n".join(_json_line(r) for r in reports if r.q == p**n)
-                groups.append(f'{{"field": {encode(_field_header(p, n))}, "runs": [\n{runs}\n]}}')
+            runs: dict[int, list[str]] = {}
+            for r in reports:
+                runs.setdefault(r.q, []).append(_json_line(r))
+            groups = [f'{{"field": {encode(_field_header(p, n))}, "runs": [\n'
+                      + ",\n".join(runs.get(p**n, ())) + "\n]}" for p, n in fields]
             fh.write("[\n" + ",\n".join(groups) + "\n]\n")
         else:
             writer = csv.writer(fh)
             writer.writerow(["check_id", "q", "a", "instances", "max_abs_err", "tol", "pass"])
-            for r in reports:
-                writer.writerow([r.check_id, r.q, "" if r.a is None else r.a,
-                                 r.instances, repr(r.max_abs_err), repr(r.tol),
-                                 str(r.passed).lower()])
+            writer.writerows([r.check_id, r.q, "" if r.a is None else r.a, r.instances,
+                              repr(r.max_abs_err), repr(r.tol), str(r.passed).lower()]
+                             for r in reports)
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:

@@ -115,8 +115,9 @@ def v_moment_sum(ctx: MixedSumContext, lam: int) -> complex:
 
 def mellin_p0_all(field: FieldTable, P) -> np.ndarray:
     """T(chi_m) = sum over j != 0 of chi_m(j) P(j, 0), for all m at once,
-    from the table P of mixed.mixed_table."""
-    return dft(field, P[..., field.exp_table, 0])
+    as one DFT of P(g^s, 0), the last column of the table P of
+    mixed.mixed_table but its last entry."""
+    return dft(field, P[..., :-1, -1])
 
 
 def mellin_p0_closed_root(ctx: MixedSumContext, nu) -> np.ndarray:
@@ -286,29 +287,9 @@ def cross_form_sum(ctx: MixedSumContext, lam1: int, lam2: int) -> complex:
 
 def double_mellin_matrix(field: FieldTable, P) -> np.ndarray:
     """T(chi_m1, chi_m2) = sum over j, k != 0 of chi_m1(j) chi_m2(k) P(j, k),
-    for all pairs, as one 2-D DFT over (log j, log k) in P's own buffer:
-    this uses up P, the q x q table of mixed.mixed_table.  P is put in log
-    order, index s for g^s and the element 0 last, by columns in row blocks
-    through one reused block buffer, then by rows along the cycles of the
-    permutation s -> g^s, and T is its (q-1) x (q-1) view.  The last two
-    axes of P are (j, k); a batch's a axis comes before them."""
-    order = np.append(field.exp_table, 0)  # position s holds the element g^s
-    rows = len(next(field.blocks(order)))
-    buf = np.empty(P.shape[:-2] + (rows, field.q), dtype=complex)
-    for lo in range(0, field.q, rows):
-        block = P[..., lo:lo + rows, :]
-        block[...] = block.take(order, axis=-1, out=buf[..., :block.shape[-2], :], mode="clip")
-    by_row = np.moveaxis(P, -2, 0)  # by_row[s]: row s of P, for every a
-    moved, spare = np.zeros(field.q, dtype=bool), buf[..., 0, :]
-    for start in range(field.q):
-        if moved[start]:
-            continue
-        spare[...] = by_row[start]
-        s = start
-        while not moved[s]:  # row s takes row order[s], and the last the spare
-            moved[s], t = True, order[s]
-            by_row[s] = spare if t == start else by_row[t]
-            s = t
+    for all pairs: the 2-D DFT over (log j, log k) of the (q-1) x (q-1)
+    corner of P, the table of mixed.mixed_table in log order, in place,
+    which uses P up.  P's last two axes are (j, k), after a batch's a."""
     T = P[..., :-1, :-1]
     return dft(field, T, axes=(-2, -1), out=T)
 

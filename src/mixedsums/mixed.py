@@ -238,23 +238,33 @@ def cell_logs(field: FieldTable, rows, out) -> np.ndarray:
     return out
 
 
+def element_order(field: FieldTable) -> np.ndarray:
+    """Where each element of F_q (index order) sits on an axis in log
+    order, index s for g^s and q-1 for 0: log x for x != 0 and q-1 for 0,
+    cached.  With i = element_order(field), P[..., i[j], i[k]] is P(j, k)."""
+    return field.cached("element_order", lambda f: np.append(f.q - 1, f.log_table[1:]))
+
+
 def mixed_table(ctx: MixedSumContext) -> np.ndarray:
-    """The full q x q table of P(j,k) in index order, built on each call and
-    not cached, scattered from the squares table: each row block of
-    square_rows is written at the pair (j, k) that cell_logs gives for each
-    of its cells, and at (k, j), (-j, -k) and (-k, -j).  These are all the
-    pairs of the cell, so every entry of P is a copy of one cell of S, and
-    no q x q index array is built.  The suites' one q x q array: mellin
-    reads P(j, 0) from it and turns it into T (mellin.double_mellin_matrix).
+    """The full q x q table of P(j,k) in log order on both axes (see
+    element_order), built on each call and not cached, scattered from the
+    squares table: each row block of square_rows is written at the pair
+    (j, k) that cell_logs gives for each of its cells, and at (k, j),
+    (-j, -k) and (-k, -j), -x at log x + (q-1)/2.  These are all the pairs
+    of the cell, so every entry of P is a copy of one cell of S.  The
+    suites' one q x q array: mellin reads P(j, 0) as its last column and
+    turns its corner into T in place (mellin.double_mellin_matrix).
     """
     f = ctx.field
-    half = (f.q - 1) // 2
-    elems = log_order(f, np.arange(f.q))
-    P = np.empty(np.shape(ctx.a) + (f.q, f.q), dtype=complex)
+    q, half = f.q, (f.q - 1) // 2
+    at = log_order(f, element_order(f))  # P's index of each position cell_logs gives
+    neg = np.append((np.arange(q - 1) + half) % (q - 1), q - 1)  # P's index of -x, by that of x
+    P = np.empty(np.shape(ctx.a) + (q, q), dtype=complex)
+    flat = P.reshape(np.shape(ctx.a) + (q * q,))
     for rows, block, _ in square_rows(ctx):
         jk = cell_logs(f, rows, np.empty((2, len(rows), half + 1), dtype=np.int64))
-        j, k = elems.take(jk, out=jk, mode="clip")  # in place: each entry reads only itself
-        nj, nk = f.neg_table[jk]
+        j, k = at.take(jk, out=jk, mode="clip")  # in place: each entry reads only itself
+        nj, nk = neg[jk]
         for x, y in ((j, k), (k, j), (nj, nk), (nk, nj)):
-            P[..., x, y] = block
+            flat[..., x * q + y] = block
     return P

@@ -2,7 +2,8 @@
 
 Everything here is written with plain Python loops and cmath so the
 expected values are computed independently of the vectorized library path,
-but squares_table, which fills the squares table from its row blocks,
+but element_table, which reads the table of P by element,
+squares_table, which fills the squares table from its row blocks,
 p_order_main, which replays the main suite on the full table of P,
 gathered_double_mellin, which takes the double transform of P gathered in
 log order, per_z_quad_transform and per_j_hyper_kernel, which replay
@@ -20,7 +21,8 @@ from mixedsums.chars import char_at, dft
 from mixedsums.harness import BRANCH_TOL, Checker, Checks
 from mixedsums.mellin import (_gauss_pairs, cross_form, hyper_kernel_closed_row,
                               hyper_kernel_row)
-from mixedsums.mixed import make_context, mixed_table, square_rows, state_vector
+from mixedsums.mixed import (element_order, make_context, mixed_table, square_rows,
+                             state_vector)
 from mixedsums.sums import DEFAULT_TOL, exponent_sweep, gauss, quad_transform
 
 
@@ -85,14 +87,22 @@ def naive_mixed_sum(f, a, j, k):
     return val
 
 
+def element_table(ctx):
+    """The table P of mixed_table, which is in log order on both axes, read
+    by element through mixed.element_order: P(j, k) at [..., j, k], in a
+    second q x q array."""
+    i = element_order(ctx.field)
+    return mixed_table(ctx)[..., i[:, None], i]
+
+
 def p_order_main(ctx, tol=DEFAULT_TOL):
     """The main suite as it ran when it read P entry by entry: each check
-    on the q x q table mixed_table in index order, one instance per entry,
+    on the q x q table of P in index order, one instance per entry,
     with negation_symmetry reading P at (-j, k).  Its reports are those of
     harness.run_main, which reads each cell of the squares table once."""
     f = ctx.field
     q, n = f.q, f.q - 1
-    P = mixed_table(ctx)
+    P = element_table(ctx)
     V = state_vector(ctx)
     W = state_vector(make_context(f, ctx.a, conjugate_quartic=ctx.A4.m == n // 4))
     checks = Checks(f, ctx.a, tol)
@@ -126,11 +136,11 @@ def squares_table(ctx):
 
 
 def gathered_double_mellin(ctx):
-    """The double transform T of the table mixed_table in index order,
+    """The double transform T of the table of P in index order,
     gathered into a second array in log order along both axes, then one
     2-D DFT in place."""
     f = ctx.field
-    T = mixed_table(ctx)[np.ix_(f.exp_table, f.exp_table)]
+    T = element_table(ctx)[np.ix_(f.exp_table, f.exp_table)]
     return dft(f, T, axes=(0, 1), out=T)
 
 

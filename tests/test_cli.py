@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from mixedsums import build_field
 from mixedsums.cli import main, parse_q
+from oracles import naive_mixed_sum
 
 
 def test_parse_q():
@@ -61,14 +63,21 @@ def test_table_v(capsys):
 
 
 def test_table_p(tmp_path):
+    # P is kept in log order, and the table writes it by element: row
+    # (j, k) is P(j, k) for the element indices j and k, in index order
     out = tmp_path / "p.csv"
-    code = main(["table", "--q", "5", "--a", "2", "--object", "P", "--out", str(out)])
-    assert code == 0
-    rows = list(csv.reader(out.open()))
-    assert rows[0] == ["j", "k", "re", "im"]
-    assert len(rows) == 1 + 25
-    for row in rows[1:]:
-        float(row[2]), float(row[3])
+    for q, a_values in ((5, (2, 3)), (13, (1, 6))):
+        f = build_field(q, 1)
+        for a in a_values:
+            argv = ["table", "--q", str(q), "--a", str(a), "--object", "P", "--out", str(out)]
+            assert main(argv) == 0
+            rows = list(csv.reader(out.open()))
+            assert rows[0] == ["j", "k", "re", "im"]
+            assert [(int(j), int(k)) for j, k, _, _ in rows[1:]] == [
+                (j, k) for j in range(q) for k in range(q)]
+            for j, k, re, im in rows[1:]:
+                expect = naive_mixed_sum(f, a, int(j), int(k))
+                assert abs(complex(float(re), float(im)) - expect) < 1e-10, (q, a, j, k)
 
 
 def test_written_files_get_the_mode_open_would_give(tmp_path):

@@ -21,7 +21,7 @@ from mixedsums.harness import (SUITES, Checker, _factor_prime_power, _json_line,
                                resolve_a_values, run_classical, run_main, run_mellin,
                                run_mellin_field, run_transforms)
 from mixedsums.mellin import mellin_v_closed, null_locus_sum
-from mixedsums.mixed import cell_logs, mixed_table
+from mixedsums.mixed import cell_logs, element_order, mixed_table
 from mixedsums.sums import gauss_table, jacobi
 import oracles
 
@@ -353,7 +353,8 @@ def move_p_entry_after_p0(f, m):
 
     def then_perturb(field, P):
         out = p0(field, P)
-        P[1, 2] += 1e-3
+        i = element_order(field)
+        P[..., i[1], i[2]] += 1e-3
         return out
     m.setattr(ml, "mellin_p0_all", then_perturb)
 

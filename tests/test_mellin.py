@@ -15,8 +15,8 @@ from mixedsums import mellin as ml
 from mixedsums.mellin import FourthPowerTrivial
 from mixedsums.sums import exponent_sweep, gauss_table, hyp2f1_many
 import oracles
-from oracles import (chi_val, naive_double_mellin, naive_hyper_kernel, naive_mellin_p0,
-                     naive_mellin_v)
+from oracles import (chi_val, element_table, naive_double_mellin, naive_hyper_kernel,
+                     naive_mellin_p0, naive_mellin_v)
 
 
 def test_direct_routes_never_read_gauss_sums(monkeypatch):
@@ -80,8 +80,8 @@ def test_mellin_transforms_match_oracles(p, n):
     q = f.q
     for a in (1, f.g, q - 1):
         ctx = make_context(f, a)
-        V, P = state_vector(ctx), mixed_table(ctx)
-        S, T0 = ml.mellin_v_all(ctx), ml.mellin_p0_all(f, P)
+        V, P = state_vector(ctx), element_table(ctx)
+        S, T0 = ml.mellin_v_all(ctx), ml.mellin_p0_all(f, mixed_table(ctx))
         T = ml.double_mellin_matrix(f, mixed_table(ctx))
         for m1 in range(q - 1):
             assert abs(S[m1] - naive_mellin_v(f, V, m1)) < 1e-10
@@ -138,7 +138,7 @@ def test_mellin_p0_direct_equals_closed(f13):
 
 def test_mellin_p0_trivial_case(f13):
     ctx = make_context(f13, 4)
-    plain = mixed_table(ctx)[1:, 0].sum()
+    plain = element_table(ctx)[1:, 0].sum()
     assert abs(ml.mellin_p0_closed(ctx, 0) - plain) < 1e-9
 
 
@@ -337,9 +337,9 @@ def test_double_mellin_assembly_from_parts(f13):
 @pytest.mark.parametrize("pn", [(5, 1), (3, 2), (13, 1), (17, 1), (5, 2), (29, 1), (7, 2),
                                 (3, 4), (257, 1), (5, 4)])
 def test_double_mellin_matrix_is_the_gathered_transform(pn):
-    # T is P put in log order within P's own buffer, columns by row blocks
-    # and rows along the cycles of s -> g^s: it is the transform of P
-    # gathered into a second array bit for bit, a view of P's buffer
+    # P is in log order, so T is the transform of its (q-1) x (q-1) corner
+    # in P's own buffer: it is the transform of P read by element and
+    # gathered into log order in a second array, bit for bit
     f = build_field(*pn)
     for a in dict.fromkeys((1, f.g, int(f.neg_table[1]), 3)):
         ctx = make_context(f, a)
@@ -383,7 +383,7 @@ def test_double_mellin_q17_example(f17):
 def test_double_mellin_trivial_pair(f13):
     ctx = make_context(f13, 4)
     closed = ml.double_mellin_closed(ctx, 0, 0)
-    plain = mixed_table(ctx)[1:, 1:].sum()
+    plain = element_table(ctx)[1:, 1:].sum()
     assert abs(closed - plain) < 1e-8
 
 

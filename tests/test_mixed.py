@@ -15,8 +15,8 @@ from mixedsums import (
     state_vector,
 )
 from mixedsums import harness, mixed
-from mixedsums.mixed import cell_logs, log_order, square_rows
-from oracles import naive_mixed_sum, naive_state_value, squares_table
+from mixedsums.mixed import cell_logs, element_order, log_order, square_rows
+from oracles import element_table, naive_mixed_sum, naive_state_value, squares_table
 
 
 def find_a(field, quartic_value):
@@ -67,7 +67,7 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("pn, a", ORACLE_CASES)
 def test_mixed_table_matches_oracle(pn, a):
     f = build_field(*pn)
-    P = mixed_table(make_context(f, a))
+    P = element_table(make_context(f, a))
     for j in range(f.q):
         for k in range(f.q):
             assert abs(P[j, k] - naive_mixed_sum(f, a, j, k)) < 1e-10
@@ -90,7 +90,7 @@ def test_corner_value(f13):
         ctx = make_context(f13, a)
         g4 = gauss(ctx.A4)
         expect = 2 + 2 * (g4**2 / (13 * ctx.A4(f13.neg(a)))).real
-        corner = mixed_table(ctx)[0, 0]
+        corner = element_table(ctx)[0, 0]
         assert abs(corner - expect) < 1e-10
         assert abs(corner - state_vector(ctx)[0] ** 2) < 1e-10
 
@@ -105,7 +105,7 @@ def test_state_at_zero(f13):
 
 def test_symmetries(f13):
     ctx = make_context(f13, 2)
-    P = mixed_table(ctx)
+    P = element_table(ctx)
     assert np.abs(P - P.T).max() < 1e-10
     neg = f13.neg_table[np.arange(13)]
     assert np.abs(P[neg, :] - P).max() < 1e-10  # phi(-1) = 1 here
@@ -125,7 +125,7 @@ def test_main_identity_all_a(pn):
     f = build_field(*pn)
     for a in range(1, f.q):
         ctx = make_context(f, a)
-        P = mixed_table(ctx)
+        P = element_table(ctx)
         V = state_vector(ctx)
         assert np.abs(P - np.outer(V, V)).max() < 1e-10
 
@@ -143,7 +143,7 @@ def test_conjugate_quartic_context(f13):
     for a in (1, 2, 6):
         ctx = make_context(f13, a, conjugate_quartic=True)
         assert abs(ctx.tau**2 - 13 * ctx.A4(f13.neg(a))) < 1e-10
-        P = mixed_table(ctx)
+        P = element_table(ctx)
         V = state_vector(ctx)
         assert np.abs(P - np.outer(V, V)).max() < 1e-10
 
@@ -235,7 +235,7 @@ def test_square_rows_builds_only_the_routes_it_runs(monkeypatch, streamed, colum
 def test_mixed_table_reads_squares_at_field_sums():
     # over the full grid at q = 289, where S comes in three row blocks, P(j,k)
     # is the squares table at the columns of (j+k)^2 and (j-k)^2 found by
-    # field addition, bit for bit
+    # field addition, bit for bit, read by element from P in log order
     f = build_field(17, 2)
     jj = np.arange(f.q)
     slot = square_column(f)
@@ -244,7 +244,8 @@ def test_mixed_table_reads_squares_at_field_sums():
     S = squares_table(ctx)
     assert len(list(f.blocks(S[:, 0]))) == 3
     P = mixed_table(ctx)
-    assert P.tobytes() == S[add, sub].tobytes()
+    i = element_order(f)
+    assert P[np.ix_(i, i)].tobytes() == S[add, sub].tobytes()
     # P is built on each call, and neither P nor S is cached
     assert mixed_table(ctx) is not P
     assert not ctx._cache.keys() & {"mixed", "squares"}
@@ -258,4 +259,4 @@ def test_p_zero_column_is_the_squares_diagonal(pn):
     f = build_field(*pn)
     ctx = make_context(f, 3)
     col = square_column(f)
-    assert mixed_table(ctx)[:, 0].tobytes() == squares_table(ctx)[col, col].tobytes()
+    assert element_table(ctx)[:, 0].tobytes() == squares_table(ctx)[col, col].tobytes()
