@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .gf import FieldError, FieldTable, ZeroArgument
-from .chars import MultChar, convolver, psi_table, quadratic_char
+from .chars import MultChar, convolver, psi_table, quadratic_char, unit_roots
 from .sums import gauss
 
 
@@ -112,12 +112,19 @@ def state_vector(ctx: MixedSumContext) -> np.ndarray:
     return ctx.cached("state", build)
 
 
-Route = namedtuple("Route", "weight shift conv")
+Route = namedtuple("Route", "weight shift spectrum")
+
+
+def psi_windows(field: FieldTable) -> np.ndarray:
+    """psi(g^(r+s)) over s = 0..q-2 for every start r < 2(q-1), window r:
+    one strided view of psi(g^s) taken over three periods, cached."""
+    return field.cached("psi_windows", lambda f: sliding_window_view(
+        np.tile(psi_table(f)[f.exp_table], 3), f.q - 1))
 
 
 def square_routes(ctx: MixedSumContext, i: int) -> Route:
-    """Route i of square_rows, as Route(weight, shift, conv): route 0 gives
-    S(u, .) and route 1 S(., u), for the same u.
+    """Route i of square_rows, as Route(weight, shift, spectrum): route 0
+    gives S(u, .) and route 1 S(., u), for the same u.
 
     u and v run over the (q+1)/2 squares of F_q: column 0 is 0 and column
     1 + t is g^(2t), so the column of j^2 is 1 + (log(j) mod (q-1)/2).
@@ -130,18 +137,30 @@ def square_routes(ctx: MixedSumContext, i: int) -> Route:
     F(v, u) = phi(-1) F(u, v) = F(u, v) (q = 1 mod 4), over v as
         F(g^r, u) = sum_s [w(g^(-s)) psi(g^(s+2t+log a))] psi(g^(r-s)),
     whose kernel is free of a.  A route's bracket is weight times the
-    window of psi(g^s) that starts at 2t + shift, and conv convolves it
-    with the route's kernel, transformed once here (w is cached).  S(u, v) =
-    F(u, v) / G(phi) + delta(v, 0) + delta(u, 0), so either route adds 1
-    to column 0 and to row 0.
+    window of psi(g^s) that starts at 2t + shift, and spectrum is the FFT
+    of the route's kernel, taken once here, over 2 G(phi) (see
+    square_rows).  S(u, v) = F(u, v) / G(phi) + delta(v, 0) + delta(u, 0),
+    so either route adds 1 to column 0 and to row 0.
+
+    Both inputs that depend on a are read from tables, with no field
+    arithmetic: a/x - x = -x (1 - a/x^2), so log(a/x - x) =
+    s + (q-1)/2 + zech[log a - 2s + (q-1)/2], and w = 0 where
+    log a = 2s (mod q-1); psi(a g^s) is the window of psi(g^s) that
+    starts at log a.
     """
     f = ctx.field
-    x = f.exp_table  # x = g^s
-    a = per_a(ctx, ctx.a)
-    w = ctx.cached("square_weight", lambda ctx: ctx.phi(f.sub(f.mul(a, f.inv_table[x]), x)))
-    psi = psi_table(f)
-    return (Route(w, 0, convolver(f, psi[f.mul(a, x)][..., None, :])) if i == 0 else
-            Route(w[..., -np.arange(f.q - 1)], f.log_table[ctx.a], convolver(f, psi[x])))
+    n, half = f.q - 1, (f.q - 1) // 2
+    s = np.arange(n)
+    log_a = per_a(ctx, f.log_table[ctx.a])
+
+    def build(ctx):
+        d = (log_a - 2 * s + half) % n
+        return np.where(d == half, 0j, unit_roots(f)[half * (s + half + f.zech[d]) % n])
+    w = ctx.cached("square_weight", build)
+    windows = psi_windows(f)
+    weight, shift, kernel = ((w, 0, windows[log_a]) if i == 0 else
+                             (w[..., -s], f.log_table[ctx.a], windows[0]))
+    return Route(weight, shift, np.fft.fft(kernel) / (2 * gauss(ctx.phi)))
 
 
 def square_rows(ctx: MixedSumContext, columns: bool = False):
@@ -152,6 +171,14 @@ def square_rows(ctx: MixedSumContext, columns: bool = False):
     cols[i, v] = S(v, rows[i]) from route 1, each after the a axis.  The
     blocks are views of buffers that the next step overwrites, so no array
     grows as q^2.
+
+    Each row is read at v = g^(2r) only, and the convolution read at every
+    second index is the inverse transform, at length (q-1)/2, of its
+    spectrum folded in two (the two halves summed): so a row is one
+    forward FFT of length q-1, the product with the route's spectrum (over
+    2 G(phi), the 2 from the halved length), the fold and one inverse FFT
+    of length (q-1)/2, straight into the row's columns 1..(q-1)/2.  Column
+    0, the plain sum of the bracket, is the forward transform's DC term.
     """
     f = ctx.field
     n = f.q - 1
@@ -160,11 +187,10 @@ def square_rows(ctx: MixedSumContext, columns: bool = False):
     # (index, shift) of each window a route copies: route 0's shift is free
     # of a, so one copy fills every a; route 1 shifts by log a, one per a
     shifts = [list(np.ndenumerate(np.asarray(route.shift))) for route in routes]
-    # psi(u x) over s is a window of psi(g^s) taken over three periods,
-    # starting at 2t + shift < 2(q-1) for u = g^(2t), so the windows of
-    # consecutive rows are one strided view, cached; psi(0 x) is all ones
-    windows = f.cached("psi_windows", lambda f: sliding_window_view(
-        np.tile(psi_table(f)[f.exp_table], 3), n))
+    # psi(u x) over s is the window that starts at 2t + shift < 2(q-1) for
+    # u = g^(2t), so the windows of consecutive rows are one strided view;
+    # psi(0 x) is all ones
+    windows = psi_windows(f)
     g_phi = gauss(ctx.phi)
     blocks = list(f.blocks(np.arange(half + 1)))
     lead = np.shape(ctx.a)
@@ -180,10 +206,11 @@ def square_rows(ctx: MixedSumContext, columns: bool = False):
             for i, shift in starts:
                 hb[i][..., top:, :] = windows[lo + shift:lo + shift + 2 * (b - top):2]
             hb *= route.weight[..., None, :]
-            o[..., 0] = hb.sum(axis=-1)
-            o[..., 1:] = route.conv(hb, out=hb)[..., ::2]
-            o /= g_phi
-            o[..., 0] += 1.0
+            np.fft.fft(hb, out=hb)
+            o[..., 0] = hb[..., 0] / g_phi + 1.0  # v = 0: the DC term
+            hb *= route.spectrum
+            hb.reshape(hb.shape[:-1] + (2, half)).sum(axis=-2, out=o[..., 1:])
+            np.fft.ifft(o[..., 1:], out=o[..., 1:])
             o[..., :top, :] += 1.0  # the row u = 0, in the first block
         yield rows, ob[0], ob[1] if columns else None
 

@@ -4,6 +4,8 @@ Everything here is written with plain Python loops and cmath so the
 expected values are computed independently of the vectorized library path,
 but element_table, which reads the table of P by element,
 squares_table, which fills the squares table from its row blocks,
+full_length_squares, which builds both routes of the squares table by
+full-length convolutions read at every second output,
 p_order_main, which replays the main suite on the full table of P,
 gathered_double_mellin, which takes the double transform of P gathered in
 log order, per_z_quad_transform and per_j_hyper_kernel, which replay
@@ -17,11 +19,11 @@ from itertools import product
 
 import numpy as np
 
-from mixedsums.chars import char_at, dft
+from mixedsums.chars import char_at, convolver, dft, psi_table
 from mixedsums.harness import BRANCH_TOL, Checker, Checks
 from mixedsums.mellin import (_gauss_pairs, cross_form, hyper_kernel_closed_row,
                               hyper_kernel_row)
-from mixedsums.mixed import (element_order, make_context, mixed_table, square_rows,
+from mixedsums.mixed import (element_order, make_context, mixed_table, per_a, square_rows,
                              state_vector)
 from mixedsums.sums import DEFAULT_TOL, exponent_sweep, gauss, quad_transform
 
@@ -133,6 +135,41 @@ def squares_table(ctx):
     for rows, block, _ in square_rows(ctx):
         S[rows] = block
     return S
+
+
+def full_length_squares(ctx):
+    """Both routes of mixed.square_rows, whole, by full-length convolution,
+    the reference for its fold: for every row u = g^(2t) (and u = 0) the
+    bracket w(g^s) psi(g^(s+2t+shift)), with the weight phi(a/x - x) and
+    the route-0 kernel psi(a x) from field arithmetic, convolved at full
+    length q-1 (chars.convolver) and read at every second output, divided
+    by G(phi), with column 0 the bracket's plain sum and 1 added to column
+    0 and to row 0.  Returns (S, C), with S[..., u, v] = S(u, v) and
+    C[..., u, v] the second route's S(v, u), each after the a axis."""
+    f = ctx.field
+    n, half = f.q - 1, (f.q - 1) // 2
+    x = f.exp_table
+    a = per_a(ctx, ctx.a)
+    w = ctx.phi(f.sub(f.mul(a, f.inv_table[x]), x))
+    psi = psi_table(f)
+    psi_log = np.tile(psi[x], 3)
+    starts = 2 * np.arange(half)[:, None] + np.arange(n)
+    lead = np.shape(ctx.a)
+    routes = ((w, 0, psi[f.mul(a, x)][..., None, :]),
+              (w[..., -np.arange(n)], per_a(ctx, f.log_table[ctx.a], 2), psi[x]))
+    tables = []
+    for weight, shift, kernel in routes:
+        h = np.ones(lead + (half + 1, n), dtype=complex)
+        h[..., 1:, :] = psi_log[starts + shift]
+        h *= weight[..., None, :]
+        S = np.empty(lead + (half + 1, half + 1), dtype=complex)
+        S[..., 0] = h.sum(axis=-1)
+        S[..., 1:] = convolver(f, kernel)(h)[..., ::2]
+        S /= gauss(ctx.phi)
+        S[..., 0] += 1.0
+        S[..., 0, :] += 1.0
+        tables.append(S)
+    return tuple(tables)
 
 
 def gathered_double_mellin(ctx):

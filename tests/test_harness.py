@@ -402,16 +402,23 @@ PSI = {"gauss_trivial", "gauss_norm", "jacobi_gauss_ratio", "hasse_davenport",
        "gauss_summation_at_one", "kummer_value", "hyper_kernel", "main_identity",
        "corner_value", "zero_row_factorization", "imaginary_drift", "tau_branch",
        "mellin_p0"} | MELLIN_P
-# each targeted fault and the exact set of checks, over every suite, that it fails
+ZECH = {"jacobi_conjugate", "jacobi_with_trivial", "jacobi_gauss_ratio", "quad_transform",
+        "gauss_summation_at_one", "kummer_value", "hyper_kernel", "main_identity",
+        "tau_branch"} | MELLIN_P
+# each targeted fault and the exact set of checks, over every suite, that
+# it fails, or a set for each a of the test, keyed 1 and "g"
 FAULTS = {
     # V(j)V(k) is read at the wrong j, and mellin's P is scattered to it
     "zech_entry": (shift_zech_entry, {"main_identity", "tau_branch"} | MELLIN_P),
     # every sum in log coordinates reads 1 + g wrong: Jacobi sums, the 2F1,
-    # the kernel h, and the pairs that cell_logs gives for V(j)V(k) and P
-    "zech_table": (shift_zech_table,
-                   {"jacobi_conjugate", "jacobi_with_trivial", "jacobi_gauss_ratio",
-                    "quad_transform", "gauss_summation_at_one", "kummer_value", "hyper_kernel",
-                    "main_identity", "tau_branch"} | MELLIN_P),
+    # the kernel h, and the pairs that cell_logs gives for V(j)V(k) and P;
+    # at a = g the square weight phi(a/x - x), read from the table at
+    # log a - 2s + (q-1)/2, reads the wrong entry too, so S is wrong and its
+    # two routes disagree; at a = 1 that index is even and never 1
+    "zech_table": (shift_zech_table, {
+        1: ZECH,
+        "g": ZECH | {"corner_value", "zero_row_factorization", "negation_symmetry",
+                     "mellin_p0"}}),
     # S itself is wrong, so the routes disagree and P(j, 0) is wrong too
     "late_row_window": (late_window(0), {"main_identity", "zero_row_factorization",
                                          "negation_symmetry", "tau_branch", "mellin_p0"}
@@ -447,16 +454,17 @@ def failed_under(fault, pn, a_policy):
 
 
 def test_targeted_faults_fail_exactly_their_checks():
-    # Each fault fails exactly its set of checks at q = 13 and a in {1, g};
-    # a fault that changes S fails main_identity and mellin's P checks,
-    # and no fault can fail the structural rows mixed_symmetry and
-    # quarter_turn (ROADMAP item 5).  The mutation-adequacy criterion of
-    # DeMillo, Lipton and Sayward (1978).
+    # Each fault fails exactly its set of checks, or its set for that a, at
+    # q = 13 and a in {1, g}; a fault that changes S fails main_identity
+    # and mellin's P checks, and no fault can fail the structural rows
+    # mixed_symmetry and quarter_turn (ROADMAP item 5).  The
+    # mutation-adequacy criterion of DeMillo, Lipton and Sayward (1978).
     g = build_field(13, 1).g
     for name, (fault, failing) in FAULTS.items():
-        for a in (1, g):
-            assert failed_under(fault, (13, 1), [a])[1] == failing, (name, a)
-            assert not failing & STRUCTURAL
+        for a, key in ((1, 1), (g, "g")):
+            want = failing[key] if isinstance(failing, dict) else failing
+            assert failed_under(fault, (13, 1), [a])[1] == want, (name, a)
+            assert not want & STRUCTURAL
     # psi-bar(y) = psi(-y) is another nontrivial additive character, so
     # conjugating psi is a symmetry of every identity, not a fault: it
     # moves the Gauss sums, G(chi) -> chi(-1) G(chi), and every check passes
@@ -535,6 +543,10 @@ def test_no_suite_calls_field_arithmetic_on_a_block(monkeypatch):
             return out
         monkeypatch.setattr(FieldTable, name, traced)
     run(SuiteConfig(fields=[(3, 4), (13, 2), (257, 1)], a_policy="sample"))
+    assert 0 < max(sizes) <= 2
+    # and in batches of a: every a of q = 49 runs main and mellin six at a time
+    sizes.clear()
+    run(SuiteConfig(fields=[(7, 2)], a_policy="all"))
     assert 0 < max(sizes) <= 2
 
 

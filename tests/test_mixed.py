@@ -16,7 +16,8 @@ from mixedsums import (
 )
 from mixedsums import harness, mixed
 from mixedsums.mixed import cell_logs, element_order, log_order, square_rows
-from oracles import element_table, naive_mixed_sum, naive_state_value, squares_table
+from oracles import (element_table, full_length_squares, naive_mixed_sum, naive_state_value,
+                     squares_table)
 
 
 def find_a(field, quartic_value):
@@ -209,27 +210,48 @@ def test_square_rows_second_route_is_the_transpose(pn, a):
     assert all(cols is None for _, _, cols in square_rows(ctx))
 
 
+@pytest.mark.parametrize("pn, which", [(pn, which) for pn in ((5, 1), (13, 1), (7, 2), (5, 4))
+                                       for which in ("1", "g", "-1")] + [((7, 2), "batch")])
+def test_folded_rows_match_the_full_length_convolution(pn, which):
+    # each row of S, read at even outputs only, is the half-length inverse
+    # transform of its folded spectrum: every block of both routes equals
+    # the full-length convolution read at every second output, for one a
+    # and for a batch of them
+    f = build_field(*pn)
+    a = {"1": 1, "g": f.g, "-1": f.neg(1), "batch": [1, f.g, f.q - 1]}[which]
+    ctx = make_context(f, a)
+    S, C = full_length_squares(ctx)
+    tol = 1e-12 * (1 + max(np.abs(S).max(), np.abs(C).max()))
+    covered = 0
+    for rows, block, cols in square_rows(ctx, columns=True):
+        assert np.abs(block - S[..., rows, :]).max() <= tol
+        assert np.abs(cols - C[..., rows, :]).max() <= tol
+        covered += len(rows)
+    assert covered == S.shape[-2]
+
+
 @pytest.mark.parametrize("streamed, columns, built", [
     (False, False, 1), (False, True, 2), (True, False, 1), (True, True, 2)])
 def test_square_rows_builds_only_the_routes_it_runs(monkeypatch, streamed, columns, built):
     # route 0 (S's rows) always runs, and route 1 (its columns) only when
-    # columns asks for it: each route built is one kernel transform, and
-    # the blocks are S's rows either way.  A context that has streamed S
-    # before (as main does before mellin) keeps nothing of it, so a second
-    # stream builds its routes again
+    # columns asks for it: each route built is one kernel transform, in
+    # square_routes, and the blocks are S's rows either way.  A context
+    # that has streamed S before (as main does before mellin) keeps nothing
+    # of it, so a second stream builds its routes again
     f = build_field(13, 2)
     ctx = make_context(f, 3)
     S = squares_table(make_context(f, 3))
     if streamed:
         squares_table(ctx)
         assert "squares" not in ctx._cache
-    kernels = []
-    convolver = mixed.convolver
-    monkeypatch.setattr(mixed, "convolver", lambda f, k: kernels.append(k) or convolver(f, k))
+    built_routes = []
+    build = mixed.square_routes
+    monkeypatch.setattr(mixed, "square_routes",
+                        lambda ctx, i: built_routes.append(i) or build(ctx, i))
     for rows, block, cols in square_rows(ctx, columns):
         assert block.tobytes() == S[rows].tobytes()
         assert (cols is None) != columns
-    assert len(kernels) == built
+    assert built_routes == list(range(built))
 
 
 def test_mixed_table_reads_squares_at_field_sums():
