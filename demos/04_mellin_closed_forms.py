@@ -25,8 +25,8 @@ print(f"  nonzero entries (fourth powers only): "
 print(f"  max |direct - closed| over all chi: "
       f"{np.abs(direct_S - closed_S).max():.3e}")
 
-# P is in log order on both axes (index s for g^s, the last for 0), the
-# layout the transforms read; element_order reads it by element.
+# V, and P on both axes, are in log order (index s for g^s, the last for 0),
+# the layout the transforms read; element_order reads them by element.
 P = mixed_table(ctx)
 i = element_order(f)
 zero_row = P[i, i[0]]  # P(j, 0) for j = 0..q-1
@@ -47,5 +47,5 @@ print(f"double transform: max |T - S x S| = "
 # Inverting the closed-form spectrum reproduces V pointwise.
 V = state_vector(ctx)
 js = f.units()
-err = np.abs(ml.inverse_mellin(f, closed_S, js) - V[js]).max()
+err = np.abs(ml.inverse_mellin(f, closed_S, js) - V[i[js]]).max()
 print(f"inverse transform of the closed spectrum: max error = {err:.3e}")

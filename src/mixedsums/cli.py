@@ -86,14 +86,15 @@ def cmd_table(args) -> int:
     ctx = make_context(field, args.a)
     with replacing(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
         writer = csv.writer(out)
+        at = element_order(field)  # V and P are in log order: read them by element
         if args.object == "V":
             writer.writerow(["j", "re", "im"])
-            for j, v in enumerate(state_vector(ctx)):
+            for j, v in enumerate(state_vector(ctx)[at]):
                 writer.writerow([j, repr(float(v.real)), repr(float(v.imag))])
         else:
             writer.writerow(["j", "k", "re", "im"])
-            P, at = mixed_table(ctx), element_order(field)
-            for j, row in enumerate(at):  # P(j, k) by element, one row at a time
+            P = mixed_table(ctx)
+            for j, row in enumerate(at):  # P(j, k), one row at a time
                 for k, z in enumerate(P[row, at].tolist()):
                     writer.writerow([j, k, repr(z.real), repr(z.imag)])
     return 0

@@ -27,8 +27,8 @@ from .sums import (
     jacobi,
     quad_transform,
 )
-from .mixed import (MixedSumContext, cell_logs, log_order, make_context, mixed_table, per_a,
-                    scalar_mul, square_rows, state_vector)
+from .mixed import (MixedSumContext, cell_logs, make_context, mixed_table, per_a, scalar_mul,
+                    square_rows, state_vector)
 from . import mellin as ml
 
 SUITES = ("classical", "transforms", "main", "mellin")
@@ -262,7 +262,7 @@ def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckReport
     (j,k), (k,j), (-j,-k) and (-k,-j): 4 of them, 2 on the row u = 0 and on
     the column v = 0, and 1 at (0,0).  S is streamed in row blocks
     (mixed.square_rows), each compared once, with every cell counted with
-    its multiplicity, against V(j)V(k) read from V in log order at
+    its multiplicity, against V(j)V(k) read from V (in log order) at
     mixed.cell_logs: a row of S but its first stands for 2q pairs, the
     first for q.  So run_main never reads P and holds no S.  The zero row
     P(j, 0) is the diagonal u = v, P(k, j) is the cell itself, and P(-j, k)
@@ -282,9 +282,6 @@ def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckReport
     branch = checks.add("tau_branch", BRANCH_TOL)
     branch.compare_arrays(W**2, V**2)  # W = +-V
 
-    sides = [(log_order(f, X), check) for X, check in ((V, main), (W, branch))]
-    # V(j) with j^2 = u, for each row u
-    diagonal = np.concatenate((V[..., :1], V[..., f.exp_table[:half]]), axis=-1)
     m = len(next(f.blocks(np.arange(half + 1))))
     logs = np.empty((2, m, half + 1), dtype=np.int64)
     other = np.empty(np.shape(ctx.a) + (m, half + 1), dtype=complex)
@@ -297,23 +294,24 @@ def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckReport
         negation.compare_arrays(T, S, count)
         symmetry.compare_arrays(S, S, count)
         drift.compare_arrays(S.imag, 0.0, count)
-        zero_row.compare_arrays(S[..., np.arange(b), rows], V[..., :1] * diagonal[..., rows],
+        # V(j) with j^2 = u for each row u: V(0) for u = 0, V(g^t) for u = g^(2t)
+        zero_row.compare_arrays(S[..., np.arange(b), rows], V[..., -1:] * V[..., rows - 1],
                                 2 * b - top)
         if top:  # j = k = 0
             expect = 2 + 2 * (gauss(ctx.A4) ** 2 / (q * ctx.A4(f.neg_table[ctx.a]))).real
             corner.compare_arrays(S[..., 0, :1],
-                                  np.array([expect, scalar_mul(V[..., 0], V[..., 0])]).T)
+                                  np.array([expect, scalar_mul(V[..., -1], V[..., -1])]).T)
         jk = cell_logs(f, rows, logs[:, :b])
-        for Xl, check in sides:  # T is spent: its buffer holds the products
-            Xk = Xl.take(jk[1], axis=-1, out=other[..., :b, :], mode="clip")
-            Xj = Xl.take(jk[0], axis=-1, out=T, mode="clip")
+        for X, check in ((V, main), (W, branch)):  # T is spent: its buffer holds the products
+            Xk = X.take(jk[1], axis=-1, out=other[..., :b, :], mode="clip")
+            Xj = X.take(jk[0], axis=-1, out=T, mode="clip")
             check.compare_arrays(S, np.multiply(Xj, Xk, out=T), count)
             # the pairs (k, j) and (-k, -j) give X(k)X(j), which rounds
             # apart from X(j)X(k) in its last bit
-            Xj = Xl.take(jk[0], axis=-1, out=T, mode="clip")
+            Xj = X.take(jk[0], axis=-1, out=T, mode="clip")
             check.compare_arrays(S, np.multiply(Xk, Xj, out=T), 0)
-    j = f.units()
-    quarter.compare_arrays(V[..., f.mul(j, f.i_elem)], V[..., j])
+    # i = g^((q-1)/4), so V(i g^s) is V(g^s) shifted by (q-1)/4
+    quarter.compare_arrays(np.roll(V[..., :n], -(n // 4), axis=-1), V[..., :n])
     return checks.reports()
 
 
@@ -344,9 +342,9 @@ def run_mellin(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckRepo
 
     P is built once, read for P(j, 0) and turned into T in place.  T is
     compared in FieldTable.blocks row blocks, read as views, against one
-    block buffer; it vanishes off the fourth-power pairs, whose closed form
-    each block computes.  A batch of a runs as one pass, with the a axis
-    first in every array."""
+    block buffer, with S's closed side squared as its closed side: 1/tau^2 =
+    A4(-1/a)/q (see mellin.double_mellin_closed).  A batch of a runs as one
+    pass, with the a axis first in every array."""
     f = ctx.field
     qm1 = f.q - 1
     m = np.arange(qm1)
@@ -371,16 +369,13 @@ def run_mellin(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckRepo
     double, coeffs, assembly = (checks[c] for c in ("double_mellin", "pair_coeffs",
                                                       "product_assembly"))
     T = ml.double_mellin_matrix(f, P)
-    roots = np.arange(qm1 // 4)
     buf = np.empty(np.shape(ctx.a) + (len(next(f.blocks(m))), qm1), dtype=complex)
     for rows in f.blocks(m):
         b = len(rows)
-        fourth = rows % 4 == 0
-        other = buf[..., :b, :]  # the closed form, then the outer product
-        other[...] = 0.0
-        other[..., fourth, ::4] = ml.double_mellin_closed(ctx, rows[fourth, None] // 4, roots)
+        other = buf[..., :b, :]  # the closed outer product, then the direct one
         Tb = T[..., rows[0]:rows[0] + b, :]
-        double.compare_arrays(Tb, other)
+        double.compare_arrays(Tb, np.multiply(s_closed[..., rows, None], s_closed[..., None, :],
+                                              out=other))
         assembly.compare_arrays(np.multiply(s_direct[..., rows, None], s_direct[..., None, :],
                                             out=other), Tb)
     rj = ml.pair_coeffs(ctx, m)
@@ -390,8 +385,8 @@ def run_mellin(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckRepo
                           ml.pair_coeffs_gauss(ctx, m))
     coeffs.compare_arrays((rj * per_a(ctx, ctx.A4(ctx.a), 2) ** np.arange(4)).sum(axis=-1),
                           T[..., m4 % qm1, -m4 % qm1])
-    checks["inverse_mellin"].compare_arrays(ml.inverse_mellin(f, s_closed, f.units()),
-                                            state_vector(ctx)[..., 1:])
+    checks["inverse_mellin"].compare_arrays(ml.inverse_mellin(f, s_closed, f.exp_table),
+                                            state_vector(ctx)[..., :-1])
     checks["root_shift_invariance"].compare_arrays(
         np.stack([ml.mellin_v_closed_root(ctx, m), ml.mellin_p0_closed_root(ctx, m)], axis=-2),
         np.stack([ml.mellin_v_closed_root(ctx, m + e), ml.mellin_p0_closed_root(ctx, m + e)],

@@ -57,9 +57,8 @@ def _gauss_pairs(ctx: MixedSumContext, nu) -> np.ndarray:
 
 def mellin_v_all(ctx: MixedSumContext) -> np.ndarray:
     """S(chi_m) = sum over j != 0 of chi_m(j) V(j), for all m at once,
-    as one DFT over log j."""
-    f = ctx.field
-    return dft(f, state_vector(ctx)[..., f.exp_table])
+    as one DFT over log j: the DFT of V in log order but its last entry."""
+    return dft(ctx.field, state_vector(ctx)[..., :-1])
 
 
 def _root_sum(ctx: MixedSumContext, nu) -> np.ndarray:

@@ -86,7 +86,8 @@ def scalar_mul(x, y) -> np.ndarray:
 
 
 def state_vector(ctx: MixedSumContext) -> np.ndarray:
-    """V(j) for every j in F_q (index order), cached.
+    """V(j) for every j in F_q in log order (see element_order): V(g^s) at
+    index s, and V(0) last, cached.
 
     V(j) = tau^{-1} * sum_{x != 0} A4(x) psi(x + a j^4 / x) for j != 0,
     and V(0) = G(A4)/tau + tau/G(A4).
@@ -94,7 +95,7 @@ def state_vector(ctx: MixedSumContext) -> np.ndarray:
     psi is additive, so psi(x + c/x) = psi(x) psi(c/x).  With x = g^s and
     c = g^r the x-sum is the cyclic convolution over log x
         K[r] = sum_s A4(g^s) psi(g^s) psi(g^(r-s)),
-    one FFT product for every c at once, and tau V(j) = K[log a + 4 log j].
+    one FFT product for every c at once, and tau V(g^s) = K[log a + 4s].
     K does not depend on a, so it is cached per field and quartic exponent.
     V(0) is taken in Python complex arithmetic, one a at a time, as for one a.
     """
@@ -103,10 +104,10 @@ def state_vector(ctx: MixedSumContext) -> np.ndarray:
         K = f.cached(("state_kernel", ctx.A4.m), lambda f: convolver(  # x = g^s
             f, psi_table(f)[f.exp_table])(ctx.A4(f.exp_table) * psi_table(f)[f.exp_table]))
         v = np.empty(np.shape(ctx.a) + (f.q,), dtype=complex)
-        logs = per_a(ctx, f.log_table[ctx.a]) + 4 * f.log_table[1:]
-        v[..., 1:] = K[logs % (f.q - 1)] / per_a(ctx, ctx.tau)
+        logs = per_a(ctx, f.log_table[ctx.a]) + 4 * np.arange(f.q - 1)
+        v[..., :-1] = K[logs % (f.q - 1)] / per_a(ctx, ctx.tau)
         g4 = gauss(ctx.A4)
-        v[..., 0] = np.reshape([g4 / t + t / g4 for t in np.ravel(ctx.tau).tolist()],
+        v[..., -1] = np.reshape([g4 / t + t / g4 for t in np.ravel(ctx.tau).tolist()],
                                np.shape(ctx.a))
         return v
     return ctx.cached("state", build)
@@ -215,19 +216,11 @@ def square_rows(ctx: MixedSumContext, columns: bool = False):
         yield rows, ob[0], ob[1] if columns else None
 
 
-def log_order(field: FieldTable, X) -> np.ndarray:
-    """A function X on F_q (index order) laid out for cell_logs: X(g^s)
-    for s = 0..q-2, again for s = 0..(q-1)/2 - 1, then X(0) (q-1)/2
-    times, 2(q-1) entries."""
-    half = (field.q - 1) // 2
-    Xl = X[..., field.exp_table]
-    return np.concatenate((Xl, Xl[..., :half], np.repeat(X[..., :1], half, axis=-1)), axis=-1)
-
-
 def cell_logs(field: FieldTable, rows, out) -> np.ndarray:
-    """Where log_order reads X(j) and X(k) for one pair (j, k) of each cell
-    of the squares-table rows `rows` (consecutive), written into out, an
-    int64 (2, len(rows), (q+1)/2) array.
+    """The log-order indices (see element_order) of one pair (j, k) of each
+    cell of the squares-table rows `rows` (consecutive), written into out,
+    an int64 (2, len(rows), (q+1)/2) array: X[..., out[0]] and
+    X[..., out[1]] are X(j) and X(k) for a function X on F_q in log order.
 
     For the cell (g^(2t), g^(2r)), take j + k = g^t and j - k = g^r: with
     d = r - t, j = g^t (1 + g^d) / 2 and k = g^t (1 - g^d) / 2, so
@@ -236,13 +229,12 @@ def cell_logs(field: FieldTable, rows, out) -> np.ndarray:
     The other pairs of the cell, (k, j), (-j, -k) and (-k, -j), have the
     same X(j)X(k) when X depends on j only through j^4, and mixed_table
     writes the cell at all four.  |d| < (q-1)/2, so 1 + g^d is never 0, and
-    1 - g^d is 0 only at d = 0, where k = 0: its position is the first
-    X(0).  The column v = 0 is j = k = g^t/2, the row u = 0 is
-    j = -k = g^r/2, and the corner is j = k = 0.  The Zech offsets are
-    cached per field over d, and row t reads them at d = -t .. (q-1)/2 -
-    1 - t, a window of the table, so a block is one add.  The cache holds
-    these windows, window t + 1 for row t, as one strided view of the
-    table over d.
+    1 - g^d is 0 only at d = 0, the diagonal u = v, where k = 0.  The
+    column v = 0 is j = k = g^t/2, the row u = 0 is j = -k = g^r/2, and the
+    corner is j = k = 0.  The Zech offsets are cached per field over d, and
+    row t reads them at d = -t .. (q-1)/2 - 1 - t, a window of the table, so
+    a block is one add and one reduction mod q-1.  The cache holds these
+    windows, window t + 1 for row t, as one strided view of the table over d.
     """
     n = field.q - 1
     half = n // 2
@@ -250,7 +242,6 @@ def cell_logs(field: FieldTable, rows, out) -> np.ndarray:
     def build(f):
         d = np.arange(-half, half + 1)  # d = (q-1)/2 is read only for the row u = 0, then overwritten
         z = (np.stack((f.zech[d % n], f.zech[(d + half) % n])) - f.zech[0]) % n  # zech[0] = log 2
-        z[1, half] = n + half  # d = 0: k = 0
         return sliding_window_view(z, half, axis=1)[:, ::-1]
     windows = field.cached("cell_logs", build)
     c0 = n - field.log_table[2]  # log of 1/2, in 1..q-1: 2 = 1 + 1 is the element index 2
@@ -259,16 +250,21 @@ def cell_logs(field: FieldTable, rows, out) -> np.ndarray:
     np.add(windows[:, lo:hi], t, out=out[:, :, 1:])
     np.add(t, c0, out=out[:, :, :1])
     if lo == 0:
-        out[:, 0, 0] = n + half
         out[0, 0, 1:] = c0 + np.arange(half)
-        out[1, 0, 1:] = (out[0, 0, 1:] + half) % n  # k = -j
+        out[1, 0, 1:] = out[0, 0, 1:] + half  # k = -j
+    u = out.view(np.uint64)  # every entry is below 2(q-1), and u - (q-1) wraps
+    np.minimum(u, u - n, out=u)  # above u exactly when u < q-1: u mod q-1
+    out[1, np.arange(len(rows)), rows] = n  # d = 0 and the corner: k = 0
+    if lo == 0:
+        out[0, 0, 0] = n  # the corner: j = 0
     return out
 
 
 def element_order(field: FieldTable) -> np.ndarray:
     """Where each element of F_q (index order) sits on an axis in log
     order, index s for g^s and q-1 for 0: log x for x != 0 and q-1 for 0,
-    cached.  With i = element_order(field), P[..., i[j], i[k]] is P(j, k)."""
+    cached.  V, P and cell_logs are in log order: with i = element_order(field),
+    V[..., i[j]] is V(j) and P[..., i[j], i[k]] is P(j, k)."""
     return field.cached("element_order", lambda f: np.append(f.q - 1, f.log_table[1:]))
 
 
@@ -278,19 +274,17 @@ def mixed_table(ctx: MixedSumContext) -> np.ndarray:
     squares table: each row block of square_rows is written at the pair
     (j, k) that cell_logs gives for each of its cells, and at (k, j),
     (-j, -k) and (-k, -j), -x at log x + (q-1)/2.  These are all the pairs
-    of the cell, so every entry of P is a copy of one cell of S.  The
-    suites' one q x q array: mellin reads P(j, 0) as its last column and
-    turns its corner into T in place (mellin.double_mellin_matrix).
+    of the cell, so every entry of P is a copy of one cell of S, laid out as
+    np.outer(V, V).  The suites' one q x q array: mellin reads P(j, 0) as
+    its last column and turns its corner into T (double_mellin_matrix).
     """
     f = ctx.field
     q, half = f.q, (f.q - 1) // 2
-    at = log_order(f, element_order(f))  # P's index of each position cell_logs gives
-    neg = np.append((np.arange(q - 1) + half) % (q - 1), q - 1)  # P's index of -x, by that of x
+    neg = np.append((np.arange(q - 1) + half) % (q - 1), q - 1)  # the index of -x, by that of x
     P = np.empty(np.shape(ctx.a) + (q, q), dtype=complex)
     flat = P.reshape(np.shape(ctx.a) + (q * q,))
     for rows, block, _ in square_rows(ctx):
-        jk = cell_logs(f, rows, np.empty((2, len(rows), half + 1), dtype=np.int64))
-        j, k = at.take(jk, out=jk, mode="clip")  # in place: each entry reads only itself
+        j, k = jk = cell_logs(f, rows, np.empty((2, len(rows), half + 1), dtype=np.int64))
         nj, nk = neg[jk]
         for x, y in ((j, k), (k, j), (nj, nk), (nk, nj)):
             flat[..., x * q + y] = block

@@ -97,6 +97,12 @@ def element_table(ctx):
     return mixed_table(ctx)[..., i[:, None], i]
 
 
+def element_state(ctx):
+    """V of state_vector, which is in log order, read by element through
+    mixed.element_order: V(j) at [..., j]."""
+    return state_vector(ctx)[..., element_order(ctx.field)]
+
+
 def p_order_main(ctx, tol=DEFAULT_TOL):
     """The main suite as it ran when it read P entry by entry: each check
     on the q x q table of P in index order, one instance per entry,
@@ -105,8 +111,8 @@ def p_order_main(ctx, tol=DEFAULT_TOL):
     f = ctx.field
     q, n = f.q, f.q - 1
     P = element_table(ctx)
-    V = state_vector(ctx)
-    W = state_vector(make_context(f, ctx.a, conjugate_quartic=ctx.A4.m == n // 4))
+    V = element_state(ctx)
+    W = element_state(make_context(f, ctx.a, conjugate_quartic=ctx.A4.m == n // 4))
     checks = Checks(f, ctx.a, tol)
     main, corner, zero_row, symmetry, negation, quarter, drift = (
         checks[c] for c in ("main_identity", "corner_value", "zero_row_factorization",

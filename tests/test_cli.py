@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from mixedsums import build_field
+from mixedsums import build_field, make_context
 from mixedsums.cli import main, parse_q
-from oracles import naive_mixed_sum
+from oracles import naive_mixed_sum, naive_state_value
 
 
 def test_parse_q():
@@ -53,13 +53,22 @@ def test_verify_writes_json_report(tmp_path, capsys):
 
 
 def test_table_v(capsys):
-    code = main(["table", "--q", "5", "--a", "1", "--object", "V"])
-    assert code == 0
-    rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()))
-    assert rows[0] == ["j", "re", "im"]
-    assert len(rows) == 1 + 5
-    for row in rows[1:]:
-        float(row[1]), float(row[2])
+    # V is kept in log order, and the table writes it by element: row j is
+    # V(j) for the element index j, in index order
+    for q, a_values in ((5, (1, 3)), (13, (2, 6))):
+        f = build_field(q, 1)
+        for a in a_values:
+            assert main(["table", "--q", str(q), "--a", str(a), "--object", "V"]) == 0
+            rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()))
+            assert rows[0] == ["j", "re", "im"]
+            assert [int(j) for j, _, _ in rows[1:]] == list(range(q))
+            ctx = make_context(f, a)
+            # at j = 0 the x-sum is G(A4)/tau, and V(0) = G(A4)/tau + tau/G(A4)
+            w = naive_state_value(f, a, ctx.tau, 0, ctx.A4.m)
+            for j, re, im in rows[1:]:
+                j = int(j)
+                expect = naive_state_value(f, a, ctx.tau, j, ctx.A4.m) if j else w + 1 / w
+                assert abs(complex(float(re), float(im)) - expect) < 1e-10, (q, a, j)
 
 
 def test_table_p(tmp_path):

@@ -550,6 +550,18 @@ def test_no_suite_calls_field_arithmetic_on_a_block(monkeypatch):
     assert 0 < max(sizes) <= 2
 
 
+def test_main_calls_no_field_arithmetic(monkeypatch):
+    # run_main reads V, S's cells and the quarter turn from log-order
+    # tables, so it calls no FieldTable arithmetic at all, for one a or a batch
+    f = build_field(5, 4)
+    for name in ("add", "sub", "mul", "pow", "neg", "inv"):
+        def refuse(self, *args, name=name):
+            raise AssertionError(f"run_main called FieldTable.{name}")
+        monkeypatch.setattr(FieldTable, name, refuse)
+    for a in (3, [2, 3, 7]):
+        assert all(r.passed for r in run_main(make_context(f, a)))
+
+
 def test_mixed_table_is_filled_in_row_blocks():
     # on a cold context, P is scattered from S's row blocks as they are
     # streamed: the build holds no q x q index array and leaves no S behind

@@ -15,9 +15,9 @@ from mixedsums import (
     state_vector,
 )
 from mixedsums import harness, mixed
-from mixedsums.mixed import cell_logs, element_order, log_order, square_rows
-from oracles import (element_table, full_length_squares, naive_mixed_sum, naive_state_value,
-                     squares_table)
+from mixedsums.mixed import cell_logs, element_order, square_rows
+from oracles import (element_state, element_table, full_length_squares, naive_mixed_sum,
+                     naive_state_value, squares_table)
 
 
 def find_a(field, quartic_value):
@@ -80,7 +80,7 @@ def test_state_vector_matches_oracle(pn, a):
     base = make_context(f, a)
     for ctx in (base, make_context(f, a, conjugate_quartic=True),
                 dataclasses.replace(base, tau=-base.tau, _cache={})):
-        V = state_vector(ctx)
+        V = element_state(ctx)
         for j in range(1, f.q):
             expect = naive_state_value(f, a, ctx.tau, j, ctx.A4.m)
             assert abs(V[j] - expect) < 1e-10
@@ -93,7 +93,7 @@ def test_corner_value(f13):
         expect = 2 + 2 * (g4**2 / (13 * ctx.A4(f13.neg(a)))).real
         corner = element_table(ctx)[0, 0]
         assert abs(corner - expect) < 1e-10
-        assert abs(corner - state_vector(ctx)[0] ** 2) < 1e-10
+        assert abs(corner - element_state(ctx)[0] ** 2) < 1e-10
 
 
 def test_state_at_zero(f13):
@@ -101,7 +101,7 @@ def test_state_at_zero(f13):
     ctx = make_context(f13, a)
     g4 = gauss(ctx.A4)
     root = -math.sqrt(13)
-    assert abs(state_vector(ctx)[0] - (g4 / root + root / g4)) < 1e-10
+    assert abs(element_state(ctx)[0] - (g4 / root + root / g4)) < 1e-10
 
 
 def test_symmetries(f13):
@@ -116,7 +116,7 @@ def test_symmetries(f13):
 def test_quarter_turn_invariance(f13, f9):
     for f in (f13, f9):
         ctx = make_context(f, 1)
-        V = state_vector(ctx)
+        V = element_state(ctx)
         j = f.units()
         assert np.abs(V[f.mul(j, f.i_elem)] - V[j]).max() < 1e-10
 
@@ -126,7 +126,7 @@ def test_main_identity_all_a(pn):
     f = build_field(*pn)
     for a in range(1, f.q):
         ctx = make_context(f, a)
-        P = element_table(ctx)
+        P = mixed_table(ctx)  # V and P share one log order
         V = state_vector(ctx)
         assert np.abs(P - np.outer(V, V)).max() < 1e-10
 
@@ -144,7 +144,7 @@ def test_conjugate_quartic_context(f13):
     for a in (1, 2, 6):
         ctx = make_context(f13, a, conjugate_quartic=True)
         assert abs(ctx.tau**2 - 13 * ctx.A4(f13.neg(a))) < 1e-10
-        P = element_table(ctx)
+        P = mixed_table(ctx)
         V = state_vector(ctx)
         assert np.abs(P - np.outer(V, V)).max() < 1e-10
 
@@ -181,17 +181,27 @@ def test_main_stream_is_squares_table(pn, monkeypatch):
 @pytest.mark.parametrize("pn", [(5, 1), (3, 2), (13, 1), (5, 2), (13, 2), (7, 2), (3, 4), (5, 3)])
 def test_cell_logs_place_each_cell_at_its_squares(pn):
     # the (j, k) that cell_logs picks for each cell (u, v) of the squares
-    # table, read back from log_order of the element indices, has
+    # table, read back from the element at each log-order index, has
     # (j+k)^2 = u and (j-k)^2 = v by field arithmetic, over every cell and
     # for row ranges that start at 0, in the middle and end at the last row:
-    # its Zech offsets agree with field addition
+    # its Zech offsets agree with field addition.  Every index is in
+    # 0..q-1, so none aliases another under take(mode="clip"), and q-1, the
+    # element 0, sits only where a cell holds 0: k on the diagonal u = v,
+    # and j too at the corner u = v = 0
     f = build_field(*pn)
-    half = (f.q - 1) // 2
-    elems = log_order(f, np.arange(f.q))
+    n = f.q - 1
+    half = n // 2
+    elems = np.append(f.exp_table, 0)  # the element at each index of the log order
     slot = square_column(f)
-    for lo, hi in ((0, half + 1), (0, 2), (1, half + 1), (half // 2, half + 1), (half, half + 1)):
+    cols = np.arange(half + 1)
+    for lo, hi in ((0, half + 1), (0, 2), (1, half + 1), (half // 2, half + 1), (half, half + 1),
+                   (half // 2, half // 2 + 2)):
         rows = np.arange(lo, hi)
         logs = cell_logs(f, rows, np.empty((2, len(rows), half + 1), dtype=np.int64))
+        assert 0 <= logs.min() and logs.max() <= n
+        diagonal = rows[:, None] == cols
+        assert np.array_equal(logs[1] == n, diagonal)
+        assert np.array_equal(logs[0] == n, diagonal & (cols == 0))
         j, k = elems[logs]
         assert np.array_equal(slot[f.add(j, k)], np.broadcast_to(rows[:, None], j.shape))
         assert np.array_equal(slot[f.sub(j, k)], np.broadcast_to(np.arange(half + 1), j.shape))
