@@ -27,7 +27,7 @@ from .sums import (
     jacobi,
     quad_transform,
 )
-from .mixed import (MixedSumContext, cell_logs, make_context, mixed_table, per_a, scalar_mul,
+from .mixed import (MixedSumContext, cell_logs, make_context, mixed_table, per_a,
                     square_rows, state_vector)
 from . import mellin as ml
 
@@ -263,8 +263,9 @@ def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckReport
     the column v = 0, and 1 at (0,0).  S is streamed in row blocks
     (mixed.square_rows), each compared once, with every cell counted with
     its multiplicity, against V(j)V(k) read from V (in log order) at
-    mixed.cell_logs: a row of S but its first stands for 2q pairs, the
-    first for q.  So run_main never reads P and holds no S.  The zero row
+    mixed.cell_logs (the cell's other pairs give products such as V(k)V(j),
+    equal to it up to rounding): a row of S but its first stands for 2q
+    pairs, the first for q.  So run_main never reads P and holds no S.  The zero row
     P(j, 0) is the diagonal u = v, P(k, j) is the cell itself, and P(-j, k)
     is S(v, u), which the second route of square_rows computes.  A batch
     of a runs as one stream, with the a axis first in every array."""
@@ -300,16 +301,12 @@ def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckReport
         if top:  # j = k = 0
             expect = 2 + 2 * (gauss(ctx.A4) ** 2 / (q * ctx.A4(f.neg_table[ctx.a]))).real
             corner.compare_arrays(S[..., 0, :1],
-                                  np.array([expect, scalar_mul(V[..., -1], V[..., -1])]).T)
+                                  np.array([expect, V[..., -1] * V[..., -1]]).T)
         jk = cell_logs(f, rows, logs[:, :b])
         for X, check in ((V, main), (W, branch)):  # T is spent: its buffer holds the products
             Xk = X.take(jk[1], axis=-1, out=other[..., :b, :], mode="clip")
             Xj = X.take(jk[0], axis=-1, out=T, mode="clip")
             check.compare_arrays(S, np.multiply(Xj, Xk, out=T), count)
-            # the pairs (k, j) and (-k, -j) give X(k)X(j), which rounds
-            # apart from X(j)X(k) in its last bit
-            Xj = X.take(jk[0], axis=-1, out=T, mode="clip")
-            check.compare_arrays(S, np.multiply(Xk, Xj, out=T), 0)
     # i = g^((q-1)/4), so V(i g^s) is V(g^s) shifted by (q-1)/4
     quarter.compare_arrays(np.roll(V[..., :n], -(n // 4), axis=-1), V[..., :n])
     return checks.reports()

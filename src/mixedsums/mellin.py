@@ -20,7 +20,7 @@ import numpy as np
 
 from .gf import FieldError, FieldTable, ZeroArgument
 from .chars import MultChar, char_at, dft, unit_roots
-from .mixed import MixedSumContext, per_a, scalar_mul, state_vector
+from .mixed import MixedSumContext, per_a, state_vector
 from .sums import exponent_sweep, gauss_table, hyp2f1_many, jacobi
 
 
@@ -97,7 +97,7 @@ def mellin_v_octic(ctx: MixedSumContext) -> np.ndarray:
         o = -o
     terms = np.array([(o, o, -o), (5 * o, 3 * o, -3 * o), (3 * o, -o, -3 * o), (-o, o, 3 * o)])
     c, g1, g2 = terms.T.reshape((3, 4) + (1,) * np.ndim(ctx.a))  # a term on a first axis
-    t = scalar_mul(scalar_mul(char_at(f, c, ctx.a), _gauss(f, g1)), _gauss(f, g2))
+    t = char_at(f, c, ctx.a) * _gauss(f, g1) * _gauss(f, g2)
     return (t[0] + t[1] + t[2] + t[3]) / ctx.tau
 
 
@@ -123,8 +123,8 @@ def mellin_p0_closed_root(ctx: MixedSumContext, nu) -> np.ndarray:
     """Gauss-sum evaluation of T(nu^4) for explicit fourth roots nu
     (an exponent array), with the factor before _root_sum cached per context."""
     f, e = ctx.field, ctx.A4.m
-    c = ctx.cached("p0_prefactor", lambda ctx: scalar_mul(char_at(f, e, f.neg_table[1]), (
-        scalar_mul(char_at(f, -e, ctx.a), _gauss(f, e)) + _gauss(f, -e)) / f.q))
+    c = ctx.cached("p0_prefactor", lambda ctx: np.asarray(char_at(f, e, f.neg_table[1]) * (
+        (char_at(f, -e, ctx.a) * _gauss(f, e) + _gauss(f, -e)) / f.q)))
     return per_a(ctx, c, np.ndim(nu)) * _root_sum(ctx, nu)
 
 
@@ -296,15 +296,11 @@ def double_mellin_matrix(field: FieldTable, P) -> np.ndarray:
 def double_mellin_closed(ctx: MixedSumContext, nu1, nu2) -> np.ndarray:
     """Gauss-sum evaluation of T(nu1^4, nu2^4), elementwise over the broadcast
     exponent arrays nu1 and nu2: its 16 terms factor, as chi(-nu1 - nu2 - (m + n) e)(a)
-    splits, into A4(-1/a) _root_sum(nu1) _root_sum(nu2) / q.  The product
-    is taken for one a at a time, in the shapes of nu1 and nu2: numpy rounds
-    a complex product of one entry that it broadcasts with no fused
-    multiply-add, and larger ones with it, so each a keeps its own bits."""
+    splits, into A4(-1/a) _root_sum(nu1) _root_sum(nu2) / q."""
     f = ctx.field
+    nu1, nu2 = np.broadcast_arrays(nu1, nu2)
     c = char_at(f, ctx.A4.m, f.neg_table[f.inv_table[ctx.a]]) / f.q
-    r1, r2 = (_root_sum(ctx, nu).reshape((-1,) + np.shape(nu)) for nu in (nu1, nu2))
-    products = [ci * x * y for ci, x, y in zip(np.ravel(c), r1, r2)]
-    return np.array(products).reshape(np.shape(ctx.a) + products[0].shape)
+    return per_a(ctx, c, nu1.ndim) * _root_sum(ctx, nu1) * _root_sum(ctx, nu2)
 
 
 def pair_coeffs(ctx: MixedSumContext, nu1) -> np.ndarray:

@@ -9,7 +9,7 @@ every V(j) and leave P = V(j)V(k) unchanged.
 
 a is an axis: a context may hold one a or a 1-D array of B values, and
 every per-context array then has a leading axis of length B (none for
-one a), each of whose rows is what that a alone gives, bit for bit.
+one a), each of whose rows is what that a alone gives.
 """
 
 from __future__ import annotations
@@ -74,17 +74,6 @@ def per_a(ctx: MixedSumContext, x, ndim: int = 1) -> np.ndarray:
     return np.asarray(x).reshape(np.shape(ctx.a) + (1,) * ndim)
 
 
-def scalar_mul(x, y) -> np.ndarray:
-    """x * y elementwise, rounded as numpy rounds the product of two complex
-    scalars, with no fused multiply-add (numpy's complex array loops may
-    fuse): a per-a value that one a computes from scalars keeps its bits
-    in a batch."""
-    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
-    out = np.asarray(x.real * y.real - x.imag * y.imag, dtype=complex)
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
-
-
 def state_vector(ctx: MixedSumContext) -> np.ndarray:
     """V(j) for every j in F_q in log order (see element_order): V(g^s) at
     index s, and V(0) last, cached.
@@ -97,7 +86,6 @@ def state_vector(ctx: MixedSumContext) -> np.ndarray:
         K[r] = sum_s A4(g^s) psi(g^s) psi(g^(r-s)),
     one FFT product for every c at once, and tau V(g^s) = K[log a + 4s].
     K does not depend on a, so it is cached per field and quartic exponent.
-    V(0) is taken in Python complex arithmetic, one a at a time, as for one a.
     """
     def build(ctx):
         f = ctx.field
@@ -105,10 +93,9 @@ def state_vector(ctx: MixedSumContext) -> np.ndarray:
             f, psi_table(f)[f.exp_table])(ctx.A4(f.exp_table) * psi_table(f)[f.exp_table]))
         v = np.empty(np.shape(ctx.a) + (f.q,), dtype=complex)
         logs = per_a(ctx, f.log_table[ctx.a]) + 4 * np.arange(f.q - 1)
-        v[..., :-1] = K[logs % (f.q - 1)] / per_a(ctx, ctx.tau)
-        g4 = gauss(ctx.A4)
-        v[..., -1] = np.reshape([g4 / t + t / g4 for t in np.ravel(ctx.tau).tolist()],
-                               np.shape(ctx.a))
+        tau, g4 = per_a(ctx, ctx.tau, 0), gauss(ctx.A4)
+        v[..., :-1] = K[logs % (f.q - 1)] / tau[..., None]
+        v[..., -1] = g4 / tau + tau / g4
         return v
     return ctx.cached("state", build)
 

@@ -7,6 +7,7 @@ squares_table, which fills the squares table from its row blocks,
 full_length_squares, which builds both routes of the squares table by
 full-length convolutions read at every second output,
 p_order_main, which replays the main suite on the full table of P,
+equivalent_reports, the rule by which two reports agree up to rounding,
 gathered_double_mellin, which takes the double transform of P gathered in
 log order, per_z_quad_transform and per_j_hyper_kernel, which replay
 one check each with one element per library call, and
@@ -131,6 +132,23 @@ def p_order_main(ctx, tol=DEFAULT_TOL):
     j = f.units()
     quarter.compare_arrays(V[f.mul(j, f.i_elem)], V[j])
     return checks.reports()
+
+
+def equivalent_reports(got, expect):
+    """Whether two reports agree up to rounding: the same rows in the same
+    order, with equal check_id, q, a, instances, tol and passed, and each
+    pair of max_abs_err within 2x of each other or both at most 1e-14.
+    The identities are exact, so two routes to the same values may differ
+    in the last bits of a worst error, which depend on the array shapes and
+    on whether numpy's complex loops fuse the multiply-add."""
+    def key(r):
+        return r.check_id, r.q, r.a, r.instances, r.tol, r.passed
+
+    def close(x, y):
+        return x <= 2 * y and y <= 2 * x or x <= 1e-14 and y <= 1e-14 or repr(x) == repr(y)
+    got, expect = list(got), list(expect)
+    return len(got) == len(expect) and all(
+        key(r) == key(e) and close(r.max_abs_err, e.max_abs_err) for r, e in zip(got, expect))
 
 
 def squares_table(ctx):
