@@ -14,7 +14,7 @@ from .gf import (
     ZeroArgument,
     build_field,
 )
-from .chars import MultChar, quadratic_char, quartic_char
+from .chars import MultChar
 from .sums import DEFAULT_TOL, BadArgument, gauss, hasse_davenport_residual, jacobi
 from .mixed import (
     MixedSumContext,
@@ -29,7 +29,7 @@ from . import mellin
 __all__ = [
     "FieldParams", "FieldTable", "FieldError", "NotPrime", "TooLarge",
     "WrongResidue", "ZeroArgument", "build_field",
-    "MultChar", "quadratic_char", "quartic_char",
+    "MultChar",
     "DEFAULT_TOL", "BadArgument", "gauss", "hasse_davenport_residual", "jacobi",
     "MixedSumContext", "ParameterOutOfRange", "make_context", "mixed_table",
     "state_vector",

@@ -69,8 +69,8 @@ def convolver(field: FieldTable, k):
 
 
 class MultChar:
-    """The values of chi_m on F_q, with chi_m(0) = 0: an evaluator for the
-    exponent m, with no arithmetic of its own."""
+    """The values of chi_m on F_q, with chi_m(0) = 0: an evaluator of the
+    exponent m for callers (the package reads char_at), with no arithmetic."""
 
     __slots__ = ("field", "m")
 
@@ -89,14 +89,6 @@ class MultChar:
 
     def __repr__(self):
         return f"chi_{self.m}"
-
-
-def quadratic_char(field: FieldTable) -> MultChar:
-    return MultChar(field, (field.q - 1) // 2)
-
-
-def quartic_char(field: FieldTable) -> MultChar:
-    return MultChar(field, (field.q - 1) // 4)
 
 
 def char_matrix(field: FieldTable) -> np.ndarray:

@@ -20,7 +20,6 @@ from .chars import char_at, char_matrix
 from .sums import (
     DEFAULT_TOL,
     exponent_sweep,
-    gauss,
     gauss_table,
     hasse_davenport_residual,
     hyp2f1_many,
@@ -273,7 +272,7 @@ def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckReport
     q, n = f.q, f.q - 1
     half = n // 2
     V = state_vector(ctx)
-    W = state_vector(make_context(f, ctx.a, conjugate_quartic=ctx.A4.m == n // 4))
+    W = state_vector(make_context(f, ctx.a, conjugate_quartic=ctx.A4 == n // 4))
     checks = Checks(f, ctx.a, tol)
     # created up front, so the report rows keep their order
     main, corner, zero_row, symmetry, negation, quarter, drift = (
@@ -299,7 +298,8 @@ def run_main(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckReport
         zero_row.compare_arrays(S[..., np.arange(b), rows], V[..., -1:] * V[..., rows - 1],
                                 2 * b - top)
         if top:  # j = k = 0
-            expect = 2 + 2 * (gauss(ctx.A4) ** 2 / (q * ctx.A4(f.neg_table[ctx.a]))).real
+            g4 = gauss_table(f)[ctx.A4]
+            expect = 2 + 2 * (g4**2 / (q * char_at(f, ctx.A4, f.neg_table[ctx.a]))).real
             corner.compare_arrays(S[..., 0, :1],
                                   np.array([expect, V[..., -1] * V[..., -1]]).T)
         jk = cell_logs(f, rows, logs[:, :b])
@@ -345,8 +345,8 @@ def run_mellin(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckRepo
     f = ctx.field
     qm1 = f.q - 1
     m = np.arange(qm1)
-    e = ctx.A4.m
-    phi_m = ctx.phi.m
+    e = ctx.A4
+    phi_m = qm1 // 2
     checks = Checks(f, ctx.a, tol)
 
     s_direct = ml.mellin_v_all(ctx)
@@ -380,7 +380,7 @@ def run_mellin(ctx: MixedSumContext, tol: float = DEFAULT_TOL) -> list[CheckRepo
     # the coefficients are free of a, so every a gets the same comparison
     coeffs.compare_arrays(np.broadcast_to(rj, np.shape(ctx.a) + rj.shape),
                           ml.pair_coeffs_gauss(ctx, m))
-    coeffs.compare_arrays((rj * per_a(ctx, ctx.A4(ctx.a), 2) ** np.arange(4)).sum(axis=-1),
+    coeffs.compare_arrays((rj * per_a(ctx, char_at(f, e, ctx.a), 2) ** np.arange(4)).sum(axis=-1),
                           T[..., m4 % qm1, -m4 % qm1])
     checks["inverse_mellin"].compare_arrays(ml.inverse_mellin(f, s_closed, f.exp_table),
                                             state_vector(ctx)[..., :-1])

@@ -1,6 +1,7 @@
 """Mellin transforms of the mixed sums and their closed forms in terms of
-Gauss and Jacobi sums, plus the helper sums used to relate the two and the
-inverse transform that reconstructs V from its character spectrum.
+Gauss and Jacobi sums, the hypergeometric kernel and the null-locus sum
+that relate the two, and the inverse transform that reconstructs V from
+its character spectrum.
 
 Every "direct" function is a literal character sum; every "closed"
 function evaluates Gauss- and Jacobi-sum expressions from per-field caches.
@@ -8,10 +9,9 @@ The verification suites compare the two routes, so the pairs are kept
 strictly independent of each other.
 
 Characters enter as integer exponents (m stands for chi_m, reduced mod
-q-1), and the closed forms work elementwise over exponent arrays; only
-hyper_kernel_closed, the one-value view of hyper_kernel_closed_row, reads
-the exponent off a MultChar.  A function of a context with a batch of a
-puts the a axis before the exponent axes (see mixed).
+q-1), the context's quartic character included (ctx.A4), and the closed
+forms work elementwise over exponent arrays.  A function of a context with
+a batch of a puts the a axis before the exponent axes (see mixed).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import FieldError, FieldTable, ZeroArgument
-from .chars import MultChar, char_at, dft, unit_roots
+from .chars import char_at, dft, unit_roots
 from .mixed import MixedSumContext, per_a, state_vector
 from .sums import exponent_sweep, gauss_table, hyp2f1_many, jacobi
 
@@ -44,8 +44,8 @@ def _gauss_pairs(ctx: MixedSumContext, nu) -> np.ndarray:
     """G(nu A4^(k-1)) G(nu A4^k) for k = 0..3 on a leading axis, elementwise
     over the exponent array nu: the Gauss-sum pairs every closed form is
     built of, read from one (4, q-1) table cached per field and quartic
-    exponent (run_main's W uses conj(A4))."""
-    f, e = ctx.field, ctx.A4.m
+    exponent, so a conjugate context (conjugate_quartic) reads its own."""
+    f, e = ctx.field, ctx.A4
     n = np.arange(f.q - 1)
     pairs = f.cached(("gauss_pairs", e), lambda f: np.stack(
         [_gauss(f, n + (k - 1) * e) * _gauss(f, n + k * e) for k in range(4)]))
@@ -66,7 +66,7 @@ def _root_sum(ctx: MixedSumContext, nu) -> np.ndarray:
     the factor of S(nu^4), T(nu^4) and T(nu1^4, nu2^4), elementwise over the
     exponent array nu, read from one length-(q-1) vector per a cached per context."""
     def build(ctx):
-        f, e, n, a = ctx.field, ctx.A4.m, np.arange(ctx.field.q - 1), per_a(ctx, ctx.a)
+        f, e, n, a = ctx.field, ctx.A4, np.arange(ctx.field.q - 1), per_a(ctx, ctx.a)
         total = sum(char_at(f, (1 - k) * e, a) * g for k, g in enumerate(_gauss_pairs(ctx, n)))
         return char_at(f, -n, a) * total
     return ctx.cached("root_sum", build)[..., np.mod(nu, ctx.field.q - 1)]
@@ -93,20 +93,12 @@ def mellin_v_octic(ctx: MixedSumContext) -> np.ndarray:
     if (f.q - 1) % 8 != 0:
         raise FieldError("no octic character: 8 does not divide q-1")
     o = (f.q - 1) // 8
-    if ctx.A4.m != 2 * o:
+    if ctx.A4 != 2 * o:
         o = -o
     terms = np.array([(o, o, -o), (5 * o, 3 * o, -3 * o), (3 * o, -o, -3 * o), (-o, o, 3 * o)])
     c, g1, g2 = terms.T.reshape((3, 4) + (1,) * np.ndim(ctx.a))  # a term on a first axis
     t = char_at(f, c, ctx.a) * _gauss(f, g1) * _gauss(f, g2)
     return (t[0] + t[1] + t[2] + t[3]) / ctx.tau
-
-
-def v_moment_sum(ctx: MixedSumContext, lam: int) -> complex:
-    """sum over x != 0 of A4(x) conj(lam)(x + a/x), lam = chi_lam."""
-    f = ctx.field
-    x = f.units()
-    args = f.add(x, f.mul(ctx.a, f.inv_table[x]))
-    return complex(np.sum(ctx.A4(x) * MultChar(f, -lam).values()[args]))
 
 
 # --- Mellin transform of P(j, 0) ---
@@ -122,7 +114,7 @@ def mellin_p0_all(field: FieldTable, P) -> np.ndarray:
 def mellin_p0_closed_root(ctx: MixedSumContext, nu) -> np.ndarray:
     """Gauss-sum evaluation of T(nu^4) for explicit fourth roots nu
     (an exponent array), with the factor before _root_sum cached per context."""
-    f, e = ctx.field, ctx.A4.m
+    f, e = ctx.field, ctx.A4
     c = ctx.cached("p0_prefactor", lambda ctx: np.asarray(char_at(f, e, f.neg_table[1]) * (
         (char_at(f, -e, ctx.a) * _gauss(f, e) + _gauss(f, -e)) / f.q)))
     return per_a(ctx, c, np.ndim(nu)) * _root_sum(ctx, nu)
@@ -143,7 +135,7 @@ def kummer_closed(ctx: MixedSumContext, nu) -> np.ndarray:
     nu = np.asarray(nu)
     if np.any(np.mod(4 * nu, f.q - 1) == 0):
         raise FourthPowerTrivial("nu^4 must be nontrivial")
-    e = ctx.A4.m
+    e = ctx.A4
     h = (f.q - 1) // 2
     num = char_at(f, e, f.neg_table[1]) * _gauss(f, nu + e) * (
         _gauss(f, nu) * _gauss(f, e) + _gauss(f, nu + h) * _gauss(f, -e)
@@ -151,40 +143,7 @@ def kummer_closed(ctx: MixedSumContext, nu) -> np.ndarray:
     return num / (f.q * _gauss(f, h) * _gauss(f, 2 * nu))
 
 
-def axis_sum(ctx: MixedSumContext, lam: int) -> complex:
-    """Sum over the locus x + a/x = 0 of phi(x - a/x) times the full
-    character sum of lam*A4 plus lam*conj(A4) over F_q*, lam = chi_lam."""
-    f, e = ctx.field, ctx.A4.m
-    x = f.units()
-    ax = f.mul(ctx.a, f.inv_table[x])
-    on_axis = f.add(x, ax) == 0
-    phi_vals = ctx.phi.values()[f.sub(x, ax)]
-    j_sum = np.sum(char_at(f, lam + e, x) + char_at(f, lam - e, x))
-    return complex(np.sum(phi_vals[on_axis]) * j_sum)
-
-
-def p0_locus_sum(ctx: MixedSumContext, lam: int) -> complex:
-    """G(lam*A4) * sum over x != 0 of phi(x - a/x) conj(lam*A4)(x + a/x),
-    lam = chi_lam."""
-    f = ctx.field
-    mu = lam + ctx.A4.m  # lam*A4
-    x = f.units()
-    ax = f.mul(ctx.a, f.inv_table[x])
-    w = ctx.phi.values()[f.sub(x, ax)] * MultChar(f, -mu).values()[f.add(x, ax)]
-    return complex(_gauss(f, mu) * np.sum(w))
-
-
 # --- double Mellin transform of P(j, k) ---
-
-
-def cross_form(ctx: MixedSumContext, j, x):
-    """The quadratic form x (j+1)^2 + a (j-1)^2 / x; never 0 at j = +-1."""
-    f = ctx.field
-    if np.any(np.asarray(x) == 0):
-        raise ZeroArgument("x must be nonzero")
-    jp = f.add(j, 1)
-    jm = f.sub(j, 1)
-    return f.add(f.mul(x, f.mul(jp, jp)), f.mul(f.mul(ctx.a, f.mul(jm, jm)), f.inv_table[x]))
 
 
 def hyper_kernel_row(ctx: MixedSumContext, js) -> np.ndarray:
@@ -209,13 +168,14 @@ def hyper_kernel_row(ctx: MixedSumContext, js) -> np.ndarray:
     generic = (lp != 0) & (lm != 0)
     # at j = 1 the form is 4x, whose log is d, and at j = -1 it is 4
     largs = np.where(generic, 2 * lm + f.zech[d], np.where(lm == 0, d, 2 * lm))
-    w = unit_roots(f)[np.mod(ctx.phi.m * (f.zech[lx - half] + largs), qm1)]
+    w = unit_roots(f)[np.mod(half * (f.zech[lx - half] + largs), qm1)]  # phi = chi_half
     w[generic & (d == half)] = 0.0  # x r^2 = -1: the form is 0
     return exponent_sweep(f, lx - 2 * largs, w)
 
 
-def hyper_kernel_closed(ctx: MixedSumContext, D: MultChar, j) -> complex:
-    return complex(hyper_kernel_closed_row(ctx, [int(j)])[0, D.m])
+def hyper_kernel_closed(ctx: MixedSumContext, m: int, j) -> complex:
+    """The closed form at one character D = chi_m and one j."""
+    return complex(hyper_kernel_closed_row(ctx, [int(j)])[0, m % (ctx.field.q - 1)])
 
 
 def hyper_kernel_closed_row(ctx: MixedSumContext, js) -> np.ndarray:
@@ -229,7 +189,7 @@ def hyper_kernel_closed_row(ctx: MixedSumContext, js) -> np.ndarray:
     js = np.asarray(js)
     if np.any(js == 0):
         raise ZeroArgument("j must be nonzero")
-    e, h = ctx.A4.m, ctx.phi.m
+    e, h = ctx.A4, qm1 // 2
     m = np.arange(qm1)
     j2 = f.mul(js, js)
     j4 = f.mul(j2, j2)
@@ -237,7 +197,8 @@ def hyper_kernel_closed_row(ctx: MixedSumContext, js) -> np.ndarray:
     out = pref * hyp2f1_many(f, (1, 0), (1, e), (0, e), j4)
     out[:, 0] = -2.0 + f.q * (j2 == f.neg_table[1]) + 1.0 * (j2 == 1)
     quartic = [qm1 // 4, 3 * qm1 // 4]
-    out[:, quartic] = _jacobi_phi(f, quartic) - ctx.phi(f.sub(j4, 1))[:, None]
+    phi = np.where(j4 == 1, 0.0, char_at(f, h, f.sub(j4, 1)))  # phi(j^4 - 1), 0 at j^4 = 1
+    out[:, quartic] = _jacobi_phi(f, quartic) - phi[:, None]
     return out
 
 
@@ -266,22 +227,9 @@ def null_locus_sum(ctx: MixedSumContext, lam1) -> np.ndarray:
 def null_locus_closed(ctx: MixedSumContext, nu1) -> np.ndarray:
     """(A4(a) + conj(A4)(a)) * sum over m of J(nu1 A4^m, phi), for an
     exponent array nu1."""
-    f, e = ctx.field, ctx.A4.m
+    f, e = ctx.field, ctx.A4
     jsum = sum(_jacobi_phi(f, np.add(nu1, k * e)) for k in range(4))
     return per_a(ctx, char_at(f, e, ctx.a) + char_at(f, -e, ctx.a), np.ndim(nu1)) * jsum
-
-
-def cross_form_sum(ctx: MixedSumContext, lam1: int, lam2: int) -> complex:
-    """Double sum of chi1(j) phi(x - a/x) conj(lam1 lam2)(alpha(j, x)),
-    chi1 = lam1^2 phi, lam1 = chi_lam1 and lam2 = chi_lam2."""
-    f = ctx.field
-    x = f.units()
-    j = f.units()
-    ax = f.mul(ctx.a, f.inv_table[x])
-    alpha = cross_form(ctx, j[:, None], x[None, :])
-    vals = MultChar(f, -(lam1 + lam2)).values()[alpha]
-    w = char_at(f, 2 * lam1 + ctx.phi.m, j)[:, None] * ctx.phi.values()[f.sub(x, ax)][None, :]
-    return complex(np.sum(w * vals))
 
 
 def double_mellin_matrix(field: FieldTable, P) -> np.ndarray:
@@ -299,7 +247,7 @@ def double_mellin_closed(ctx: MixedSumContext, nu1, nu2) -> np.ndarray:
     splits, into A4(-1/a) _root_sum(nu1) _root_sum(nu2) / q."""
     f = ctx.field
     nu1, nu2 = np.broadcast_arrays(nu1, nu2)
-    c = char_at(f, ctx.A4.m, f.neg_table[f.inv_table[ctx.a]]) / f.q
+    c = char_at(f, ctx.A4, f.neg_table[f.inv_table[ctx.a]]) / f.q
     return per_a(ctx, c, nu1.ndim) * _root_sum(ctx, nu1) * _root_sum(ctx, nu2)
 
 
@@ -310,7 +258,7 @@ def pair_coeffs(ctx: MixedSumContext, nu1) -> np.ndarray:
     nu1, read from one (q-1, 4) table cached per field and quartic
     exponent: the coefficients do not depend on a."""
     def build(f):
-        q, e, h = f.q, ctx.A4.m, ctx.phi.m
+        q, e, h = f.q, ctx.A4, (f.q - 1) // 2
         nu = np.arange(q - 1)
         d = np.mod(4 * nu, q - 1) == 0
         jsum = sum(_jacobi_phi(f, nu + k * e) for k in range(4))
@@ -321,7 +269,7 @@ def pair_coeffs(ctx: MixedSumContext, nu1) -> np.ndarray:
         r2 = sum(_jacobi_phi(f, -nu - (k + 1) * e) * _jacobi_phi(f, nu + k * e) for k in range(4))
         return np.stack([r0, r1, r2, r3], axis=-1)
     f = ctx.field
-    return f.cached(("pair_coeffs", ctx.A4.m), build)[np.mod(nu1, f.q - 1)]
+    return f.cached(("pair_coeffs", ctx.A4), build)[np.mod(nu1, f.q - 1)]
 
 
 def pair_coeffs_gauss(ctx: MixedSumContext, nu1) -> np.ndarray:
@@ -331,9 +279,9 @@ def pair_coeffs_gauss(ctx: MixedSumContext, nu1) -> np.ndarray:
         nu = np.arange(f.q - 1)
         g, gbar = _gauss_pairs(ctx, nu), _gauss_pairs(ctx, -nu)
         out = [sum(g[(1 - k - m) % 4] * gbar[m] for m in range(4)) for k in range(4)]
-        return char_at(f, ctx.A4.m, f.neg_table[1]) * np.stack(out, axis=-1) / f.q
+        return char_at(f, ctx.A4, f.neg_table[1]) * np.stack(out, axis=-1) / f.q
     f = ctx.field
-    return f.cached(("pair_coeffs_gauss", ctx.A4.m), build)[np.mod(nu1, f.q - 1)]
+    return f.cached(("pair_coeffs_gauss", ctx.A4), build)[np.mod(nu1, f.q - 1)]
 
 
 def inverse_mellin(field: FieldTable, spec, j) -> np.ndarray:

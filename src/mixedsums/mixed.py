@@ -2,8 +2,10 @@
 V(j) whose outer products reproduce it.
 
 A MixedSumContext fixes everything the sums depend on: the field, the
-parameter a in F_q*, the quartic character, and the normalizing constant
-tau with tau^2 = q * A4(-a).  The branch of the square root is fixed
+parameter a in F_q*, the quartic character as its integer exponent A4
+((q-1)/4, or 3(q-1)/4 for the conjugate; the formulas write A4 for the
+character chi_A4 too), and the normalizing constant tau with
+tau^2 = q * A4(-a).  The branch of the square root is fixed
 deterministically (see make_context); the other branch would negate
 every V(j) and leave P = V(j)V(k) unchanged.
 
@@ -21,8 +23,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .gf import FieldError, FieldTable, ZeroArgument
-from .chars import MultChar, convolver, psi_table, quadratic_char, unit_roots
-from .sums import gauss
+from .chars import char_at, convolver, psi_table, unit_roots
+from .sums import gauss_table
 
 
 class ParameterOutOfRange(FieldError):
@@ -33,13 +35,9 @@ class ParameterOutOfRange(FieldError):
 class MixedSumContext:
     field: FieldTable
     a: int | np.ndarray  # one a, or a 1-D array of them
-    A4: MultChar
+    A4: int  # the exponent of the quartic character, (q-1)/4 or 3(q-1)/4
     tau: complex | np.ndarray  # one per a
     _cache: dict = dc_field(default_factory=dict, repr=False)
-
-    @property
-    def phi(self) -> MultChar:
-        return quadratic_char(self.field)
 
     cached = FieldTable.cached  # a per-context table, built once and read-only
 
@@ -61,8 +59,8 @@ def make_context(field: FieldTable, a, conjugate_quartic: bool = False) -> Mixed
     if bad:
         raise ParameterOutOfRange(f"a = {bad[0]} is not an element index in 1..{field.q - 1}")
     quarter = (field.q - 1) // 4
-    A4 = MultChar(field, -quarter if conjugate_quartic else quarter)
-    k = ((A4.m * field.log_table[field.neg_table[a]]) % (field.q - 1)) // quarter
+    A4 = 3 * quarter if conjugate_quartic else quarter
+    k = ((A4 * field.log_table[field.neg_table[a]]) % (field.q - 1)) // quarter
     tau = -np.sqrt(field.q) * np.exp(1j * np.pi * k / 4)
     return MixedSumContext(field=field, a=a, A4=A4, tau=tau if batch else complex(tau))
 
@@ -89,11 +87,12 @@ def state_vector(ctx: MixedSumContext) -> np.ndarray:
     """
     def build(ctx):
         f = ctx.field
-        K = f.cached(("state_kernel", ctx.A4.m), lambda f: convolver(  # x = g^s
-            f, psi_table(f)[f.exp_table])(ctx.A4(f.exp_table) * psi_table(f)[f.exp_table]))
+        K = f.cached(("state_kernel", ctx.A4), lambda f: convolver(  # x = g^s
+            f, psi_table(f)[f.exp_table])(char_at(f, ctx.A4, f.exp_table)
+                                          * psi_table(f)[f.exp_table]))
         v = np.empty(np.shape(ctx.a) + (f.q,), dtype=complex)
         logs = per_a(ctx, f.log_table[ctx.a]) + 4 * np.arange(f.q - 1)
-        tau, g4 = per_a(ctx, ctx.tau, 0), gauss(ctx.A4)
+        tau, g4 = per_a(ctx, ctx.tau, 0), gauss_table(f)[ctx.A4]
         v[..., :-1] = K[logs % (f.q - 1)] / tau[..., None]
         v[..., -1] = g4 / tau + tau / g4
         return v
@@ -148,7 +147,7 @@ def square_routes(ctx: MixedSumContext, i: int) -> Route:
     windows = psi_windows(f)
     weight, shift, kernel = ((w, 0, windows[log_a]) if i == 0 else
                              (w[..., -s], f.log_table[ctx.a], windows[0]))
-    return Route(weight, shift, np.fft.fft(kernel) / (2 * gauss(ctx.phi)))
+    return Route(weight, shift, np.fft.fft(kernel) / (2 * gauss_table(f)[half]))
 
 
 def square_rows(ctx: MixedSumContext, columns: bool = False):
@@ -179,7 +178,7 @@ def square_rows(ctx: MixedSumContext, columns: bool = False):
     # u = g^(2t), so the windows of consecutive rows are one strided view;
     # psi(0 x) is all ones
     windows = psi_windows(f)
-    g_phi = gauss(ctx.phi)
+    g_phi = gauss_table(f)[half]  # G(phi)
     blocks = list(f.blocks(np.arange(half + 1)))
     lead = np.shape(ctx.a)
     h = np.empty(lead + (len(blocks[0]), n), dtype=complex)

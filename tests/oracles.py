@@ -12,7 +12,9 @@ gathered_double_mellin, which takes the double transform of P gathered in
 log order, per_z_quad_transform and per_j_hyper_kernel, which replay
 one check each with one element per library call, and
 sixteen_term_double_mellin_closed, the closed form of the double transform
-as its 16 gathered Gauss-sum products.
+as its 16 gathered Gauss-sum products, and the lemma sums of the paper's
+proof steps (v_moment_sum, axis_sum, p0_locus_sum and cross_form_sum, each
+a literal sum at one exponent, and the cross form they read).
 """
 
 import cmath
@@ -20,13 +22,13 @@ from itertools import product
 
 import numpy as np
 
-from mixedsums.chars import char_at, convolver, dft, psi_table
+from mixedsums.chars import MultChar, char_at, convolver, dft, psi_table
+from mixedsums.gf import ZeroArgument
 from mixedsums.harness import BRANCH_TOL, Checker, Checks
-from mixedsums.mellin import (_gauss_pairs, cross_form, hyper_kernel_closed_row,
-                              hyper_kernel_row)
+from mixedsums.mellin import _gauss_pairs, hyper_kernel_closed_row, hyper_kernel_row
 from mixedsums.mixed import (element_order, make_context, mixed_table, per_a, square_rows,
                              state_vector)
-from mixedsums.sums import DEFAULT_TOL, exponent_sweep, gauss, quad_transform
+from mixedsums.sums import DEFAULT_TOL, exponent_sweep, gauss_table, quad_transform
 
 
 def chi_val(f, m, x):
@@ -113,7 +115,7 @@ def p_order_main(ctx, tol=DEFAULT_TOL):
     q, n = f.q, f.q - 1
     P = element_table(ctx)
     V = element_state(ctx)
-    W = element_state(make_context(f, ctx.a, conjugate_quartic=ctx.A4.m == n // 4))
+    W = element_state(make_context(f, ctx.a, conjugate_quartic=ctx.A4 == n // 4))
     checks = Checks(f, ctx.a, tol)
     main, corner, zero_row, symmetry, negation, quarter, drift = (
         checks[c] for c in ("main_identity", "corner_value", "zero_row_factorization",
@@ -127,7 +129,8 @@ def p_order_main(ctx, tol=DEFAULT_TOL):
     drift.compare_arrays(P.imag, 0.0)
     negation.compare_arrays(P[f.neg_table], P)  # phi(-1) = 1
     symmetry.compare_arrays(P, P.T)
-    expect = 2 + 2 * (gauss(ctx.A4) ** 2 / (q * ctx.A4(f.neg_table[ctx.a]))).real
+    g4 = gauss_table(f)[ctx.A4]
+    expect = 2 + 2 * (g4**2 / (q * MultChar(f, ctx.A4)(f.neg_table[ctx.a]))).real
     corner.compare_arrays(P[0, 0], [expect, V[0] ** 2])
     j = f.units()
     quarter.compare_arrays(V[f.mul(j, f.i_elem)], V[j])
@@ -174,7 +177,7 @@ def full_length_squares(ctx):
     n, half = f.q - 1, (f.q - 1) // 2
     x = f.exp_table
     a = per_a(ctx, ctx.a)
-    w = ctx.phi(f.sub(f.mul(a, f.inv_table[x]), x))
+    w = MultChar(f, half)(f.sub(f.mul(a, f.inv_table[x]), x))  # phi
     psi = psi_table(f)
     psi_log = np.tile(psi[x], 3)
     starts = 2 * np.arange(half)[:, None] + np.arange(n)
@@ -189,7 +192,7 @@ def full_length_squares(ctx):
         S = np.empty(lead + (half + 1, half + 1), dtype=complex)
         S[..., 0] = h.sum(axis=-1)
         S[..., 1:] = convolver(f, kernel)(h)[..., ::2]
-        S /= gauss(ctx.phi)
+        S /= gauss_table(f)[half]
         S[..., 0] += 1.0
         S[..., 0, :] += 1.0
         tables.append(S)
@@ -265,7 +268,7 @@ def naive_double_mellin(f, P, m1, m2):
 def naive_v_closed_root(ctx, nu):
     """S(nu^4) = conj(nu)(a) / tau * sum over k of
     conj(A4)^(k-1)(a) G(nu A4^(k-1)) G(nu A4^k)."""
-    f, a, e = ctx.field, ctx.a, ctx.A4.m
+    f, a, e = ctx.field, ctx.a, ctx.A4
     total = 0.0
     for k in range(4):
         total += (chi_val(f, (1 - k) * e, a) * naive_gauss(f, nu + (k - 1) * e)
@@ -281,7 +284,7 @@ def naive_v_closed(ctx, m):
 
 
 def naive_p0_closed_root(ctx, nu):
-    f, a, e = ctx.field, ctx.a, ctx.A4.m
+    f, a, e = ctx.field, ctx.a, ctx.A4
     prefac = chi_val(f, e, int(f.neg(1))) * (
         chi_val(f, -e, a) * naive_gauss(f, e) + naive_gauss(f, -e)) / f.q
     total = 0.0
@@ -299,7 +302,7 @@ def naive_p0_closed(ctx, m):
 
 
 def naive_kummer_closed(ctx, nu):
-    f, e = ctx.field, ctx.A4.m
+    f, e = ctx.field, ctx.A4
     h = (f.q - 1) // 2
     num = chi_val(f, e, int(f.neg(1))) * naive_gauss(f, nu + e) * (
         naive_gauss(f, nu) * naive_gauss(f, e) + naive_gauss(f, nu + h) * naive_gauss(f, -e))
@@ -307,7 +310,7 @@ def naive_kummer_closed(ctx, nu):
 
 
 def naive_null_locus_closed(ctx, nu1):
-    f, a, e = ctx.field, ctx.a, ctx.A4.m
+    f, a, e = ctx.field, ctx.a, ctx.A4
     h = (f.q - 1) // 2
     jsum = sum(naive_jacobi(f, nu1 + k * e, h) for k in range(4))
     return (chi_val(f, e, a) + chi_val(f, -e, a)) * jsum
@@ -325,12 +328,13 @@ def naive_null_locus_sum(ctx, lam1):
         js.append(jb[jl])
         xs.append(x[xl])
     j, xz = np.concatenate(js), np.concatenate(xs)
-    w = ctx.phi(f.sub(xz, f.mul(ctx.a, f.inv_table[xz]))) * ctx.phi(j)
+    phi = MultChar(f, (f.q - 1) // 2)
+    w = phi(f.sub(xz, f.mul(ctx.a, f.inv_table[xz]))) * phi(j)
     return exponent_sweep(f, 2 * f.log_table[j], w)[np.mod(lam1, f.q - 1)]
 
 
 def naive_double_mellin_closed(ctx, nu1, nu2):
-    f, a, e = ctx.field, ctx.a, ctx.A4.m
+    f, a, e = ctx.field, ctx.a, ctx.A4
     total = 0.0
     for m in range(4):
         gm = naive_gauss(f, nu2 + (m - 1) * e) * naive_gauss(f, nu2 + m * e)
@@ -347,7 +351,7 @@ def sixteen_term_double_mellin_closed(ctx, nu1, nu2):
     times the sum over m, n = 0..3 of chi(-nu1 - nu2 - (m + n) e)(a)
     G(nu1 A4^(n-1)) G(nu1 A4^n) G(nu2 A4^(m-1)) G(nu2 A4^m), e the exponent
     of A4, from the library's Gauss-sum pairs."""
-    f, e = ctx.field, ctx.A4.m
+    f, e = ctx.field, ctx.A4
     mu = np.mod(np.add(nu1, nu2), f.q - 1)
     g1, g2 = _gauss_pairs(ctx, nu1), _gauss_pairs(ctx, nu2)
     # chi(-mu - s e)(a) takes 7 distinct values per mu, s = m + n = 0..6
@@ -357,7 +361,7 @@ def sixteen_term_double_mellin_closed(ctx, nu1, nu2):
 
 
 def naive_pair_coeffs(ctx, nu1):
-    f, e = ctx.field, ctx.A4.m
+    f, e = ctx.field, ctx.A4
     q, h = f.q, (f.q - 1) // 2
     d = 1 if (4 * nu1) % (q - 1) == 0 else 0
     jsum = sum(naive_jacobi(f, nu1 + k * e, h) for k in range(4))
@@ -371,7 +375,7 @@ def naive_pair_coeffs(ctx, nu1):
 
 
 def naive_pair_coeffs_gauss(ctx, nu1):
-    f, e = ctx.field, ctx.A4.m
+    f, e = ctx.field, ctx.A4
     out = []
     for k in range(4):
         total = 0.0
@@ -383,6 +387,65 @@ def naive_pair_coeffs_gauss(ctx, nu1):
                           * naive_gauss(f, -nu1 + (m - 1) * e) * naive_gauss(f, -nu1 + m * e))
         out.append(chi_val(f, e, int(f.neg(1))) * total / f.q)
     return out
+
+
+# --- the lemma sums of the paper's proof steps, each at one exponent ---
+
+
+def v_moment_sum(ctx, lam):
+    """sum over x != 0 of A4(x) conj(lam)(x + a/x), lam = chi_lam."""
+    f = ctx.field
+    x = f.units()
+    args = f.add(x, f.mul(ctx.a, f.inv_table[x]))
+    return complex(np.sum(char_at(f, ctx.A4, x) * MultChar(f, -lam).values()[args]))
+
+
+def axis_sum(ctx, lam):
+    """Sum over the locus x + a/x = 0 of phi(x - a/x) times the full
+    character sum of lam*A4 plus lam*conj(A4) over F_q*, lam = chi_lam."""
+    f, e = ctx.field, ctx.A4
+    x = f.units()
+    ax = f.mul(ctx.a, f.inv_table[x])
+    on_axis = f.add(x, ax) == 0
+    phi_vals = MultChar(f, (f.q - 1) // 2).values()[f.sub(x, ax)]
+    j_sum = np.sum(char_at(f, lam + e, x) + char_at(f, lam - e, x))
+    return complex(np.sum(phi_vals[on_axis]) * j_sum)
+
+
+def p0_locus_sum(ctx, lam):
+    """G(lam*A4) * sum over x != 0 of phi(x - a/x) conj(lam*A4)(x + a/x),
+    lam = chi_lam."""
+    f = ctx.field
+    mu = lam + ctx.A4  # lam*A4
+    x = f.units()
+    ax = f.mul(ctx.a, f.inv_table[x])
+    w = (MultChar(f, (f.q - 1) // 2).values()[f.sub(x, ax)]
+         * MultChar(f, -mu).values()[f.add(x, ax)])
+    return complex(gauss_table(f)[mu % (f.q - 1)] * np.sum(w))
+
+
+def cross_form(ctx, j, x):
+    """The quadratic form x (j+1)^2 + a (j-1)^2 / x; never 0 at j = +-1."""
+    f = ctx.field
+    if np.any(np.asarray(x) == 0):
+        raise ZeroArgument("x must be nonzero")
+    jp = f.add(j, 1)
+    jm = f.sub(j, 1)
+    return f.add(f.mul(x, f.mul(jp, jp)), f.mul(f.mul(ctx.a, f.mul(jm, jm)), f.inv_table[x]))
+
+
+def cross_form_sum(ctx, lam1, lam2):
+    """Double sum of chi1(j) phi(x - a/x) conj(lam1 lam2)(alpha(j, x)),
+    chi1 = lam1^2 phi, lam1 = chi_lam1 and lam2 = chi_lam2."""
+    f = ctx.field
+    h = (f.q - 1) // 2  # phi = chi_h
+    x = f.units()
+    j = f.units()
+    ax = f.mul(ctx.a, f.inv_table[x])
+    alpha = cross_form(ctx, j[:, None], x[None, :])
+    vals = MultChar(f, -(lam1 + lam2)).values()[alpha]
+    w = char_at(f, 2 * lam1 + h, j)[:, None] * MultChar(f, h).values()[f.sub(x, ax)][None, :]
+    return complex(np.sum(w * vals))
 
 
 # --- the field build, one element at a time ---

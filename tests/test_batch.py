@@ -107,7 +107,7 @@ def test_a_fault_in_one_a_stays_in_its_rows(pn, fault, monkeypatch):
 
     def faulty(ctx):
         V = build(ctx)
-        if ctx.A4.m != (f.q - 1) // 4:  # W, of the conjugate character
+        if ctx.A4 != (f.q - 1) // 4:  # W, of the conjugate character
             return V
         V, row = V.copy(), np.ravel(ctx.a) == f.g
         V[row, f.g] = np.nan if fault == "nan" else V[row, f.g] * (1 + 1e-6)

@@ -3,7 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
-from mixedsums import MultChar, build_field, quadratic_char, quartic_char
+from mixedsums import MultChar, build_field, make_context
 from mixedsums.chars import char_matrix, dft, psi_table
 
 
@@ -45,14 +45,14 @@ def test_zero_maps_to_zero(f13):
 def test_quadratic_at_minus_one(f13, f9, f17):
     # q == 1 mod 4: -1 is a square
     for f in (f13, f9, f17):
-        phi = quadratic_char(f)
+        phi = MultChar(f, (f.q - 1) // 2)
         assert abs(phi(f.neg(1)) - 1) < 1e-12
 
 
 def test_quartic_at_minus_four(f13, f17, f25):
     # -4 = (1+i)^4 is always a fourth power
     for f in (f13, f17, f25):
-        A4 = quartic_char(f)
+        A4 = MultChar(f, make_context(f, 1).A4)
         minus_four = f.neg(f.add(2, 2))
         assert abs(A4(minus_four) - 1) < 1e-12
 
@@ -76,19 +76,23 @@ def test_additive_char_is_additive(pn):
 
 
 def test_special_chars_q13(f13):
-    assert (quadratic_char(f13).m, quartic_char(f13).m) == (6, 3)
+    # a context's quartic character is its exponent, (q-1)/4 or 3(q-1)/4
+    assert make_context(f13, 1).A4 == 3
+    assert make_context(f13, 1, conjugate_quartic=True).A4 == 9
+    assert type(make_context(f13, [1, 2]).A4) is int
     assert (f13.q - 1) % 8 != 0  # no octic character
 
 
 def test_special_chars_q17(f17):
     # the octic exponent (q-1)/8 = 2 squares to the quartic one
     A8 = MultChar(f17, 2)
-    assert np.allclose(A8.values() ** 2, quartic_char(f17).values(), atol=1e-12)
+    assert np.allclose(A8.values() ** 2, MultChar(f17, make_context(f17, 1).A4).values(),
+                       atol=1e-12)
 
 
 def test_quadratic_squares_to_trivial(f13, f9, f25):
     for f in (f13, f9, f25):
-        assert np.allclose(quadratic_char(f).values()[1:] ** 2, 1.0, atol=1e-12)
+        assert np.allclose(MultChar(f, (f.q - 1) // 2).values()[1:] ** 2, 1.0, atol=1e-12)
 
 
 def test_fourth_power_iff_value_one_at_i(f13, f17):

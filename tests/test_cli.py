@@ -64,10 +64,10 @@ def test_table_v(capsys):
             assert [int(j) for j, _, _ in rows[1:]] == list(range(q))
             ctx = make_context(f, a)
             # at j = 0 the x-sum is G(A4)/tau, and V(0) = G(A4)/tau + tau/G(A4)
-            w = naive_state_value(f, a, ctx.tau, 0, ctx.A4.m)
+            w = naive_state_value(f, a, ctx.tau, 0, ctx.A4)
             for j, re, im in rows[1:]:
                 j = int(j)
-                expect = naive_state_value(f, a, ctx.tau, j, ctx.A4.m) if j else w + 1 / w
+                expect = naive_state_value(f, a, ctx.tau, j, ctx.A4) if j else w + 1 / w
                 assert abs(complex(float(re), float(im)) - expect) < 1e-10, (q, a, j)
 
 

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixedsums import (CheckReport, ConfigError, SuiteConfig, build_field, emit_report,
-                       make_context, quartic_char, run, state_vector)
+from mixedsums import (CheckReport, ConfigError, MultChar, SuiteConfig, build_field,
+                       emit_report, make_context, run, state_vector)
 from mixedsums import harness, mixed
 from mixedsums import mellin as ml
 from mixedsums import sums
@@ -326,7 +326,7 @@ def test_tau_branch_fails_with_the_other_characters_tau(monkeypatch):
     # which is -1 when A4(-a) = +-i: then outer(W, W) = -P and W^2 = -V^2,
     # and only tau_branch can see it.
     f = build_field(13, 1)
-    A4 = quartic_char(f)
+    A4 = MultChar(f, (f.q - 1) // 4)
     a = next(a for a in range(1, f.q) if abs(A4(f.neg(a)).imag) > 0.5)
     make = harness.make_context
 
@@ -442,6 +442,28 @@ def invert_mellin_index(f, m):
     m.setattr(ml, "inverse_mellin", lambda field, spec, j: inverse(field, spec, f.inv_table[j]))
 
 
+def scale_first_summand(f, m):
+    """The first summand of every exponent_sweep, w[..., 0] of each row,
+    times 1 + 1e-3."""
+    sweep = sums.exponent_sweep
+
+    def scaled(field, k, w):
+        k, w = np.broadcast_arrays(k, np.asarray(w, dtype=complex))
+        w = w.copy()
+        w[..., :1] *= 1 + 1e-3  # a row may be empty: an empty null locus
+        return sweep(field, k, w)
+    for module in (sums, ml, harness):
+        m.setattr(module, "exponent_sweep", scaled)
+
+
+def invert_octic_sign(f, m):
+    """mellin_v_octic's sign rule inverted: o = -(q-1)/8 for the default
+    quartic character, read by handing it the conjugate one."""
+    octic = ml.mellin_v_octic
+    m.setattr(ml, "mellin_v_octic", lambda ctx: octic(
+        dataclasses.replace(ctx, A4=-ctx.A4 % (f.q - 1), _cache={})))
+
+
 def rotate_psi_value(f, m):
     """One value of the cached additive character, psi(1), times e^(0.1i)."""
     psi = psi_table(f).copy()
@@ -461,6 +483,9 @@ PSI = {"gauss_trivial", "gauss_norm", "jacobi_gauss_ratio", "hasse_davenport",
 ZECH = {"jacobi_conjugate", "jacobi_with_trivial", "jacobi_gauss_ratio", "quad_transform",
         "gauss_summation_at_one", "kummer_value", "hyper_kernel", "main_identity",
         "tau_branch"} | MELLIN_P
+SWEEP = {"jacobi_trivial", "jacobi_conjugate", "jacobi_with_trivial", "jacobi_gauss_ratio",
+         "char_orthogonality", "quad_transform", "gauss_summation_at_one", "kummer_value",
+         "hyper_kernel", "pair_coeffs"}
 # each targeted fault and the exact set of checks, over every suite, that
 # it fails, or a set for each a of the test, keyed 1 and "g"
 FAULTS = {
@@ -501,7 +526,16 @@ FAULTS = {
                                             "mellin_v", "pair_coeffs",
                                             "root_shift_invariance"}),
     "inverse_mellin_sign": (invert_mellin_index, {"inverse_mellin"}),
+    # every literal sum of exponent_sweep: the Jacobi sums (and pair_coeffs'
+    # J(nu, phi) side), the 2F1, the kernel h, char_orthogonality's row sums
+    # and the null locus; at a = g, -a is not a square, the locus is empty
+    # and null_locus reads no summand
+    "sweep_first_summand": (scale_first_summand, {1: SWEEP | {"null_locus"}, "g": SWEEP}),
+    # at a = 1 every character value is 1, and o and -o give the same four
+    # Gauss-sum products, so only a = g sees the sign
+    "octic_sign": (invert_octic_sign, {1: set(), "g": {"mellin_v_octic"}}),
 }
+FAULT_FIELDS = {"octic_sign": (17, 1)}  # 8 | q - 1; every other row runs at q = 13
 STRUCTURAL = {"mixed_symmetry", "quarter_turn"}
 
 
@@ -518,16 +552,21 @@ def failed_under(fault, pn, a_policy):
 
 def test_targeted_faults_fail_exactly_their_checks():
     # Each fault fails exactly its set of checks, or its set for that a, at
-    # q = 13 and a in {1, g}; a fault that changes S fails main_identity
-    # and mellin's P checks, and no fault can fail the structural rows
-    # mixed_symmetry and quarter_turn (ROADMAP item 5).  The
-    # mutation-adequacy criterion of DeMillo, Lipton and Sayward (1978).
-    g = build_field(13, 1).g
+    # q = 13 (or at its field in FAULT_FIELDS) and a in {1, g}; a fault that
+    # changes S fails main_identity and mellin's P checks, no fault can fail
+    # the structural rows mixed_symmetry and quarter_turn, and every other
+    # check id fails under some fault.  The mutation-adequacy criterion of
+    # DeMillo, Lipton and Sayward (1978).
+    covered = set()
     for name, (fault, failing) in FAULTS.items():
-        for a, key in ((1, 1), (g, "g")):
+        pn = FAULT_FIELDS.get(name, (13, 1))
+        for a, key in ((1, 1), (build_field(*pn).g, "g")):
             want = failing[key] if isinstance(failing, dict) else failing
-            assert failed_under(fault, (13, 1), [a])[1] == want, (name, a)
+            assert failed_under(fault, pn, [a])[1] == want, (name, a)
             assert not want & STRUCTURAL
+            covered |= want
+    every_id = {r.check_id for r in run(SuiteConfig(fields=[(17, 1)], a_policy=[1]))}
+    assert covered | STRUCTURAL == every_id
     # psi-bar(y) = psi(-y) is another nontrivial additive character, so
     # conjugating psi is a symmetry of every identity, not a fault: it
     # moves the Gauss sums, G(chi) -> chi(-1) G(chi), and every check passes
@@ -535,6 +574,23 @@ def test_targeted_faults_fail_exactly_their_checks():
         f, failed = failed_under(conjugate_psi, pn, "sample")
         assert failed == set()
         assert not np.array_equal(gauss_table(f), gauss_table(build_field(*pn)))
+
+
+def test_suites_build_no_multchar_and_call_no_scalar_gauss(monkeypatch):
+    # the suites read character values through char_at and Gauss sums
+    # through gauss_table, with the context's characters as exponents:
+    # MultChar and sums.gauss serve callers of the library only
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a suite built a MultChar or called sums.gauss")
+    monkeypatch.setattr(MultChar, "__init__", forbidden)
+    gauss = sums.gauss
+    for module in (sums, mixed, ml, harness):
+        if getattr(module, "gauss", None) is gauss:
+            monkeypatch.setattr(module, "gauss", forbidden)
+    reports = run(SuiteConfig(fields=[(13, 1), (17, 1)], a_policy="sample"))
+    assert {r.check_id for r in reports} >= {"gauss_trivial", "hasse_davenport",
+                                              "main_identity", "mellin_v_octic"}
+    assert all(r.passed for r in reports)
 
 
 def test_real_comparison_reports_as_the_complex_one(f5):

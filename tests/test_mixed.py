@@ -5,24 +5,24 @@ import numpy as np
 import pytest
 
 from mixedsums import (
+    MultChar,
     ParameterOutOfRange,
     ZeroArgument,
     build_field,
-    gauss,
     make_context,
     mixed_table,
-    quartic_char,
     state_vector,
 )
 from mixedsums import harness, mixed
 from mixedsums.mixed import cell_logs, element_order, square_rows
+from mixedsums.sums import gauss_table
 from oracles import (element_state, element_table, full_length_squares, naive_mixed_sum,
                      naive_state_value, squares_table)
 
 
 def find_a(field, quartic_value):
     """Smallest a in F_q* with A4(-a) equal to the given root of unity."""
-    A4 = quartic_char(field)
+    A4 = MultChar(field, (field.q - 1) // 4)
     for a in range(1, field.q):
         if abs(A4(field.neg(a)) - quartic_value) < 1e-9:
             return a
@@ -40,7 +40,7 @@ def test_tau_principal_branch(f13):
 
 def test_tau_squares_to_quartic_value(f13, f9, f17):
     for f in (f13, f9, f17):
-        A4 = quartic_char(f)
+        A4 = MultChar(f, (f.q - 1) // 4)
         for a in range(1, f.q):
             ctx = make_context(f, a)
             assert abs(ctx.tau**2 - f.q * A4(f.neg(a))) < 1e-10
@@ -82,15 +82,15 @@ def test_state_vector_matches_oracle(pn, a):
                 dataclasses.replace(base, tau=-base.tau, _cache={})):
         V = element_state(ctx)
         for j in range(1, f.q):
-            expect = naive_state_value(f, a, ctx.tau, j, ctx.A4.m)
+            expect = naive_state_value(f, a, ctx.tau, j, ctx.A4)
             assert abs(V[j] - expect) < 1e-10
 
 
 def test_corner_value(f13):
     for a in (1, 2, 6):
         ctx = make_context(f13, a)
-        g4 = gauss(ctx.A4)
-        expect = 2 + 2 * (g4**2 / (13 * ctx.A4(f13.neg(a)))).real
+        g4 = gauss_table(f13)[ctx.A4]
+        expect = 2 + 2 * (g4**2 / (13 * MultChar(f13, ctx.A4)(f13.neg(a)))).real
         corner = element_table(ctx)[0, 0]
         assert abs(corner - expect) < 1e-10
         assert abs(corner - element_state(ctx)[0] ** 2) < 1e-10
@@ -99,7 +99,7 @@ def test_corner_value(f13):
 def test_state_at_zero(f13):
     a = 12  # -a = 1, so A4(-a) = 1 and tau = -sqrt(13)
     ctx = make_context(f13, a)
-    g4 = gauss(ctx.A4)
+    g4 = gauss_table(f13)[ctx.A4]
     root = -math.sqrt(13)
     assert abs(element_state(ctx)[0] - (g4 / root + root / g4)) < 1e-10
 
@@ -143,7 +143,8 @@ def test_tau_sign_invariance(f13):
 def test_conjugate_quartic_context(f13):
     for a in (1, 2, 6):
         ctx = make_context(f13, a, conjugate_quartic=True)
-        assert abs(ctx.tau**2 - 13 * ctx.A4(f13.neg(a))) < 1e-10
+        assert ctx.A4 == 9  # 3(q-1)/4
+        assert abs(ctx.tau**2 - 13 * MultChar(f13, ctx.A4)(f13.neg(a))) < 1e-10
         P = mixed_table(ctx)
         V = state_vector(ctx)
         assert np.abs(P - np.outer(V, V)).max() < 1e-10

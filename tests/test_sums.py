@@ -9,7 +9,6 @@ from mixedsums import (
     gauss,
     hasse_davenport_residual,
     jacobi,
-    quadratic_char,
 )
 from mixedsums.chars import dft, unit_roots
 from mixedsums.harness import Checker
@@ -30,7 +29,7 @@ def test_gauss_trivial(f13):
 
 
 def test_gauss_quadratic_q5(f5):
-    g = gauss(quadratic_char(f5))
+    g = gauss(MultChar(f5, 2))  # the quadratic character
     assert abs(g - naive_gauss(f5, 2)) < 1e-12
     assert abs(g - 2.2360680) < 1e-6
 
