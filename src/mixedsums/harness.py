@@ -85,38 +85,19 @@ class CheckReport:
     passed: bool
 
 
-class Scratch:
-    """The work arrays of Checker.compare_arrays, shared by the checkers of
-    one suite call: a complex difference, its absolute value and a mask,
-    grown to the largest comparison seen and reused as views after that."""
-
-    DTYPES = (complex, float, bool)
-
-    def __init__(self):
-        self.diff, self.err, self.mask = (np.empty(0, dtype=t) for t in self.DTYPES)
-
-    def arrays(self, shape):
-        """(diff, err, mask) views of the given shape."""
-        n = math.prod(shape)
-        if n > self.diff.size:
-            self.diff, self.err, self.mask = (np.empty(n, dtype=t) for t in self.DTYPES)
-        return [a[:n].reshape(shape) for a in (self.diff, self.err, self.mask)]
-
-
 class Checker:
     """Folds comparisons of whole arrays into one CheckReport per a: with a
     batch of a (a 1-D array), every comparison leads with its a axis, and
     each a keeps its own worst error and verdict, in max_abs_err[i] and
-    passed[i] (i = 0 alone for one a, or for none)."""
+    passed[i] (i = 0 alone for one a, or for none).  A checker holds no
+    array of a comparison's size between calls."""
 
-    def __init__(self, check_id: str, field: FieldTable, a, tol: float,
-                 scratch: Scratch | None = None):
+    def __init__(self, check_id: str, field: FieldTable, a, tol: float):
         self.check_id = check_id
         self.q = field.q
         self.a = a
         self.a_values = np.ravel(a).tolist()  # [None] for none
         self.tol = tol
-        self.scratch = Scratch() if scratch is None else scratch
         self.instances = 0  # per a
         self.max_abs_err = np.zeros(len(self.a_values))
         self.passed = np.ones(len(self.a_values), dtype=bool)
@@ -129,18 +110,12 @@ class Checker:
         error is kept once seen, and a non-finite error always fails. A
         finite worst error of at most tol passes with no bound computed:
         every bound is tol * (1 + max(...)) >= tol in floating point. Every
-        temporary of the size of the comparison is a view of the scratch
-        arrays; when lhs and rhs are both real, the difference is taken in
-        err, with no complex difference."""
+        temporary is freed when the call returns."""
         lhs, rhs = np.asarray(lhs), np.asarray(rhs)
-        shape = (lhs.shape if lhs.shape == rhs.shape or not rhs.ndim
-                 else np.broadcast_shapes(lhs.shape, rhs.shape)) or (1,)
-        diff, err, mask = self.scratch.arrays(shape)
+        err = np.abs(np.atleast_1d(lhs - rhs))
         self.instances += err.size // len(self.passed) if count is None else count
         if not err.size:
             return
-        real = lhs.dtype.kind != "c" and rhs.dtype.kind != "c"
-        np.abs(np.subtract(lhs, rhs, out=err if real else diff), out=err)
         # max propagates NaN, so a finite max means every error of its a is
         # finite, and maximum keeps a NaN once seen
         rows = err.reshape(len(self.passed), -1)  # each a's entries, in a row
@@ -149,13 +124,8 @@ class Checker:
         if all(w <= self.tol for w in worst.tolist()):  # False for NaN
             return
         self.passed &= np.isfinite(worst)
-        # diff is spent: its memory holds the bound and |rhs|
-        bound, abs_rhs = diff.reshape(-1).view(float).reshape((2,) + shape)
-        np.abs(lhs, out=bound)
-        np.maximum(bound, np.abs(rhs, out=abs_rhs), out=bound)
-        bound += 1.0
-        bound *= self.tol
-        self.passed &= np.less_equal(err, bound, out=mask).reshape(rows.shape).all(axis=1)
+        bound = self.tol * (1 + np.maximum(np.abs(lhs), np.abs(rhs)))
+        self.passed &= (err <= bound).reshape(rows.shape).all(axis=1)
 
     compare = compare_arrays
 
@@ -166,19 +136,17 @@ class Checker:
 
 
 class Checks(dict):
-    """check_id -> Checker, each created on first use, all sharing one
-    Scratch."""
+    """check_id -> Checker, each created on first use."""
 
     def __init__(self, field: FieldTable, a, tol: float):
         super().__init__()
         self.field, self.a, self.tol = field, a, tol
-        self.scratch = Scratch()
 
     def __missing__(self, check_id: str) -> Checker:
         return self.add(check_id, self.tol)
 
     def add(self, check_id: str, tol: float) -> Checker:
-        c = self[check_id] = Checker(check_id, self.field, self.a, tol, self.scratch)
+        c = self[check_id] = Checker(check_id, self.field, self.a, tol)
         return c
 
     def reports(self) -> list[CheckReport]:

@@ -17,9 +17,9 @@ from mixedsums import mellin as ml
 from mixedsums import sums
 from mixedsums.chars import psi_table, unit_roots
 from mixedsums.gf import FieldTable
-from mixedsums.harness import (SUITES, Checker, _factor_prime_power, _json_line, _json_row,
-                               resolve_a_values, run_classical, run_main, run_mellin,
-                               run_mellin_field, run_transforms)
+from mixedsums.harness import (SUITES, Checker, Checks, _factor_prime_power, _json_line,
+                               _json_row, resolve_a_values, run_classical, run_main,
+                               run_mellin, run_mellin_field, run_transforms)
 from mixedsums.mellin import mellin_v_closed, null_locus_sum
 from mixedsums.mixed import cell_logs, element_order, mixed_table
 from mixedsums.sums import gauss_table, jacobi
@@ -142,14 +142,16 @@ def test_mellin_field_suite_holds_no_jacobi_table():
 
 def test_orbit_sweeps_keep_their_block_budget():
     # transforms and mellin_field hand each block of whole fourth-power
-    # classes to one sweep of at most max(16, 2**14 // q) rows, so their
-    # tracemalloc peaks stay below 5.5 MiB at q = 7^4 (5.08 and 4.60 MiB
-    # when each z and j was read in index-order blocks of that size)
+    # classes to one sweep of at most max(16, 2**14 // q) rows, and keep no
+    # comparison's arrays after it, so their tracemalloc peaks stay below
+    # 3.5 MiB at q = 7^4: 2.85 and 2.72 MiB (5.08 and 4.60 MiB when each z
+    # and j was read in index-order blocks of that size, 3.77 and 3.64 MiB
+    # when compare_arrays kept work arrays of its largest comparison)
     f = warm_field(7, 4)
     for suite in (run_transforms, run_mellin_field):
         peak, reports = traced_peak(lambda: suite(f))
         assert all(r.passed for r in reports)
-        assert peak < 5.5 * 2**20, suite.__name__
+        assert peak < 3.5 * 2**20, suite.__name__
 
 
 @pytest.mark.parametrize("pn", [(5, 1), (3, 2), (13, 1), (17, 1), (29, 1), (7, 2), (3, 4),
@@ -464,6 +466,13 @@ def invert_octic_sign(f, m):
         dataclasses.replace(ctx, A4=-ctx.A4 % (f.q - 1), _cache={})))
 
 
+def shift_log_entry(f, m):
+    """The field's log table with its entry for g^2 one too large."""
+    log = f.log_table.copy()
+    log[f.exp_table[2]] += 1
+    m.setattr(f, "log_table", log)
+
+
 def rotate_psi_value(f, m):
     """One value of the cached additive character, psi(1), times e^(0.1i)."""
     psi = psi_table(f).copy()
@@ -486,6 +495,10 @@ ZECH = {"jacobi_conjugate", "jacobi_with_trivial", "jacobi_gauss_ratio", "quad_t
 SWEEP = {"jacobi_trivial", "jacobi_conjugate", "jacobi_with_trivial", "jacobi_gauss_ratio",
          "char_orthogonality", "quad_transform", "gauss_summation_at_one", "kummer_value",
          "hyper_kernel", "pair_coeffs"}
+LOG = {"char_orthogonality", "gauss_summation_at_one", "hasse_davenport", "hyper_kernel",
+       "inverse_mellin", "jacobi_conjugate", "jacobi_gauss_ratio", "jacobi_with_trivial",
+       "kummer_value", "main_identity", "mellin_v", "pair_coeffs", "product_assembly",
+       "quad_transform", "tau_branch", "zero_row_factorization"}
 # each targeted fault and the exact set of checks, over every suite, that
 # it fails, or a set for each a of the test, keyed 1 and "g"
 FAULTS = {
@@ -534,6 +547,12 @@ FAULTS = {
     # at a = 1 every character value is 1, and o and -o give the same four
     # Gauss-sum products, so only a = g sees the sign
     "octic_sign": (invert_octic_sign, {1: set(), "g": {"mellin_v_octic"}}),
+    # every read of log g^2: V's kernel, char_at(A4, g^2), so V and every
+    # check that reads V (S, P, T and the Gauss sums never read log g^2,
+    # so double_mellin and mellin_p0 hold); the Jacobi sums, the 2F1, the
+    # kernel h, char_orthogonality's row sums and the null locus (empty at
+    # a = g); and hasse_davenport's A(4), as 4 = g^2 at q = 13
+    "log_entry": (shift_log_entry, {1: LOG | {"null_locus"}, "g": LOG}),
 }
 FAULT_FIELDS = {"octic_sign": (17, 1)}  # 8 | q - 1; every other row runs at q = 13
 STRUCTURAL = {"mixed_symmetry", "quarter_turn"}
@@ -594,9 +613,9 @@ def test_suites_build_no_multchar_and_call_no_scalar_gauss(monkeypatch):
 
 
 def test_real_comparison_reports_as_the_complex_one(f5):
-    # real lhs and rhs are compared in the float scratch; the report is the
-    # one the same values give as complex arrays, bit for bit, through the
-    # fast path, the bound pass and a non-finite error
+    # real lhs and rhs are subtracted as real arrays; the report is the one
+    # the same values give as complex arrays, bit for bit, through the fast
+    # path, the bound pass and a non-finite error
     rng = np.random.default_rng(0)
     x = rng.normal(size=(7, 9))
     cases = [(x, x + 1e-9 * rng.normal(size=x.shape)), (x[:, 0], 0.0),
@@ -609,6 +628,26 @@ def test_real_comparison_reports_as_the_complex_one(f5):
         r, c = real.report(), cplx.report()
         assert (r.instances, r.passed) == (c.instances, c.passed)
         assert repr(r.max_abs_err) == repr(c.max_abs_err)
+
+
+@pytest.mark.parametrize("moved", [1e-12, 1e-3])
+def test_checks_keep_no_comparison_sized_array(f5, moved):
+    # every temporary of compare_arrays, the bound's too when it is
+    # computed, is freed when the call returns: after one comparison of two
+    # (64, 256) complex arrays, 256 KiB each, a Checks collection and its
+    # checker hold less than 16 KB
+    rng = np.random.default_rng(0)
+    lhs = rng.normal(size=(64, 256)) + 1j * rng.normal(size=(64, 256))
+    rhs = lhs + moved
+    checks = Checks(f5, None, 1e-8)
+    tracemalloc.start()
+    try:
+        checks["held"].compare_arrays(lhs, rhs)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert checks["held"].report().passed == (moved < 1e-8)
+    assert current < 16 * 2**10
 
 
 def test_null_locus_is_found_in_row_blocks():

@@ -6,8 +6,8 @@ all-character Jacobi sums and 2F1 table are checked the same way over
 their (slope, offset) parameters, the cyclic convolution over the log
 index against its literal double sum, the in-place DFT against the DFT
 into a new array, the character evaluator MultChar against the scalar
-chi_val, and a checker that reuses its scratch arrays against fresh
-checkers."""
+chi_val, and a checker that shares its Checks collection with another
+checker in use against fresh checkers."""
 
 import math
 
@@ -252,9 +252,9 @@ def same_float(x, y):
 @PROPERTY
 @given(pairs=comparison_sequences())
 def test_compare_arrays_reuses_its_scratch(pairs):
-    # one checker of a Checks collection, whose scratch another checker
-    # grows between its calls, reports what fresh checkers of each
-    # comparison report together
+    # one checker of a Checks collection, whose other checker compares
+    # arrays of other sizes between its calls, reports what fresh checkers
+    # of each comparison report together
     f = build_field(5, 1)
     checks = Checks(f, 1, 1e-8)
     shared = checks["shared"]
